@@ -1,8 +1,7 @@
-//! A uniform set interface over all evaluated implementations.
+//! A uniform set interface over all evaluated implementations, and the
+//! structure and algorithm kinds the [`crate::registry`] pairs.
 
-use std::sync::Arc;
-
-use pmem::{PmemPool, SiteId, ThreadCtx};
+use pmem::{SiteId, ThreadCtx};
 
 /// The concurrent-set operations every evaluated algorithm exposes, plus
 /// the metadata the categorization experiments need (its `pwb` site table).
@@ -52,8 +51,7 @@ pub enum AlgoKind {
     TrackingNoReadOpt,
     /// Flat-combining detectable variant of the queue/stack shapes
     /// (`tracking::CombiningQueue` / `CombiningStack`) — not a set
-    /// implementation; only the queue/stack sweeps and the explorer list
-    /// it (see [`StructureKind::lineup`]).
+    /// implementation; the registry pairs it with those two shapes only.
     TrackingComb,
     /// Capsules + full durability transformation.
     Capsules,
@@ -112,40 +110,15 @@ impl AlgoKind {
             AlgoKind::RedoOpt,
         ]
     }
-
-    /// Can this implementation run under the cooperative schedule explorer
-    /// (`bench::explore`), which parks every virtual thread except one?
-    ///
-    /// `true` for everything. The lock-free competitors qualify outright:
-    /// the granted thread finishes its operation in finitely many
-    /// instrumented events no matter who stays parked. Romulus — the one
-    /// blocking design — qualifies through the *spin channel*
-    /// ([`pmem::yield_spin`]): its writer-mutex wait and its seqlock
-    /// reader spin both hand the explorer's turn back on every wait-loop
-    /// iteration, so the lock holder (or active writer) can be scheduled
-    /// to completion instead of deadlocking the turn protocol. Spin
-    /// yields are not pool events: they advance neither the event count
-    /// nor the crash countdown, keeping crash-point indexing identical
-    /// between a count run and its replays.
-    ///
-    /// The combining variant never needed the spin channel: it waits on
-    /// instrumented pool loads (the request/ready words and the combiner
-    /// lock), so every wait-loop iteration is already a yield point, and
-    /// a parked combiner's lock is observably free — any granted waiter
-    /// takes over as combiner rather than livelocking.
-    pub fn schedulable(self) -> bool {
-        true
-    }
 }
 
-/// The recoverable structure shapes the crash sweep verifies.
+/// The recoverable structure shapes the harness evaluates.
 ///
-/// The set shapes (`List`, `Bst`) go through the [`SetAlgo`] adapters built
-/// by [`build`]; the non-set shapes are the Tracking-only structures
+/// The set shapes (`List`, `Bst`) run every implementation through the
+/// [`SetAlgo`] interface; the other shapes are Tracking-only structures
 /// (`tracking::RecoverableQueue` / `RecoverableStack` /
-/// `RecoverableExchanger` / `RecoverableHashMap`), whose recovery entry
-/// points (`recover_enqueue`, `recover_pop`, `recover_exchange`,
-/// `recover_put`, …) the sweep engine drives directly.
+/// `RecoverableExchanger` / `RecoverableHashMap`, plus the flat-combining
+/// queue and stack). [`crate::registry`] lists which pairs exist.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum StructureKind {
     /// Sorted linked-list set (the paper's running example, §4).
@@ -201,340 +174,64 @@ impl StructureKind {
             StructureKind::Hashmap,
         ]
     }
+}
 
-    /// The algorithms a sweep of this shape covers: every list competitor
-    /// for `List`, the Tracking implementation only for the shapes that
-    /// exist solely as Tracking structures.
-    pub fn lineup(self) -> Vec<AlgoKind> {
-        match self {
-            StructureKind::List => AlgoKind::paper_lineup().to_vec(),
-            StructureKind::Bst => vec![AlgoKind::TrackingBst],
-            StructureKind::Queue | StructureKind::Stack => {
-                vec![AlgoKind::Tracking, AlgoKind::TrackingComb]
+/// Implements [`SetAlgo`] for a set type by forwarding to its inherent
+/// methods of the same names; `sites` is its `pwb` site table.
+macro_rules! set_algo {
+    ($ty:ty, $sites:expr $(, recover_structure: $recover:expr)?) => {
+        impl SetAlgo for $ty {
+            fn insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
+                <$ty>::insert(self, ctx, key)
             }
-            StructureKind::Exchanger | StructureKind::Hashmap => vec![AlgoKind::Tracking],
+            fn delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
+                <$ty>::delete(self, ctx, key)
+            }
+            fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
+                <$ty>::find(self, ctx, key)
+            }
+            fn insert_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
+                <$ty>::insert_started(self, ctx, key)
+            }
+            fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
+                <$ty>::delete_started(self, ctx, key)
+            }
+            fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
+                <$ty>::recover_insert(self, ctx, key)
+            }
+            fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
+                <$ty>::recover_delete(self, ctx, key)
+            }
+            fn recover_find(&self, ctx: &ThreadCtx, key: u64) -> bool {
+                <$ty>::recover_find(self, ctx, key)
+            }
+            $(fn recover_structure(&self) {
+                ($recover)(self)
+            })?
+            fn sites(&self) -> &'static [(SiteId, &'static str)] {
+                &$sites
+            }
+            fn len(&self) -> usize {
+                self.keys().len()
+            }
         }
-    }
-
-    /// [`Self::lineup`] restricted to the implementations the schedule
-    /// explorer can serialize (see [`AlgoKind::schedulable`]).
-    pub fn explore_lineup(self) -> Vec<AlgoKind> {
-        self.lineup()
-            .into_iter()
-            .filter(|a| a.schedulable())
-            .collect()
-    }
+    };
 }
 
-struct TrackingAdapter(tracking::RecoverableList);
-
-impl SetAlgo for TrackingAdapter {
-    fn insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert(ctx, key)
-    }
-    fn delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete(ctx, key)
-    }
-    fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.find(ctx, key)
-    }
-    fn insert_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert_started(ctx, key)
-    }
-    fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete_started(ctx, key)
-    }
-    fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_insert(ctx, key)
-    }
-    fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_delete(ctx, key)
-    }
-    fn recover_find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_find(ctx, key)
-    }
-    fn sites(&self) -> &'static [(SiteId, &'static str)] {
-        &tracking::sites::SITES
-    }
-    fn len(&self) -> usize {
-        self.0.keys().len()
-    }
-}
-
-struct TrackingBstAdapter(tracking::RecoverableBst);
-
-impl SetAlgo for TrackingBstAdapter {
-    fn insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert(ctx, key)
-    }
-    fn delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete(ctx, key)
-    }
-    fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.find(ctx, key)
-    }
-    fn insert_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert_started(ctx, key)
-    }
-    fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete_started(ctx, key)
-    }
-    fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_insert(ctx, key)
-    }
-    fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_delete(ctx, key)
-    }
-    fn recover_find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_find(ctx, key)
-    }
-    fn sites(&self) -> &'static [(SiteId, &'static str)] {
-        &tracking::sites::SITES
-    }
-    fn len(&self) -> usize {
-        self.0.keys().len()
-    }
-}
-
-struct CapsulesAdapter(capsules::CapsulesList);
-
-impl SetAlgo for CapsulesAdapter {
-    fn insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert(ctx, key)
-    }
-    fn delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete(ctx, key)
-    }
-    fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.find(ctx, key)
-    }
-    fn insert_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert_started(ctx, key)
-    }
-    fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete_started(ctx, key)
-    }
-    fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_insert(ctx, key)
-    }
-    fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_delete(ctx, key)
-    }
-    fn recover_find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_find(ctx, key)
-    }
-    fn sites(&self) -> &'static [(SiteId, &'static str)] {
-        &capsules::sites::SITES
-    }
-    fn len(&self) -> usize {
-        self.0.keys().len()
-    }
-}
-
-struct RomulusAdapter(romulus::RomulusList);
-
-impl SetAlgo for RomulusAdapter {
-    fn insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert(ctx, key)
-    }
-    fn delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete(ctx, key)
-    }
-    fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.find(ctx, key)
-    }
-    fn insert_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert_started(ctx, key)
-    }
-    fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete_started(ctx, key)
-    }
-    fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_insert(ctx, key)
-    }
-    fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_delete(ctx, key)
-    }
-    fn recover_find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_find(ctx, key)
-    }
-    fn recover_structure(&self) {
-        self.0.tm().recover();
-    }
-    fn sites(&self) -> &'static [(SiteId, &'static str)] {
-        &romulus::sites::SITES
-    }
-    fn len(&self) -> usize {
-        self.0.keys().len()
-    }
-}
-
-struct RedoAdapter(redo::RedoSet);
-
-impl SetAlgo for RedoAdapter {
-    fn insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert(ctx, key)
-    }
-    fn delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete(ctx, key)
-    }
-    fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.find(ctx, key)
-    }
-    fn insert_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert_started(ctx, key)
-    }
-    fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete_started(ctx, key)
-    }
-    fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_insert(ctx, key)
-    }
-    fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_delete(ctx, key)
-    }
-    fn recover_find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_find(ctx, key)
-    }
-    fn sites(&self) -> &'static [(SiteId, &'static str)] {
-        &redo::sites::SITES
-    }
-    fn len(&self) -> usize {
-        self.0.keys().len()
-    }
-}
-
-struct OneFileAdapter(onefile::OneFileList);
-
-impl SetAlgo for OneFileAdapter {
-    fn insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert(ctx, key)
-    }
-    fn delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete(ctx, key)
-    }
-    fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.find(ctx, key)
-    }
-    fn insert_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.insert_started(ctx, key)
-    }
-    fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.delete_started(ctx, key)
-    }
-    fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_insert(ctx, key)
-    }
-    fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_delete(ctx, key)
-    }
-    fn recover_find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        self.0.recover_find(ctx, key)
-    }
-    fn sites(&self) -> &'static [(SiteId, &'static str)] {
-        &onefile::sites::SITES
-    }
-    fn len(&self) -> usize {
-        self.0.keys().len()
-    }
-}
-
-/// Builds the structure of `kind` in `pool` (rooted at root cell 0).
-/// `threads` and `key_range` size the per-thread tables of the algorithms
-/// that need them (Romulus' region, RedoOpt's state object).
-pub fn build(
-    kind: AlgoKind,
-    pool: Arc<PmemPool>,
-    threads: usize,
-    key_range: u64,
-) -> Arc<dyn SetAlgo> {
-    match kind {
-        AlgoKind::TrackingComb => {
-            panic!("Tracking-Comb is a queue/stack variant, not a set implementation")
-        }
-        AlgoKind::Tracking => Arc::new(TrackingAdapter(tracking::RecoverableList::new(pool, 0))),
-        AlgoKind::TrackingNaive => {
-            Arc::new(TrackingAdapter(tracking::RecoverableList::with_config(
-                pool,
-                0,
-                tracking::list::ListConfig {
-                    traversal_flush: true,
-                    read_only_opt: true,
-                },
-            )))
-        }
-        AlgoKind::TrackingNoReadOpt => {
-            Arc::new(TrackingAdapter(tracking::RecoverableList::with_config(
-                pool,
-                0,
-                tracking::list::ListConfig {
-                    traversal_flush: false,
-                    read_only_opt: false,
-                },
-            )))
-        }
-        AlgoKind::TrackingBst => {
-            Arc::new(TrackingBstAdapter(tracking::RecoverableBst::new(pool, 0)))
-        }
-        AlgoKind::Capsules => Arc::new(CapsulesAdapter(capsules::CapsulesList::new(
-            pool,
-            0,
-            capsules::PersistPolicy::Full,
-        ))),
-        AlgoKind::CapsulesOpt => Arc::new(CapsulesAdapter(capsules::CapsulesList::new(
-            pool,
-            0,
-            capsules::PersistPolicy::Opt,
-        ))),
-        AlgoKind::Romulus => Arc::new(RomulusAdapter(romulus::RomulusList::new(
-            pool,
-            0,
-            key_range as usize + 16,
-        ))),
-        AlgoKind::RedoOpt => Arc::new(RedoAdapter(redo::RedoSet::new(
-            pool,
-            0,
-            threads,
-            key_range as usize + 16,
-        ))),
-        AlgoKind::OneFile => Arc::new(OneFileAdapter(onefile::OneFileList::new(
-            pool,
-            0,
-            threads,
-            key_range as usize + 16,
-        ))),
-    }
-}
+set_algo!(tracking::RecoverableList, tracking::sites::SITES);
+set_algo!(tracking::RecoverableBst, tracking::sites::SITES);
+set_algo!(capsules::CapsulesList, capsules::sites::SITES);
+set_algo!(redo::RedoSet, redo::sites::SITES);
+set_algo!(onefile::OneFileList, onefile::sites::SITES);
+set_algo!(
+    romulus::RomulusList,
+    romulus::sites::SITES,
+    recover_structure: |l: &romulus::RomulusList| l.tm().recover()
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::PoolCfg;
-
-    #[test]
-    fn every_kind_builds_and_operates() {
-        for kind in [
-            AlgoKind::Tracking,
-            AlgoKind::TrackingBst,
-            AlgoKind::TrackingNaive,
-            AlgoKind::TrackingNoReadOpt,
-            AlgoKind::Capsules,
-            AlgoKind::CapsulesOpt,
-            AlgoKind::Romulus,
-            AlgoKind::RedoOpt,
-            AlgoKind::OneFile,
-        ] {
-            let pool = Arc::new(PmemPool::new(PoolCfg::model(32 << 20)));
-            let ctx = ThreadCtx::new(pool.clone(), 0);
-            let s = build(kind, pool, 4, 500);
-            assert!(s.insert(&ctx, 10), "{kind:?}");
-            assert!(s.find(&ctx, 10), "{kind:?}");
-            assert!(s.delete(&ctx, 10), "{kind:?}");
-            assert!(!s.find(&ctx, 10), "{kind:?}");
-            assert!(s.is_empty(), "{kind:?}");
-            assert!(!s.sites().is_empty());
-        }
-    }
 
     #[test]
     fn kind_names_roundtrip() {

@@ -3,19 +3,19 @@
 //! comparable datapoint and regressions in the simulated substrate are
 //! visible as a trajectory rather than anecdotes.
 //!
-//! Three families of benchmarks, all single-threaded (the container exposes
-//! one core; see DESIGN §1 — multi-thread numbers here would measure the
-//! scheduler, not the algorithms):
+//! The report holds four parts:
 //!
-//! * **per-competitor list workloads** — a fixed op-count run of every
-//!   paper competitor over the sorted-list set in Perf mode
-//!   ([`pmem::Backend::Clflush`]), reporting ns/op, ops/sec, and the
-//!   persistence-instruction and instrumented-event densities;
-//! * **per-structure Tracking workloads** — the queue, stack, and
-//!   exchanger shapes the crash sweep verifies;
+//! * **registered rows** — one fixed op-count, single-threaded run of each
+//!   [`BASELINE`] pair of the [`crate::registry`], drawing its subject's own
+//!   workload ([`crate::subject::Subject::BENCH`]) in Perf mode
+//!   ([`pmem::Backend::Clflush`]), and reporting ns/op, ops/sec, and the
+//!   persistence-instruction and instrumented-event densities (the list
+//!   competitors run a second time with the flush-elision layer armed);
 //! * **allocator phases** — the recoverable free-list allocator's pop,
 //!   retire, and drain paths (`pmem::palloc`), timed over a full recycling
 //!   cycle on a `reclaim` pool;
+//! * **the thread sweep** — the [`THROUGHPUT`] pairs on real threads
+//!   ([`crate::parallel`]);
 //! * **instrumentation overhead** — a pure pool-primitive loop
 //!   (load/store/cas/pwb/psync over a handful of lines) with every observer
 //!   off versus trace+lint on. The *off* number is the cost the substrate
@@ -28,12 +28,15 @@
 //! smoke job runs against the freshly produced file.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pmem::{Backend, PmemPool, PoolCfg, SiteId, ThreadCtx};
 
-use crate::adapter::{build, AlgoKind, StructureKind};
-use crate::parallel::{run_thread_sweep, ParSubject, SweepPoint};
+use crate::adapter::StructureKind;
+use crate::parallel::{run_thread_sweep, SweepPoint};
+use crate::registry::{self, Dims, Engine, Entry, BASELINE, THROUGHPUT};
+use crate::subject::Subject;
+use crate::workload::{next_rng, Mix};
 
 /// Schema identifier embedded in every report.
 ///
@@ -51,7 +54,7 @@ pub struct BaselineCfg {
     /// Iterations of the primitive loop in the overhead benchmark.
     pub overhead_iters: u64,
     /// Thread counts of the parallel thread sweep (`bench::parallel`
-    /// over the queue/stack shapes, plain and combining).
+    /// over the [`THROUGHPUT`] pairs).
     pub sweep_threads: Vec<usize>,
     /// Timed window per sweep point, in milliseconds.
     pub sweep_window_ms: u64,
@@ -142,39 +145,11 @@ pub struct BaselineReport {
     pub created_unix: u64,
     /// Timed micro-workloads.
     pub rows: Vec<BenchRow>,
-    /// The parallel thread sweep over the queue/stack shapes (plain and
-    /// combining variants) on one contended shard.
+    /// The parallel thread sweep over the [`THROUGHPUT`] pairs on one
+    /// contended shard.
     pub thread_sweep: Vec<SweepPoint>,
     /// The observers-off/on comparison.
     pub overhead: OverheadRow,
-}
-
-// xorshift64* — the same deterministic generator the other harnesses use.
-#[inline]
-fn next_rng(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-const KEY_RANGE: u64 = 64;
-const SEED: u64 = 0xBA5E_11AE;
-
-/// Drives `ops` deterministic mixed set operations (70 % find).
-fn set_loop(algo: &dyn crate::adapter::SetAlgo, ctx: &ThreadCtx, ops: u64) {
-    let mut rng = SEED;
-    for _ in 0..ops {
-        let r = next_rng(&mut rng);
-        let key = r % KEY_RANGE + 1;
-        match (r >> 32) % 10 {
-            0..=6 => std::hint::black_box(algo.find(ctx, key)),
-            7..=8 => std::hint::black_box(algo.insert(ctx, key)),
-            _ => std::hint::black_box(algo.delete(ctx, key)),
-        };
-    }
 }
 
 fn perf_pool(bytes: usize, flushopt: bool) -> Arc<PmemPool> {
@@ -195,133 +170,115 @@ fn model_pool(bytes: usize, trace: bool, flushopt: bool) -> Arc<PmemPool> {
     }))
 }
 
-/// Times one per-competitor list workload and measures its event density.
-/// With `flushopt` the pools arm the flush-elision layer and the row is
-/// named `list/<Algo>+flushopt`; `pwb_per_op` then counts only the flushes
-/// that actually executed, with the elided balance in `pwb_elided_per_op`.
-fn bench_list(kind: AlgoKind, ops: u64, flushopt: bool) -> BenchRow {
-    // Timed run: Perf mode, real flushes, observers off.
-    let pool = perf_pool(256 << 20, flushopt);
-    let algo = build(kind, pool.clone(), 2, KEY_RANGE + 4);
-    let ctx = ThreadCtx::new(pool.clone(), 0);
-    let mut rng = SEED ^ 0xF00D;
-    for _ in 0..KEY_RANGE / 2 {
-        algo.insert(&ctx, next_rng(&mut rng) % KEY_RANGE + 1);
-    }
-    pool.stats_reset();
-    let t = Instant::now();
-    set_loop(&*algo, &ctx, ops);
-    let elapsed = t.elapsed();
-    let stats = pool.stats();
-
-    // Event density: a short traced Model-mode replay of the same script.
-    let ev_ops = ops.min(512);
-    let tp = model_pool(64 << 20, true, flushopt);
-    let talgo = build(kind, tp.clone(), 2, KEY_RANGE + 4);
-    let tctx = ThreadCtx::new(tp.clone(), 0);
-    let mut rng = SEED ^ 0xF00D;
-    for _ in 0..KEY_RANGE / 2 {
-        talgo.insert(&tctx, next_rng(&mut rng) % KEY_RANGE + 1);
-    }
-    tp.trace_clear();
-    set_loop(&*talgo, &tctx, ev_ops);
-    let events = tp.trace_snapshot().total();
-
-    let ns = elapsed.as_nanos() as f64 / ops as f64;
-    let suffix = if flushopt { "+flushopt" } else { "" };
-    BenchRow {
-        name: format!("list/{}{}", kind.name(), suffix),
-        structure: StructureKind::List.name(),
-        algo: kind.name().to_string(),
-        ops,
-        ns_per_op: ns,
-        ops_per_sec: 1e9 / ns,
-        events_per_op: events as f64 / ev_ops as f64,
-        pwb_per_op: stats.pwb_total() as f64 / ops as f64,
-        psync_per_op: (stats.psync + stats.pfence) as f64 / ops as f64,
-        pwb_elided_per_op: stats.pwb_elided_total() as f64 / ops as f64,
-        psync_coalesced_per_op: stats.psync_coalesced as f64 / ops as f64,
-    }
+/// The registered rows in report order: each list competitor plain, then
+/// each with the flush-elision layer armed (`true`), then every other
+/// [`BASELINE`] pair.
+pub fn row_plan() -> Vec<(&'static Entry, bool)> {
+    let (lists, others): (Vec<_>, Vec<_>) =
+        registry::with_role(BASELINE).partition(|e| e.structure == StructureKind::List);
+    let plain = |e| (e, false);
+    let lists_flushopt = lists.iter().map(|&e| (e, true));
+    lists
+        .iter()
+        .copied()
+        .map(plain)
+        .chain(lists_flushopt)
+        .chain(others.into_iter().map(plain))
+        .collect()
 }
 
-/// Times one Tracking-only structure (queue/stack/exchanger).
-fn bench_structure(structure: StructureKind, ops: u64) -> BenchRow {
-    let run = |pool: &Arc<PmemPool>, ctx: &ThreadCtx, n: u64| {
-        let mut rng = SEED ^ 0xCAFE;
-        match structure {
-            StructureKind::Queue => {
-                let q = tracking::RecoverableQueue::new(pool.clone(), 0);
-                for _ in 0..n {
-                    if next_rng(&mut rng) % 5 < 3 {
-                        q.enqueue(ctx, rng % 1000 + 1);
-                    } else {
-                        std::hint::black_box(q.dequeue(ctx));
-                    }
-                }
-            }
-            StructureKind::Stack => {
-                let s = tracking::RecoverableStack::new(pool.clone(), 0);
-                for _ in 0..n {
-                    if next_rng(&mut rng) % 5 < 3 {
-                        s.push(ctx, rng % 1000 + 1);
-                    } else {
-                        std::hint::black_box(s.pop(ctx));
-                    }
-                }
-            }
-            StructureKind::Exchanger => {
-                let x = tracking::RecoverableExchanger::new(pool.clone(), 0);
-                for i in 0..n {
-                    std::hint::black_box(x.exchange(ctx, i + 1, 2));
-                }
-            }
-            StructureKind::Hashmap => {
-                // 256-key universe over the default 8-bucket geometry: the
-                // timed window includes several level migrations, so the
-                // row prices resize amortization, not just bucket ops.
-                let m = tracking::RecoverableHashMap::new(pool.clone(), 0);
-                for _ in 0..n {
-                    let r = next_rng(&mut rng);
-                    let key = r % 256 + 1;
-                    match (r >> 32) % 10 {
-                        0..=5 => std::hint::black_box(m.get(ctx, key)).map(|_| ()),
-                        6..=8 => std::hint::black_box(m.put(ctx, key, (r >> 16) | 1)).then_some(()),
-                        _ => std::hint::black_box(m.remove(ctx, key)).map(|_| ()),
-                    };
-                }
-            }
-            _ => unreachable!("set shapes go through bench_list"),
-        }
-    };
+/// The name of a registered row (`list/Capsules+flushopt`).
+pub fn row_name(entry: &Entry, flushopt: bool) -> String {
+    format!("{}{}", entry.name, if flushopt { "+flushopt" } else { "" })
+}
 
-    let pool = perf_pool(256 << 20, false);
-    let ctx = ThreadCtx::new(pool.clone(), 0);
-    pool.stats_reset();
-    let t = Instant::now();
-    run(&pool, &ctx, ops);
-    let elapsed = t.elapsed();
-    let stats = pool.stats();
+/// The allocator phases timed by [`bench_palloc`], in report order.
+pub const PALLOC_PHASES: [&str; 3] = ["alloc", "retire", "drain"];
 
-    let ev_ops = ops.min(512);
-    let tp = model_pool(64 << 20, true, false);
-    let tctx = ThreadCtx::new(tp.clone(), 0);
-    tp.trace_clear();
-    run(&tp, &tctx, ev_ops);
-    let events = tp.trace_snapshot().total();
-
-    let ns = elapsed.as_nanos() as f64 / ops as f64;
-    BenchRow {
-        name: format!("{}/Tracking", structure.name()),
-        structure: structure.name(),
-        algo: "Tracking".to_string(),
+/// Times one registered pair's baseline workload and measures its event
+/// density. With `flushopt` the pools arm the flush-elision layer;
+/// `pwb_per_op` then counts only the flushes that actually executed, with
+/// the elided balance in `pwb_elided_per_op`.
+fn bench_row(entry: &'static Entry, ops: u64, flushopt: bool) -> BenchRow {
+    entry.with(Row {
+        entry,
         ops,
-        ns_per_op: ns,
-        ops_per_sec: 1e9 / ns,
-        events_per_op: events as f64 / ev_ops as f64,
-        pwb_per_op: stats.pwb_total() as f64 / ops as f64,
-        psync_per_op: (stats.psync + stats.pfence) as f64 / ops as f64,
-        pwb_elided_per_op: 0.0,
-        psync_coalesced_per_op: 0.0,
+        flushopt,
+    })
+}
+
+struct Row {
+    entry: &'static Entry,
+    ops: u64,
+    flushopt: bool,
+}
+
+impl Engine for Row {
+    type Out = BenchRow;
+
+    fn run<Sub: Subject>(
+        self,
+        make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
+    ) -> BenchRow {
+        let b = Sub::BENCH;
+        let dims = Dims {
+            root: 0,
+            threads: 2,
+            keys: b.keys + 4,
+            map: Default::default(),
+        };
+        // Builds the subject in `pool` and runs `n` of its calls; returns
+        // the time since the counters last restarted (see `Bench`).
+        let drive = |pool: &Arc<PmemPool>, n: u64| -> Duration {
+            let ctx = ThreadCtx::new(pool.clone(), 0);
+            let restart = || {
+                pool.stats_reset();
+                pool.trace_clear();
+                Instant::now()
+            };
+            let mut start = restart();
+            let sub = make(pool, &dims);
+            if b.prefill > 0 {
+                let mut rng = b.seed ^ 0xF00D;
+                for _ in 0..b.prefill {
+                    sub.call(&ctx, &Sub::draw(next_rng(&mut rng), &Mix::ADD, b.keys));
+                }
+                start = restart();
+            }
+            let mut rng = b.seed;
+            for _ in 0..n {
+                let op = Sub::draw(next_rng(&mut rng), &b.mix, b.keys);
+                std::hint::black_box(sub.call(&ctx, &op));
+            }
+            start.elapsed()
+        };
+
+        // Timed run: Perf mode, real flushes, observers off.
+        let pool = perf_pool(256 << 20, self.flushopt);
+        let elapsed = drive(&pool, self.ops);
+        let stats = pool.stats();
+
+        // Event density: a short traced Model-mode replay of the same script.
+        let ev_ops = self.ops.min(512);
+        let tp = model_pool(64 << 20, true, self.flushopt);
+        drive(&tp, ev_ops);
+        let events = tp.trace_snapshot().total();
+
+        let ops = self.ops as f64;
+        let ns = elapsed.as_nanos() as f64 / ops;
+        BenchRow {
+            name: row_name(self.entry, self.flushopt),
+            structure: self.entry.structure.name(),
+            algo: self.entry.algo.name().to_string(),
+            ops: self.ops,
+            ns_per_op: ns,
+            ops_per_sec: 1e9 / ns,
+            events_per_op: events as f64 / ev_ops as f64,
+            pwb_per_op: stats.pwb_total() as f64 / ops,
+            psync_per_op: (stats.psync + stats.pfence) as f64 / ops,
+            pwb_elided_per_op: stats.pwb_elided_total() as f64 / ops,
+            psync_coalesced_per_op: stats.psync_coalesced as f64 / ops,
+        }
     }
 }
 
@@ -405,7 +362,7 @@ fn bench_palloc(ops: u64) -> Vec<BenchRow> {
     }
 
     // marks[0]/events[0] are the untimed priming pass; phases follow.
-    ["alloc", "retire", "drain"]
+    PALLOC_PHASES
         .iter()
         .enumerate()
         .map(|(i, phase)| {
@@ -501,25 +458,10 @@ pub fn degraded_parallelism(threads_list: &[usize]) -> bool {
 
 /// Runs every baseline bench per `cfg`.
 pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
-    let mut rows = Vec::new();
-    let mut lineup = AlgoKind::paper_lineup().to_vec();
-    lineup.push(AlgoKind::OneFile);
-    for kind in &lineup {
-        rows.push(bench_list(*kind, cfg.ops, false));
-    }
-    // The same list workloads with the flush-elision layer armed: the
-    // committed before/after pairs the elision claims are judged against.
-    for kind in &lineup {
-        rows.push(bench_list(*kind, cfg.ops, true));
-    }
-    for structure in [
-        StructureKind::Queue,
-        StructureKind::Stack,
-        StructureKind::Exchanger,
-        StructureKind::Hashmap,
-    ] {
-        rows.push(bench_structure(structure, cfg.ops));
-    }
+    let mut rows: Vec<BenchRow> = row_plan()
+        .into_iter()
+        .map(|(entry, flushopt)| bench_row(entry, cfg.ops, flushopt))
+        .collect();
     rows.extend(bench_palloc(cfg.ops));
     if degraded_parallelism(&cfg.sweep_threads) {
         eprintln!(
@@ -531,7 +473,7 @@ pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
         );
     }
     let thread_sweep = run_thread_sweep(
-        &ParSubject::all(),
+        &registry::with_role(THROUGHPUT).collect::<Vec<_>>(),
         &cfg.sweep_threads,
         std::time::Duration::from_millis(cfg.sweep_window_ms),
         512 << 20,

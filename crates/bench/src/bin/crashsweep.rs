@@ -3,8 +3,8 @@
 //! ```text
 //! crashsweep [options]
 //!   --structure list|bst|queue|stack|exchanger|hashmap|all   shape(s) to sweep (default all)
-//!   --algo tracking|capsules|...|all                 set implementation(s) (default all
-//!                                                    = the shape's full lineup)
+//!   --algo tracking|capsules|...|all                 implementation(s) (default all
+//!                                                    = the shape's registered lineup)
 //!   --shard I/N            run only crash points with k % N == I
 //!   --sample P             run each point with probability P (deterministic in
 //!                          the seed; 1.0 = exhaustive)
@@ -44,6 +44,7 @@
 //! structure × algorithm pair is written under `--out`; the first failing
 //! point (if any) is minimized and its final trace window printed.
 
+use bench::registry;
 use bench::sweep::{run_palloc_sweep, run_sweep, AdversaryKind, SweepCfg, SweepReport};
 use bench::{AlgoKind, StructureKind};
 
@@ -180,46 +181,25 @@ fn main() {
         base.reclaim = true;
     }
 
-    let mut pairs: Vec<(StructureKind, AlgoKind)> = Vec::new();
-    if smoke && algo.is_none() && !structures_named {
+    let pairs = if smoke && algo.is_none() && !structures_named {
         // Only the pairs that actually retire nodes on a reclaim pool.
-        pairs = vec![
+        [
             (StructureKind::List, AlgoKind::Tracking),
             (StructureKind::List, AlgoKind::Capsules),
             (StructureKind::List, AlgoKind::CapsulesOpt),
             (StructureKind::Queue, AlgoKind::Tracking),
             (StructureKind::Stack, AlgoKind::Tracking),
             (StructureKind::Hashmap, AlgoKind::Tracking),
-        ];
-    }
-    if pairs.is_empty() {
-        for s in &structures {
-            match (s, algo) {
-                // An explicit --algo narrows the list lineup; the other shapes
-                // exist only as Tracking structures, so the explicit algo must
-                // match their lineup or the pair is skipped (with a note when
-                // it was named explicitly).
-                (StructureKind::List, Some(a)) => pairs.push((*s, a)),
-                (_, Some(a)) if s.lineup().contains(&a) => pairs.push((*s, a)),
-                (_, Some(a)) => {
-                    if structures.len() == 1 {
-                        eprintln!(
-                            "{} has no {} implementation (available: {})",
-                            s.name(),
-                            a.name(),
-                            s.lineup()
-                                .iter()
-                                .map(|a| a.name())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                }
-                (_, None) => pairs.extend(s.lineup().into_iter().map(|a| (*s, a))),
-            }
-        }
-    }
+        ]
+        .into_iter()
+        .map(|(s, a)| registry::find(s, a).expect("smoke pairs are registered"))
+        .collect()
+    } else {
+        registry::select(&structures, algo).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    };
 
     println!(
         "crash sweep: {} pair(s), engine={}, adversary={}, shard {}/{}, sample {}, paranoia {}, seed {:#x}{}",
@@ -249,10 +229,10 @@ fn main() {
         *failed |= !report.ok();
     };
     if !palloc_only {
-        for (structure, algo) in pairs {
+        for pair in pairs {
             let cfg = SweepCfg {
-                structure,
-                algo,
+                structure: pair.structure,
+                algo: pair.algo,
                 ..base.clone()
             };
             emit(run_sweep(&cfg), &mut failed);

@@ -5,7 +5,7 @@
 //! explore [options]
 //!   --structure list|bst|queue|stack|exchanger|hashmap|all   shape(s) to explore (default all)
 //!   --algo tracking|capsules|...|all                 implementation(s) (default all =
-//!                                                    the shape's schedulable lineup;
+//!                                                    the shape's registered lineup;
 //!                                                    Romulus spins via the scheduler's
 //!                                                    spin-yield channel)
 //!   --threads N            virtual threads per schedule (default 2)
@@ -30,6 +30,7 @@
 //! structure × algorithm pair is written under `--out`.
 
 use bench::explore::{run_explore, CrashMode, ExploreCfg, StrategyKind};
+use bench::registry;
 use bench::sweep::AdversaryKind;
 use bench::{AlgoKind, StructureKind};
 
@@ -155,35 +156,10 @@ fn main() {
         CrashMode::Off
     };
 
-    let mut pairs: Vec<(StructureKind, AlgoKind)> = Vec::new();
-    for s in &structures {
-        match algo {
-            Some(a) if !a.schedulable() => {
-                eprintln!(
-                    "{} cannot run under the cooperative scheduler (blocking design)",
-                    a.name()
-                );
-                std::process::exit(2);
-            }
-            Some(a) if s.explore_lineup().contains(&a) => pairs.push((*s, a)),
-            Some(a) => {
-                if structures.len() == 1 {
-                    eprintln!(
-                        "{} has no {} implementation (available: {})",
-                        s.name(),
-                        a.name(),
-                        s.explore_lineup()
-                            .iter()
-                            .map(|a| a.name())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    );
-                    std::process::exit(2);
-                }
-            }
-            None => pairs.extend(s.explore_lineup().into_iter().map(|a| (*s, a))),
-        }
-    }
+    let pairs = registry::select(&structures, algo).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
     println!(
         "schedule explorer: {} pair(s), threads={}, ops/thread={}, schedules={}/strategy, \
@@ -210,10 +186,10 @@ fn main() {
     let mut failed = false;
     let start = std::time::Instant::now();
     let (mut total_runs, mut total_crash_runs) = (0u64, 0u64);
-    for (structure, algo) in pairs {
+    for pair in pairs {
         let cfg = ExploreCfg {
-            structure,
-            algo,
+            structure: pair.structure,
+            algo: pair.algo,
             ..base.clone()
         };
         let report = run_explore(&cfg);

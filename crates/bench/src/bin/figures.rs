@@ -78,7 +78,7 @@ fn main() {
             } else {
                 (Mix::UPDATE_INTENSIVE, "fig4")
             };
-            let m = if mix.find_pct >= 50 {
+            let m = if mix.read_mostly() {
                 "read-intensive"
             } else {
                 "update-intensive"

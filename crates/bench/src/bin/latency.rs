@@ -1,17 +1,20 @@
 //! Per-operation latency percentiles for every implementation.
 //!
-//! Complements the throughput harness and the Criterion benches with a
-//! latency-distribution view: p50/p90/p99/p999 per operation type, from a
-//! log-bucketed histogram (hand-rolled; no extra dependencies).
+//! Complements the throughput harness and the baseline with a
+//! latency-distribution view of every set competitor in the registry:
+//! p50/p90/p99/p999 per operation kind, from a log-bucketed histogram
+//! (hand-rolled; no extra dependencies).
 //!
 //! ```text
 //! cargo run -p bench --release --bin latency [-- --ops 200000 --range 500]
 //! ```
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench::{build, AlgoKind};
+use bench::registry::{self, Dims, Engine, COMPETITOR};
+use bench::{AlgoKind, Mix, Subject};
 use pmem::{Backend, PmemPool, PoolCfg, ThreadCtx};
 
 /// Log-bucketed latency histogram: bucket i covers [2^(i/4), 2^((i+1)/4))
@@ -87,15 +90,42 @@ fn main() {
         "{:<22} {:>10} {:>8} {:>8} {:>8} {:>8}",
         "algo/op", "ops", "p50(ns)", "p90(ns)", "p99(ns)", "p999(ns)"
     );
-    for kind in [
-        AlgoKind::Tracking,
-        AlgoKind::TrackingBst,
-        AlgoKind::Capsules,
-        AlgoKind::CapsulesOpt,
-        AlgoKind::Romulus,
-        AlgoKind::RedoOpt,
-        AlgoKind::OneFile,
-    ] {
+    for entry in registry::with_role(COMPETITOR) {
+        // Capsules is ~20x slower; keep wall time comparable.
+        let n = if entry.algo == AlgoKind::Capsules {
+            ops / 10
+        } else {
+            ops
+        };
+        for (op, h) in entry.with(Latency { ops: n, range }) {
+            println!(
+                "{:<22} {:>10} {:>8} {:>8} {:>8} {:>8}",
+                format!("{}/{}", entry.algo.name(), op),
+                h.count,
+                h.quantile(0.50),
+                h.quantile(0.90),
+                h.quantile(0.99),
+                h.quantile(0.999),
+            );
+        }
+    }
+}
+
+/// Times `ops` calls of one subject, drawn a third each of reads, adds
+/// and removes over keys `[1, range]` after `range / 2` adds, into one
+/// histogram per operation kind (`Insert`, `Delete`, `Find`, …).
+struct Latency {
+    ops: u64,
+    range: u64,
+}
+
+impl Engine for Latency {
+    type Out = BTreeMap<String, Histogram>;
+
+    fn run<Sub: Subject>(
+        self,
+        make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
+    ) -> Self::Out {
         let pool = Arc::new(PmemPool::new(PoolCfg {
             capacity: 2 << 30,
             backend: Backend::Clflush,
@@ -103,7 +133,13 @@ fn main() {
             max_threads: 8,
             ..Default::default()
         }));
-        let algo = build(kind, pool.clone(), 4, range);
+        let dims = Dims {
+            root: 0,
+            threads: 4,
+            keys: self.range,
+            map: Default::default(),
+        };
+        let sub = make(&pool, &dims);
         let ctx = ThreadCtx::new(pool.clone(), 0);
         let mut rng = 0x5EEDu64;
         let mut next = || {
@@ -112,48 +148,27 @@ fn main() {
             rng ^= rng << 17;
             rng
         };
-        for _ in 0..range / 2 {
-            let k = next() % range + 1;
-            algo.insert(&ctx, k);
+        for _ in 0..self.range / 2 {
+            sub.call(&ctx, &Sub::draw(next(), &Mix::ADD, self.range));
         }
-        let mut hists = [Histogram::new(), Histogram::new(), Histogram::new()];
-        // Capsules is ~20x slower; keep wall time comparable.
-        let n = if kind == AlgoKind::Capsules {
-            ops / 10
-        } else {
-            ops
+        let mix = Mix {
+            of: 3,
+            read: 1,
+            add: 1,
         };
-        for _ in 0..n {
+        let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
+        for _ in 0..self.ops {
             if pool.remaining_lines() < 4096 {
                 break;
             }
-            let r = next();
-            let key = r % range + 1;
-            let op = (r >> 32) % 3;
+            let op = Sub::draw(next(), &mix, self.range);
+            let kind = format!("{op:?}");
+            let kind = kind.split('(').next().unwrap_or_default().to_string();
             let t = Instant::now();
-            match op {
-                0 => {
-                    std::hint::black_box(algo.insert(&ctx, key));
-                }
-                1 => {
-                    std::hint::black_box(algo.delete(&ctx, key));
-                }
-                _ => {
-                    std::hint::black_box(algo.find(&ctx, key));
-                }
-            }
-            hists[op as usize].record(t.elapsed().as_nanos() as u64);
+            std::hint::black_box(sub.call(&ctx, &op));
+            let ns = t.elapsed().as_nanos() as u64;
+            hists.entry(kind).or_insert_with(Histogram::new).record(ns);
         }
-        for (h, name) in hists.iter().zip(["insert", "delete", "find"]) {
-            println!(
-                "{:<22} {:>10} {:>8} {:>8} {:>8} {:>8}",
-                format!("{}/{}", kind.name(), name),
-                h.count,
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-                h.quantile(0.999),
-            );
-        }
+        hists
     }
 }

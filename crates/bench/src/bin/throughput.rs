@@ -1,4 +1,5 @@
-//! CLI for the genuinely parallel throughput engine (`bench::parallel`).
+//! CLI for the real-thread throughput sweep (`bench::parallel` over the
+//! `bench::workload` engine).
 //!
 //! ```text
 //! throughput [options]
@@ -6,7 +7,8 @@
 //!   --threads LIST     comma-separated thread counts (default 1,2,4)
 //!   --shards N         structure replicas, 0 = one per thread (default 1)
 //!   --duration-ms N    timed window per point (default 200, smoke 40)
-//!   --subjects LIST    comma-separated: queue,stack,comb-queue,comb-stack
+//!   --subjects LIST    comma-separated: queue,stack,comb-queue,comb-stack,hashmap
+//!                      (or any registered pair's report name, e.g. queue/Tracking)
 //!   --label L          report label (default pr7)
 //!   --out PATH         output JSON path (default BENCH_throughput_<label>.json)
 //!   --prev PATH        earlier report to compare aggregate ops/sec against
@@ -25,9 +27,10 @@
 use std::time::Duration;
 
 use bench::parallel::{
-    compare_sweeps, run_parallel, sweep_points_from_json, throughput_json,
-    validate_throughput_json, ParSubject, ParallelCfg, SweepPoint,
+    compare_sweeps, sweep_points_from_json, throughput_json, validate_throughput_json, SweepPoint,
 };
+use bench::registry::{self, Entry, THROUGHPUT};
+use bench::{run, RunCfg, StructureKind};
 
 fn parse_list(s: &str) -> Vec<usize> {
     s.split(',')
@@ -41,7 +44,7 @@ fn main() {
     let mut threads_list: Option<Vec<usize>> = None;
     let mut shards: usize = 1;
     let mut duration_ms: Option<u64> = None;
-    let mut subjects: Option<Vec<ParSubject>> = None;
+    let mut subjects: Option<Vec<&'static Entry>> = None;
     let mut label = "pr7".to_string();
     let mut out: Option<std::path::PathBuf> = None;
     let mut prev: Option<std::path::PathBuf> = None;
@@ -69,7 +72,7 @@ fn main() {
                     args[i]
                         .split(',')
                         .map(|t| {
-                            ParSubject::parse(t.trim()).unwrap_or_else(|| {
+                            registry::parse_subject(t.trim()).unwrap_or_else(|| {
                                 eprintln!("unknown subject {t}");
                                 std::process::exit(2);
                             })
@@ -99,10 +102,12 @@ fn main() {
 
     let threads_list = threads_list.unwrap_or_else(|| if smoke { vec![2] } else { vec![1, 2, 4] });
     let subjects = subjects.unwrap_or_else(|| {
+        let all = registry::with_role(THROUGHPUT);
         if smoke {
-            vec![ParSubject::Queue, ParSubject::CombQueue]
+            all.filter(|e| e.structure == StructureKind::Queue)
+                .collect()
         } else {
-            ParSubject::all().to_vec()
+            all.collect()
         }
     });
     let duration = Duration::from_millis(duration_ms.unwrap_or(if smoke { 40 } else { 200 }));
@@ -124,13 +129,13 @@ fn main() {
     let mut points: Vec<SweepPoint> = Vec::new();
     for &subject in &subjects {
         for &threads in &threads_list {
-            let cfg = ParallelCfg {
+            let cfg = RunCfg {
                 shards: if shards == 0 { threads } else { shards },
                 duration,
                 flushopt,
-                ..ParallelCfg::contended(subject, threads)
+                ..RunCfg::contended(subject, threads)
             };
-            let r = run_parallel(&cfg);
+            let r = run(&cfg);
             println!(
                 "{:<16} {:>3} {:>3} {:>10} {:>12.0} {:>12.0} {:>8.2} {:>9.2}",
                 r.subject,
@@ -142,18 +147,7 @@ fn main() {
                 r.pwb_per_op(),
                 r.psync_per_op()
             );
-            points.push(bench::parallel::SweepPoint {
-                subject: r.subject,
-                threads: r.threads,
-                shards: r.shards,
-                ops: r.ops,
-                ops_per_sec: r.ops_per_sec(),
-                per_thread_ops_per_sec: r.per_thread_ops_per_sec(),
-                pwb_per_op: r.pwb_per_op(),
-                psync_per_op: r.psync_per_op(),
-                pwb_elided_per_op: r.pwb_elided_per_op(),
-                psync_coalesced_per_op: r.psync_coalesced_per_op(),
-            });
+            points.push(SweepPoint::from_result(&r));
         }
     }
 

@@ -41,7 +41,7 @@
 //! entry point (sequentially, as a restarted system would), and feeds all
 //! completed + recovered operations with their original invocation stamps
 //! to the structure subject's concurrent verdict
-//! (`sweep::CrashSubject::concurrent_verdict`).
+//! ([`crate::subject::Subject::concurrent_verdict`]).
 //!
 //! ## Strategies
 //!
@@ -80,17 +80,14 @@ use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use linearize::{MapOp, QueueOp, SetOp, Spec, StackOp};
+use linearize::Spec;
 use pmem::{run_crashable, PmemPool, PoolCfg, PoolSnapshot, SiteId, ThreadCtx};
-use tracking::{RecoverableExchanger, RecoverableHashMap, RecoverableQueue, RecoverableStack};
 
-use crate::adapter::{build, AlgoKind, StructureKind};
+use crate::adapter::{AlgoKind, StructureKind};
 use crate::csv::Csv;
-use crate::sweep::{
-    csv_escape, file_slug, splitmix64, AdversaryKind, CombQueueSubject, CombStackSubject,
-    CompletedOp, CrashSubject, ExchangerSubject, HashmapSubject, QueueSubject, Rng, SetSubject,
-    StackSubject, HASHMAP_SWEEP_CFG, MAP_KEYS, SET_KEYS,
-};
+use crate::registry::{self, Dims, Engine};
+use crate::subject::{splitmix64, CompletedOp, OpOf, Rng, ScriptFor, Subject, SET_KEYS};
+use crate::sweep::{csv_escape, AdversaryKind};
 
 // --------------------------------------------------------------- strategies
 
@@ -497,7 +494,8 @@ pub enum CrashMode {
 pub struct ExploreCfg {
     /// Which structure shape to explore.
     pub structure: StructureKind,
-    /// Which implementation (must be [`AlgoKind::schedulable`]).
+    /// Which implementation; `(structure, algo)` must be a pair of the
+    /// [`crate::registry`].
     pub algo: AlgoKind,
     /// Virtual threads per schedule (≥ 2).
     pub threads: usize,
@@ -627,89 +625,6 @@ impl ExploreReport {
     }
 }
 
-// ----------------------------------------------------------------- scripts
-
-/// Per-thread set script over the shared key universe — shared keys are the
-/// point: conflicting inserts/deletes of the same key on different threads
-/// are what the linearizability check bites on.
-fn set_script_for(seed: u64, t: usize, len: usize) -> Vec<SetOp> {
-    let mut rng = Rng(splitmix64(seed ^ (t as u64 + 1).wrapping_mul(0xA5A5_1234)) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            let key = r % SET_KEYS + 1;
-            match (r >> 32) % 8 {
-                0..=3 => SetOp::Insert(key),
-                4..=6 => SetOp::Delete(key),
-                _ => SetOp::Find(key),
-            }
-        })
-        .collect()
-}
-
-/// Per-thread queue script. Values are unique across threads (thread `t`
-/// enqueues from base `(t+1)·1000`) so the checker can tell whose element a
-/// dequeue observed.
-fn queue_script_for(seed: u64, t: usize, len: usize) -> Vec<QueueOp> {
-    let mut rng = Rng(splitmix64(seed ^ (t as u64 + 1).wrapping_mul(0x5EED_4321)) | 1);
-    let mut next = (t as u64 + 1) * 1000;
-    (0..len)
-        .map(|_| {
-            if rng.next() % 5 < 3 {
-                next += 1;
-                QueueOp::Enqueue(next)
-            } else {
-                QueueOp::Dequeue
-            }
-        })
-        .collect()
-}
-
-/// Per-thread stack script; same unique-value scheme as the queue.
-fn stack_script_for(seed: u64, t: usize, len: usize) -> Vec<StackOp> {
-    let mut rng = Rng(splitmix64(seed ^ (t as u64 + 1).wrapping_mul(0x57AC_8765)) | 1);
-    let mut next = (t as u64 + 1) * 1000;
-    (0..len)
-        .map(|_| {
-            if rng.next() % 5 < 3 {
-                next += 1;
-                StackOp::Push(next)
-            } else {
-                StackOp::Pop
-            }
-        })
-        .collect()
-}
-
-/// Per-thread exchanger script: each op offers a globally unique value, so
-/// the pairing oracle's partner map is well-defined.
-fn exchange_script_for(t: usize, len: usize) -> Vec<u64> {
-    (0..len as u64).map(|i| (t as u64 + 1) * 1000 + i).collect()
-}
-
-/// Per-thread hashmap script. Thread 0 is put-heavy over the shared key
-/// universe (driving chains past the resize trigger), the others mix
-/// puts/removes/gets on the same keys — so resizes race bucket operations
-/// and other resizes, the schedules the hashmap exists to survive.
-fn map_script_for(seed: u64, t: usize, len: usize) -> Vec<MapOp> {
-    let mut rng = Rng(splitmix64(seed ^ (t as u64 + 1).wrapping_mul(0x4A5F_9876)) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            let key = r % MAP_KEYS + 1;
-            if t == 0 {
-                MapOp::Put(key, (r >> 40) % 90 + 100)
-            } else {
-                match (r >> 32) % 8 {
-                    0..=3 => MapOp::Put(key, (r >> 40) % 90 + 200),
-                    4..=6 => MapOp::Remove(key),
-                    _ => MapOp::Get(key),
-                }
-            }
-        })
-        .collect()
-}
-
 // ------------------------------------------------------------------ engine
 
 /// What a worker knows about its crash-interrupted operation, harvested
@@ -742,13 +657,13 @@ struct WorkerOut<S: Spec> {
 /// One worker's scripted run: gate on the scheduler, execute the script
 /// serially under the turn protocol, harvest the in-flight op if a crash
 /// unwinds it.
-fn worker_body<Sub: CrashSubject>(
+fn worker_body<Sub: Subject>(
     me: usize,
     sched: &Arc<Sched>,
     clock: &AtomicU64,
     sub: &Sub,
     ctx: &ThreadCtx,
-    script: &[<Sub::S as Spec>::Op],
+    script: &[OpOf<Sub>],
 ) -> WorkerOut<Sub::S> {
     let hook_sched = sched.clone();
     pmem::set_yield_hook(Box::new(move || hook_sched.yield_point(me)));
@@ -837,26 +752,21 @@ trait ExpCase {
 /// contexts are built once; every schedule run rewinds the pool to the
 /// `base` snapshot ([`PmemPool::restore`] re-arms the crash model and
 /// leaves the scheduler bit alone).
-struct ExpRunner<Sub: CrashSubject> {
+struct ExpRunner<Sub: Subject> {
     pool: Arc<PmemPool>,
     sub: Sub,
     ctxs: Vec<ThreadCtx>,
-    scripts: Vec<Vec<<Sub::S as Spec>::Op>>,
+    scripts: Vec<Vec<OpOf<Sub>>>,
     base: PoolSnapshot,
 }
 
 impl<Sub> ExpRunner<Sub>
 where
-    Sub: CrashSubject + Sync,
-    <Sub::S as Spec>::Op: Send + Sync,
+    Sub: Subject + Sync,
+    OpOf<Sub>: Send + Sync,
     <Sub::S as Spec>::Ret: Send,
 {
-    fn new(
-        pool: Arc<PmemPool>,
-        sub: Sub,
-        threads: usize,
-        scripts: Vec<Vec<<Sub::S as Spec>::Op>>,
-    ) -> Self {
+    fn new(pool: Arc<PmemPool>, sub: Sub, threads: usize, scripts: Vec<Vec<OpOf<Sub>>>) -> Self {
         let ctxs = (0..threads)
             .map(|t| ThreadCtx::new(pool.clone(), t))
             .collect();
@@ -873,8 +783,8 @@ where
 
 impl<Sub> ExpCase for ExpRunner<Sub>
 where
-    Sub: CrashSubject + Sync,
-    <Sub::S as Spec>::Op: Send + Sync,
+    Sub: Subject + Sync,
+    OpOf<Sub>: Send + Sync,
     <Sub::S as Spec>::Ret: Send,
 {
     fn run_one(
@@ -1046,56 +956,29 @@ where
     }
 }
 
-fn make_case(cfg: &ExploreCfg) -> Box<dyn ExpCase> {
-    let pool = Arc::new(PmemPool::new(PoolCfg {
-        reclaim: cfg.reclaim,
-        flushopt: cfg.flushopt,
-        ..PoolCfg::model(cfg.pool_bytes)
-    }));
-    let (n, len, seed) = (cfg.threads, cfg.ops_per_thread, cfg.seed);
-    match cfg.structure {
-        StructureKind::List | StructureKind::Bst => {
-            let algo = build(cfg.algo, pool.clone(), n, SET_KEYS + 4);
-            pool.register_site_names(algo.sites());
-            let scripts = (0..n).map(|t| set_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, SetSubject { algo }, n, scripts))
-        }
-        StructureKind::Queue if cfg.algo == AlgoKind::TrackingComb => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let q = tracking::CombiningQueue::new(pool.clone(), 0, n);
-            let scripts = (0..n).map(|t| queue_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, CombQueueSubject { q }, n, scripts))
-        }
-        StructureKind::Queue => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let q = RecoverableQueue::new(pool.clone(), 0);
-            let scripts = (0..n).map(|t| queue_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, QueueSubject { q }, n, scripts))
-        }
-        StructureKind::Stack if cfg.algo == AlgoKind::TrackingComb => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let s = tracking::CombiningStack::new(pool.clone(), 0, n);
-            let scripts = (0..n).map(|t| stack_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, CombStackSubject { s }, n, scripts))
-        }
-        StructureKind::Stack => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let s = RecoverableStack::new(pool.clone(), 0);
-            let scripts = (0..n).map(|t| stack_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, StackSubject { s }, n, scripts))
-        }
-        StructureKind::Exchanger => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let x = RecoverableExchanger::new(pool.clone(), 0);
-            let scripts = (0..n).map(|t| exchange_script_for(t, len)).collect();
-            Box::new(ExpRunner::new(pool, ExchangerSubject { x }, n, scripts))
-        }
-        StructureKind::Hashmap => {
-            pool.register_site_names(&tracking::sites::SITES);
-            let m = RecoverableHashMap::with_config(pool.clone(), 0, HASHMAP_SWEEP_CFG);
-            let scripts = (0..n).map(|t| map_script_for(seed, t, len)).collect();
-            Box::new(ExpRunner::new(pool, HashmapSubject { m }, n, scripts))
-        }
+/// The explore engine: builds a registered pair's subject once, with one
+/// script per virtual thread.
+struct ExploreEngine<'a>(&'a ExploreCfg);
+
+impl Engine for ExploreEngine<'_> {
+    type Out = Box<dyn ExpCase>;
+
+    fn run<Sub: Subject>(
+        self,
+        make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
+    ) -> Box<dyn ExpCase> {
+        let cfg = self.0;
+        let pool = Arc::new(PmemPool::new(PoolCfg {
+            reclaim: cfg.reclaim,
+            flushopt: cfg.flushopt,
+            ..PoolCfg::model(cfg.pool_bytes)
+        }));
+        let n = cfg.threads;
+        let sub = make(&pool, &Dims::verify(n));
+        let scripts = (0..n)
+            .map(|t| Sub::script(cfg.seed, cfg.ops_per_thread, ScriptFor::Thread(t)))
+            .collect();
+        Box::new(ExpRunner::new(pool, sub, n, scripts))
     }
 }
 
@@ -1130,18 +1013,19 @@ fn crash_points(seed: u64, strategy: StrategyKind, schedule: u64, events: u64, n
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid: fewer than 2 threads, an
-/// implementation the explorer cannot serialize
-/// ([`AlgoKind::schedulable`]), or a history too large for the
+/// Panics if the configuration is invalid: fewer than 2 threads, a pair
+/// the [`crate::registry`] does not list, or a history too large for the
 /// [`linearize`] checker's 63-operation bitmask (recorded operations plus
 /// the observation phase).
 pub fn run_explore(cfg: &ExploreCfg) -> ExploreReport {
     assert!(cfg.threads >= 2, "exploration needs at least 2 threads");
-    assert!(
-        cfg.algo.schedulable(),
-        "{} cannot run under the cooperative scheduler (blocking design)",
-        cfg.algo.name()
-    );
+    let entry = registry::find(cfg.structure, cfg.algo).unwrap_or_else(|| {
+        panic!(
+            "{} has no {} implementation",
+            cfg.structure.name(),
+            cfg.algo.name()
+        )
+    });
     // Worst-case history: every scripted op recorded, plus the observation
     // phase (12 finds for sets, one drain op per completed push/enqueue
     // plus the final empty witness for queue/stack, none for the
@@ -1154,7 +1038,7 @@ pub fn run_explore(cfg: &ExploreCfg) -> ExploreReport {
         cfg.ops_per_thread
     );
 
-    let case = make_case(cfg);
+    let case = entry.with(ExploreEngine(cfg));
     // Calibrate the PCT horizon with one throwaway crash-free round-robin
     // run (also a cheap end-to-end smoke of the pair before the matrix).
     // Fixed once for the whole exploration: a crash replay must construct
@@ -1166,10 +1050,9 @@ pub fn run_explore(cfg: &ExploreCfg) -> ExploreReport {
 
     let mut csv = Csv::new(
         &format!(
-            "explore_{}{}_{}_t{}",
+            "explore_{}{}_t{}",
             if cfg.reclaim { "churn_" } else { "" },
-            cfg.structure.name(),
-            file_slug(cfg.algo.name()),
+            entry.label(),
             cfg.threads
         ),
         &[
@@ -1313,22 +1196,20 @@ mod tests {
         // the distinct-key set — and with it the resize trigger — is the
         // same under any interleaving; serializing the two scripts
         // thread-by-thread is a faithful guard.
+        use crate::subject::{HashmapSubject, HASHMAP_SWEEP_CFG};
         let pool = std::sync::Arc::new(PmemPool::new(PoolCfg::model(4 << 20)));
-        let m = RecoverableHashMap::with_config(pool.clone(), 0, HASHMAP_SWEEP_CFG);
+        let entry = registry::find(StructureKind::Hashmap, AlgoKind::Tracking).unwrap();
+        let m: HashmapSubject = entry.subject(&pool, &Dims::verify(2));
         for t in 0..2 {
             let ctx = ThreadCtx::new(pool.clone(), t);
-            for op in map_script_for(0, t, 12) {
-                match op {
-                    MapOp::Put(k, v) => drop(m.put(&ctx, k, v)),
-                    MapOp::Remove(k) => drop(m.remove(&ctx, k)),
-                    MapOp::Get(k) => drop(m.get(&ctx, k)),
-                }
+            for op in HashmapSubject::script(0, 12, ScriptFor::Thread(t)) {
+                m.call(&ctx, &op);
             }
         }
         assert!(
-            m.bucket_count() > HASHMAP_SWEEP_CFG.initial_buckets,
+            m.0.bucket_count() > HASHMAP_SWEEP_CFG.initial_buckets,
             "t=2 x 12-op explore scripts never resized ({} buckets)",
-            m.bucket_count()
+            m.0.bucket_count()
         );
     }
 

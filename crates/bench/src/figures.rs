@@ -102,23 +102,18 @@ impl FigCfg {
 
     fn base(&self, kind: AlgoKind, threads: usize, mix: Mix) -> RunCfg {
         RunCfg {
-            kind,
-            threads,
             duration: self.duration,
             key_range: self.key_range,
+            prefill: self.key_range / 2,
             mix,
             pool_bytes: self.pool_bytes,
-            backend: Backend::Clflush,
-            seed: 0xD1CE,
-            psync_enabled: true,
-            site_mask: u64::MAX,
-            flushopt: false,
+            ..RunCfg::paper(kind, threads)
         }
     }
 }
 
 fn mixname(mix: Mix) -> &'static str {
-    if mix.find_pct >= 50 {
+    if mix.read_mostly() {
         "read-intensive"
     } else {
         "update-intensive"
@@ -237,7 +232,7 @@ pub fn categorize(cfg: &FigCfg, mix: Mix, kind: AlgoKind) -> Vec<SiteImpact> {
             max_threads: 8,
             ..Default::default()
         }));
-        crate::adapter::build(kind, pool, 1, cfg.key_range).sites()
+        crate::registry::build(kind, pool, 1, cfg.key_range).sites()
     };
     let mut out = Vec::new();
     for &(site, name) in sites {
@@ -403,6 +398,7 @@ pub fn fig_range_sweep(cfg: &FigCfg, name: &str) -> Csv {
         for kind in AlgoKind::paper_lineup() {
             let mut rc = cfg.base(kind, t, Mix::UPDATE_INTENSIVE);
             rc.key_range = range;
+            rc.prefill = range / 2;
             let r = run(&rc);
             csv.push(&[
                 kind.name().to_string(),
@@ -419,9 +415,9 @@ pub fn fig_range_sweep(cfg: &FigCfg, name: &str) -> Csv {
 pub fn fig_mix_sweep(cfg: &FigCfg, name: &str) -> Csv {
     let mut csv = Csv::new(name, &["algo", "find_pct", "mops", "pwb_per_op"]);
     let t = cfg.categorize_threads;
-    for find_pct in [0u32, 30, 50, 70, 90, 100] {
+    for find_pct in [0, 30, 50, 70, 90, 100] {
         for kind in [AlgoKind::Tracking, AlgoKind::CapsulesOpt] {
-            let r = run(&cfg.base(kind, t, Mix { find_pct }));
+            let r = run(&cfg.base(kind, t, Mix::finds(find_pct)));
             csv.push(&[
                 kind.name().to_string(),
                 find_pct.to_string(),
@@ -484,15 +480,7 @@ pub fn fig_attribution(cfg: &FigCfg, name: &str) -> Csv {
         ],
     );
     const OPS: u64 = 4_000;
-    let kinds = [
-        AlgoKind::Tracking,
-        AlgoKind::TrackingBst,
-        AlgoKind::Capsules,
-        AlgoKind::CapsulesOpt,
-        AlgoKind::Romulus,
-        AlgoKind::RedoOpt,
-        AlgoKind::OneFile,
-    ];
+    let kinds = crate::registry::with_role(crate::registry::COMPETITOR).map(|e| e.algo);
     for kind in kinds {
         // Each algorithm runs the identical script twice: once plain (the
         // lint's redundancy attribution — the "before" columns) and once
@@ -510,7 +498,7 @@ pub fn fig_attribution(cfg: &FigCfg, name: &str) -> Csv {
                 flushopt,
                 ..Default::default()
             }));
-            let algo = crate::adapter::build(kind, pool.clone(), 1, cfg.key_range);
+            let algo = crate::registry::build(kind, pool.clone(), 1, cfg.key_range);
             let ctx = pmem::ThreadCtx::new(pool.clone(), 0);
             // Attribute only steady-state operations, not construction.
             pool.stats_reset();

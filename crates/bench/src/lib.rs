@@ -5,16 +5,20 @@
 //! inserts, under a read-intensive (70 % find) and an update-intensive
 //! (30 % find) mix. This crate provides:
 //!
-//! * [`adapter`] — one uniform [`adapter::SetAlgo`] interface over all five
-//!   evaluated implementations (Tracking list & BST, Capsules,
-//!   Capsules-Opt, Romulus, RedoOpt);
-//! * [`workload`] — the timed multi-thread throughput runner with
-//!   persistence-instruction accounting;
-//! * [`parallel`] / `bin/throughput` — the genuinely parallel throughput
-//!   engine: N real OS threads over sharded queue/stack roots (plain
-//!   Tracking and flat-combining variants) with per-thread
-//!   [`pmem::SubArena`] allocation, emitting `bench-throughput/v1` JSON
-//!   and the baseline's `thread_sweep` series;
+//! * [`registry`] — every evaluated (structure, algorithm) pair, listed
+//!   once: the Tracking list, BST, queue, stack, exchanger and hash table,
+//!   the flat-combining queue/stack, and the list competitors (Capsules,
+//!   Capsules-Opt, Romulus, RedoOpt, OneFile). It builds each pair's
+//!   [`subject::Subject`] for every engine below;
+//! * [`subject`] — the one interface the engines drive: the detectable
+//!   operation contract, the sequential specification, and the op
+//!   generators, one impl per structure shape; [`adapter`] is the uniform
+//!   [`adapter::SetAlgo`] interface the set implementations share;
+//! * [`workload`] — the timed multi-thread engine with
+//!   persistence-instruction accounting, behind both the figure runs and
+//!   the real-thread throughput sweep ([`parallel`] / `bin/throughput`:
+//!   sharded roots, per-thread [`pmem::SubArena`] allocation,
+//!   `bench-throughput/v1` JSON and the baseline's `thread_sweep` series);
 //! * [`figures`] — drivers that reproduce each figure's measurement
 //!   protocol, including the paper's pwb-categorization methodology
 //!   (persistence-free baseline → single-site impact → L/M/H classes →
@@ -30,19 +34,19 @@
 //!   linearizes after recovery;
 //! * `bin/figures` — the CLI that writes one CSV per figure into
 //!   `results/`;
-//! * `bin/crashsweep` — the CLI driving [`sweep`] over the full
-//!   structure × algorithm matrix, writing one CSV per pair into
-//!   `results/crashsweep/`;
-//! * `bin/explore` — the CLI driving [`explore`] over the schedulable
-//!   matrix, writing one CSV per pair into `results/explore/`;
-//! * [`baseline`] / `bin/baseline` — the tracked perf baseline: fixed
-//!   per-structure/per-competitor micro-workloads plus an
-//!   instrumentation-overhead benchmark, emitted as `BENCH_*.json` at the
-//!   repo root so successive PRs leave a comparable trajectory.
+//! * `bin/crashsweep` — the CLI driving [`sweep`] over the registry's
+//!   lineup, writing one CSV per pair into `results/crashsweep/`;
+//! * `bin/explore` — the CLI driving [`explore`] over the same lineup,
+//!   writing one CSV per pair into `results/explore/`;
+//! * [`baseline`] / `bin/baseline` — the tracked perf baseline: each
+//!   registered subject's own micro-workload, the allocator phases, the
+//!   thread sweep and an instrumentation-overhead benchmark, emitted as
+//!   `BENCH_*.json` at the repo root so successive PRs leave a comparable
+//!   trajectory.
 //!
 //! Numbers are *shapes*, not absolutes: the substrate is simulated NVMM
-//! over DRAM (`clflush`/`sfence`) and this container exposes a single CPU,
-//! so thread "scaling" interleaves. See EXPERIMENTS.md for the
+//! over DRAM (`clflush`/`sfence`), and a thread count above the host's
+//! cores interleaves rather than scales. See EXPERIMENTS.md for the
 //! paper-vs-measured discussion.
 
 #![warn(missing_docs)]
@@ -53,11 +57,15 @@ pub mod csv;
 pub mod explore;
 pub mod figures;
 pub mod parallel;
+pub mod registry;
+pub mod subject;
 pub mod sweep;
 pub mod workload;
 
-pub use adapter::{build, AlgoKind, SetAlgo, StructureKind};
+pub use adapter::{AlgoKind, SetAlgo, StructureKind};
 pub use explore::{run_explore, CrashMode, ExploreCfg, ExploreReport, StrategyKind};
-pub use parallel::{run_parallel, run_thread_sweep, ParSubject, ParallelCfg, ParallelResult};
+pub use parallel::run_thread_sweep;
+pub use registry::{build, Entry};
+pub use subject::Subject;
 pub use sweep::{run_palloc_sweep, run_sweep, SweepCfg, SweepReport};
 pub use workload::{run, Mix, RunCfg, RunResult};

@@ -1,385 +1,13 @@
-//! Genuinely parallel throughput engine: N real OS threads running
-//! concurrently against sharded structure roots, with per-thread
-//! [`pmem::SubArena`] allocation.
-//!
-//! This is the scaling counterpart to [`crate::workload`]. That engine
-//! times the paper's *set* competitors; this one times the queue/stack
-//! shapes — the structures with a single contended root — in both their
-//! plain Tracking form and the flat-combining variants
-//! ([`tracking::CombiningQueue`] / [`tracking::CombiningStack`]), which
-//! exist precisely to change the *per-operation persistence bill* under
-//! contention, plus the resizable [`tracking::RecoverableHashMap`]
-//! (contended puts that occasionally co-drive a level migration — the
-//! one subject whose work per op changes with the thread count). Three
-//! levers are exposed:
-//!
-//! * **threads** — real `std::thread` workers, no turn monitor, no
-//!   serialization. On a single-core host the threads time-slice, which
-//!   still exercises every synchronization path; the count-based
-//!   `pwb`/`psync`-per-op numbers are scheduling-independent and are the
-//!   primary cross-variant signal (see EXPERIMENTS.md, "Scaling &
-//!   throughput methodology").
-//! * **shards** — the structure is replicated over `shards` root cells
-//!   and thread *t* works shard `t % shards`. One shard is the fully
-//!   contended configuration the combining variants target; `shards ==
-//!   threads` is the embarrassingly parallel upper bound.
-//! * **sub-arenas** — each worker installs a thread-private
-//!   [`pmem::SubArena`] so node/descriptor allocation bumps a local
-//!   cursor and touches the global one only on chunk refills
-//!   (`chunk_lines == 0` disables this, for measuring the contended
-//!   cursor).
-//!
-//! The workload is the storm tests' 50/50 producer/consumer mix with a
-//! small prefill, so pops mostly succeed and both code paths stay hot.
+//! The real-thread throughput sweep: `subjects × thread counts` timed runs
+//! of the [`crate::workload`] engine on one contended shard, reported as
+//! the baseline's `thread_sweep` series and as the standalone
+//! `bench-throughput/v1` document of `bin/throughput`, plus the readers
+//! and comparisons the `--prev` checks run on those documents.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use pmem::{install_thread_arena, uninstall_thread_arena, SubArena};
-use pmem::{Backend, PmemPool, PoolCfg, ThreadCtx};
-use tracking::{
-    CombiningQueue, CombiningStack, RecoverableHashMap, RecoverableQueue, RecoverableStack,
-};
-
-// xorshift64* — the deterministic generator every harness here uses.
-#[inline]
-fn next_rng(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-/// Which structure a parallel run drives.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum ParSubject {
-    /// Plain Tracking MS-style queue.
-    Queue,
-    /// Plain Tracking Treiber-style stack.
-    Stack,
-    /// Flat-combining detectable queue.
-    CombQueue,
-    /// Flat-combining detectable stack.
-    CombStack,
-    /// Resizable Tracking hash map. Unlike the single-root queue/stack
-    /// shapes, contention here spreads over buckets — the interesting
-    /// parallel behavior is threads *helping* a concurrent resize.
-    Hashmap,
-}
-
-impl ParSubject {
-    /// All subjects, in report order.
-    pub fn all() -> [ParSubject; 5] {
-        [
-            ParSubject::Queue,
-            ParSubject::CombQueue,
-            ParSubject::Stack,
-            ParSubject::CombStack,
-            ParSubject::Hashmap,
-        ]
-    }
-
-    /// Stable report name (also the JSON `subject` field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ParSubject::Queue => "queue/Tracking",
-            ParSubject::Stack => "stack/Tracking",
-            ParSubject::CombQueue => "queue/Combining",
-            ParSubject::CombStack => "stack/Combining",
-            ParSubject::Hashmap => "hashmap/Tracking",
-        }
-    }
-
-    /// Parses a `--subjects` CLI token (the name or a short alias).
-    pub fn parse(s: &str) -> Option<ParSubject> {
-        match s {
-            "queue" | "queue/Tracking" => Some(ParSubject::Queue),
-            "stack" | "stack/Tracking" => Some(ParSubject::Stack),
-            "comb-queue" | "queue/Combining" => Some(ParSubject::CombQueue),
-            "comb-stack" | "stack/Combining" => Some(ParSubject::CombStack),
-            "hashmap" | "hashmap/Tracking" => Some(ParSubject::Hashmap),
-            _ => None,
-        }
-    }
-}
-
-/// One parallel-run configuration.
-#[derive(Clone, Debug)]
-pub struct ParallelCfg {
-    /// Structure under test.
-    pub subject: ParSubject,
-    /// Real OS worker threads.
-    pub threads: usize,
-    /// Structure replicas (root cells); thread `t` drives shard
-    /// `t % shards`. Capped at [`pmem::NUM_ROOTS`].
-    pub shards: usize,
-    /// Timed-window length.
-    pub duration: Duration,
-    /// Pool capacity in bytes.
-    pub pool_bytes: usize,
-    /// Persistence backend.
-    pub backend: Backend,
-    /// RNG seed.
-    pub seed: u64,
-    /// Sub-arena chunk size in lines (0 = no per-thread arena).
-    pub chunk_lines: usize,
-    /// Values prefilled per shard (so pops mostly succeed).
-    pub prefill: u64,
-    /// Arm the flush-elision layer ([`pmem::PoolCfg::flushopt`]) on the
-    /// shared pool. Default `false`.
-    pub flushopt: bool,
-}
-
-impl ParallelCfg {
-    /// Defaults for `subject` at `threads` threads: one contended shard,
-    /// Clflush backend, per-thread arenas on.
-    pub fn contended(subject: ParSubject, threads: usize) -> ParallelCfg {
-        ParallelCfg {
-            subject,
-            threads,
-            shards: 1,
-            duration: Duration::from_millis(200),
-            pool_bytes: 1 << 30,
-            backend: Backend::Clflush,
-            seed: 0x7A11E1,
-            chunk_lines: pmem::DEFAULT_CHUNK_LINES,
-            prefill: 256,
-            flushopt: false,
-        }
-    }
-}
-
-/// What one parallel run measured.
-#[derive(Clone, Debug)]
-pub struct ParallelResult {
-    /// Subject name.
-    pub subject: &'static str,
-    /// Worker threads.
-    pub threads: usize,
-    /// Shards used (post-cap).
-    pub shards: usize,
-    /// Completed operations across all threads.
-    pub ops: u64,
-    /// Completed operations per thread.
-    pub per_thread_ops: Vec<u64>,
-    /// Actual timed-window length.
-    pub elapsed: Duration,
-    /// `pwb` executions in the window.
-    pub pwb: u64,
-    /// `psync` + `pfence` executions in the window.
-    pub psync: u64,
-    /// `pwb`s elided/coalesced by the flush-elision layer in the window
-    /// (0 unless the pool was built with [`pmem::PoolCfg::flushopt`]).
-    pub pwb_elided: u64,
-    /// Fences elided inside coalescible regions in the window.
-    pub psync_coalesced: u64,
-    /// Sub-arena chunk refills across all workers (global-cursor touches).
-    pub arena_refills: u64,
-    /// Lines stranded in abandoned sub-arena chunks.
-    pub arena_waste_lines: u64,
-}
-
-impl ParallelResult {
-    /// Aggregate operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Mean per-thread operations per second.
-    pub fn per_thread_ops_per_sec(&self) -> f64 {
-        self.ops_per_sec() / self.threads.max(1) as f64
-    }
-
-    /// `pwb`s per completed operation.
-    pub fn pwb_per_op(&self) -> f64 {
-        self.pwb as f64 / self.ops.max(1) as f64
-    }
-
-    /// `psync`s (incl. `pfence`s) per completed operation.
-    pub fn psync_per_op(&self) -> f64 {
-        self.psync as f64 / self.ops.max(1) as f64
-    }
-
-    /// Elided/coalesced `pwb`s per completed operation.
-    pub fn pwb_elided_per_op(&self) -> f64 {
-        self.pwb_elided as f64 / self.ops.max(1) as f64
-    }
-
-    /// Coalesced fences per completed operation.
-    pub fn psync_coalesced_per_op(&self) -> f64 {
-        self.psync_coalesced as f64 / self.ops.max(1) as f64
-    }
-}
-
-/// One structure replica; dispatches the 50/50 mix.
-enum Shard {
-    Q(RecoverableQueue),
-    S(RecoverableStack),
-    CQ(CombiningQueue),
-    CS(CombiningStack),
-    H(RecoverableHashMap),
-}
-
-/// Key universe of the hashmap shard: big enough that the default 8-bucket
-/// geometry resizes several times inside the timed window, small enough
-/// that gets mostly hit.
-const HASHMAP_PAR_KEYS: u64 = 4096;
-
-impl Shard {
-    fn build(subject: ParSubject, pool: &Arc<PmemPool>, root: usize, nthreads: usize) -> Shard {
-        match subject {
-            ParSubject::Queue => Shard::Q(RecoverableQueue::new(pool.clone(), root)),
-            ParSubject::Stack => Shard::S(RecoverableStack::new(pool.clone(), root)),
-            ParSubject::CombQueue => Shard::CQ(CombiningQueue::new(pool.clone(), root, nthreads)),
-            ParSubject::CombStack => Shard::CS(CombiningStack::new(pool.clone(), root, nthreads)),
-            ParSubject::Hashmap => Shard::H(RecoverableHashMap::new(pool.clone(), root)),
-        }
-    }
-
-    #[inline]
-    fn op(&self, ctx: &ThreadCtx, r: u64) {
-        let v = (r >> 8) % 100_000 + 1;
-        match self {
-            Shard::Q(q) => {
-                if r & 1 == 0 {
-                    q.enqueue(ctx, v);
-                } else {
-                    std::hint::black_box(q.dequeue(ctx));
-                }
-            }
-            Shard::S(s) => {
-                if r & 1 == 0 {
-                    s.push(ctx, v);
-                } else {
-                    std::hint::black_box(s.pop(ctx));
-                }
-            }
-            Shard::CQ(q) => {
-                if r & 1 == 0 {
-                    q.enqueue(ctx, v);
-                } else {
-                    std::hint::black_box(q.dequeue(ctx));
-                }
-            }
-            Shard::CS(s) => {
-                if r & 1 == 0 {
-                    s.push(ctx, v);
-                } else {
-                    std::hint::black_box(s.pop(ctx));
-                }
-            }
-            Shard::H(m) => {
-                // Producer side (the prefill's `r & !1` lands here) puts;
-                // the other half splits between gets and removes so the
-                // table keeps churning through its resize trigger.
-                let key = (r >> 8) % HASHMAP_PAR_KEYS + 1;
-                if r & 1 == 0 {
-                    std::hint::black_box(m.put(ctx, key, v));
-                } else if r & 2 == 0 {
-                    std::hint::black_box(m.get(ctx, key));
-                } else {
-                    std::hint::black_box(m.remove(ctx, key));
-                }
-            }
-        }
-    }
-}
-
-/// Runs one timed parallel measurement per `cfg`.
-pub fn run_parallel(cfg: &ParallelCfg) -> ParallelResult {
-    let threads = cfg.threads.max(1);
-    let shards = cfg.shards.clamp(1, pmem::NUM_ROOTS);
-    let pool = Arc::new(PmemPool::new(PoolCfg {
-        capacity: cfg.pool_bytes,
-        backend: cfg.backend,
-        shadow: false,
-        max_threads: threads.next_power_of_two().max(8),
-        flushopt: cfg.flushopt,
-        ..Default::default()
-    }));
-    let shard_list: Arc<Vec<Shard>> = Arc::new(
-        (0..shards)
-            .map(|i| Shard::build(cfg.subject, &pool, i, threads))
-            .collect(),
-    );
-    // Prefill each shard from thread slot 0 so pops mostly succeed.
-    {
-        let ctx = ThreadCtx::new(pool.clone(), 0);
-        let mut rng = cfg.seed ^ 0xF111;
-        for shard in shard_list.iter() {
-            for _ in 0..cfg.prefill {
-                shard.op(&ctx, next_rng(&mut rng) & !1); // force producer side
-            }
-        }
-    }
-    pool.stats_reset();
-    let before = pool.stats();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(threads + 1));
-    let mut handles = Vec::with_capacity(threads);
-    for t in 0..threads {
-        let pool = pool.clone();
-        let shard_list = shard_list.clone();
-        let stop = stop.clone();
-        let barrier = barrier.clone();
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            if cfg.chunk_lines > 0 {
-                install_thread_arena(SubArena::new(pool.clone(), cfg.chunk_lines));
-            }
-            let ctx = ThreadCtx::new(pool.clone(), t);
-            let shard = &shard_list[t % shard_list.len()];
-            let mut rng = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-            barrier.wait();
-            let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                // Leave headroom so allocation never aborts the run.
-                if pool.remaining_lines() < 8192 {
-                    break;
-                }
-                shard.op(&ctx, next_rng(&mut rng));
-                ops += 1;
-            }
-            let (refills, waste) = match uninstall_thread_arena() {
-                Some(a) => (a.refills(), a.waste_lines() as u64),
-                None => (0, 0),
-            };
-            (ops, refills, waste)
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(cfg.duration);
-    stop.store(true, Ordering::Relaxed);
-    let mut per_thread_ops = Vec::with_capacity(threads);
-    let (mut refills, mut waste) = (0u64, 0u64);
-    for h in handles {
-        let (ops, r, w) = h.join().expect("parallel worker panicked");
-        per_thread_ops.push(ops);
-        refills += r;
-        waste += w;
-    }
-    let elapsed = start.elapsed();
-    let d = pool.stats().delta(&before);
-    ParallelResult {
-        subject: cfg.subject.name(),
-        threads,
-        shards,
-        ops: per_thread_ops.iter().sum(),
-        per_thread_ops,
-        elapsed,
-        pwb: d.pwb_total(),
-        psync: d.psync + d.pfence,
-        pwb_elided: d.pwb_elided_total(),
-        psync_coalesced: d.psync_coalesced,
-        arena_refills: refills,
-        arena_waste_lines: waste,
-    }
-}
+use crate::registry::Entry;
+use crate::workload::{run, RunCfg, RunResult};
 
 /// One `(subject, threads)` datapoint of a thread sweep, as recorded in
 /// the committed JSON reports (`thread_sweep` section of
@@ -410,7 +38,8 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    fn from_result(r: &ParallelResult) -> SweepPoint {
+    /// The datapoint of one timed run.
+    pub fn from_result(r: &RunResult) -> SweepPoint {
         SweepPoint {
             subject: r.subject,
             threads: r.threads,
@@ -456,7 +85,7 @@ impl SweepPoint {
 /// Runs `subjects × threads_list` on one contended shard and returns the
 /// datapoints in sweep order.
 pub fn run_thread_sweep(
-    subjects: &[ParSubject],
+    subjects: &[&'static Entry],
     threads_list: &[usize],
     duration: Duration,
     pool_bytes: usize,
@@ -464,12 +93,12 @@ pub fn run_thread_sweep(
     let mut out = Vec::new();
     for &subject in subjects {
         for &threads in threads_list {
-            let cfg = ParallelCfg {
+            let cfg = RunCfg {
                 duration,
                 pool_bytes,
-                ..ParallelCfg::contended(subject, threads)
+                ..RunCfg::contended(subject, threads)
             };
-            out.push(SweepPoint::from_result(&run_parallel(&cfg)));
+            out.push(SweepPoint::from_result(&run(&cfg)));
         }
     }
     out
@@ -604,45 +233,35 @@ pub fn compare_sweeps(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapter::{AlgoKind, StructureKind};
+    use crate::registry;
+    use pmem::Backend;
 
-    fn tiny(subject: ParSubject, threads: usize) -> ParallelCfg {
-        ParallelCfg {
+    fn tiny(structure: StructureKind, threads: usize) -> RunCfg {
+        RunCfg {
             duration: Duration::from_millis(40),
             pool_bytes: 256 << 20,
             backend: Backend::Noop,
             prefill: 64,
-            ..ParallelCfg::contended(subject, threads)
-        }
-    }
-
-    #[test]
-    fn every_subject_sustains_two_threads() {
-        for subject in ParSubject::all() {
-            let r = run_parallel(&tiny(subject, 2));
-            assert_eq!(r.per_thread_ops.len(), 2);
-            assert!(r.ops > 0, "{} completed no ops", r.subject);
-            assert!(
-                r.per_thread_ops.iter().all(|&o| o > 0),
-                "{} starved a thread: {:?}",
-                r.subject,
-                r.per_thread_ops
-            );
-            assert!(r.pwb > 0 && r.psync > 0, "{} must persist", r.subject);
+            ..RunCfg::contended(
+                registry::find(structure, AlgoKind::Tracking).unwrap(),
+                threads,
+            )
         }
     }
 
     #[test]
     fn sharding_spreads_threads() {
-        let mut cfg = tiny(ParSubject::Stack, 2);
+        let mut cfg = tiny(StructureKind::Stack, 2);
         cfg.shards = 2;
-        let r = run_parallel(&cfg);
+        let r = run(&cfg);
         assert_eq!(r.shards, 2);
         assert!(r.ops > 0);
     }
 
     #[test]
     fn arena_refills_stay_rare() {
-        let r = run_parallel(&tiny(ParSubject::Queue, 2));
+        let r = run(&tiny(StructureKind::Queue, 2));
         // Each 4096-line chunk serves dozens of ops, so refills must stay a
         // tiny fraction of throughput; a regression to per-op global-cursor
         // traffic would put refills on the order of `ops` itself. The bound
@@ -658,12 +277,8 @@ mod tests {
 
     #[test]
     fn throughput_json_roundtrips() {
-        let pts = run_thread_sweep(
-            &[ParSubject::Stack],
-            &[1, 2],
-            Duration::from_millis(30),
-            256 << 20,
-        );
+        let stack = registry::find(StructureKind::Stack, AlgoKind::Tracking).unwrap();
+        let pts = run_thread_sweep(&[stack], &[1, 2], Duration::from_millis(30), 256 << 20);
         assert_eq!(pts.len(), 2);
         let json = throughput_json("unit", &[1, 2], &pts);
         validate_throughput_json(&json).expect("self-produced JSON must validate");

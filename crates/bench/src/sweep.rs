@@ -63,42 +63,19 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use linearize::{
-    History, MapOp, MapRet, MapSpec, QueueOp, QueueRet, QueueSpec, SetOp, SetSpec, Spec, StackOp,
-    StackRet, StackSpec,
-};
+use linearize::{History, Spec};
 use pmem::{
     run_crashable, CrashAdversary, Event, PAddr, PessimistAdversary, PmemPool, PoolCfg,
     PoolSnapshot, SeededAdversary, SiteId, ThreadCtx,
 };
-use tracking::{
-    CombiningQueue, CombiningStack, RecoverableExchanger, RecoverableHashMap, RecoverableQueue,
-    RecoverableStack,
-};
 
-use crate::adapter::{build, AlgoKind, SetAlgo, StructureKind};
+use crate::adapter::{AlgoKind, StructureKind};
 use crate::csv::Csv;
+use crate::registry::{self, Dims, Engine};
+use crate::subject::{splitmix64, Bench, OpOf, RetOf, ScriptFor, Subject};
+use crate::workload::{Class, Mix};
 
-/// Key universe of the set scripts (kept far below the [`SetSpec`] bitmap's
-/// 64-key ceiling so the observation phase stays cheap).
-pub const SET_KEYS: u64 = 12;
-
-/// Key universe of the hashmap scripts. Paired with the deliberately tiny
-/// `HASHMAP_SWEEP_CFG` (2 initial buckets, chains capped at 2) it forces
-/// several level migrations *inside* the scripted window, so the exhaustive
-/// sweep crashes the resize protocol at every publish / migrate / seal /
-/// finish event, not just the bucket operations.
-pub const MAP_KEYS: u64 = 12;
-
-/// Hash-table geometry used by every sweep/explore case: small enough that
-/// the 12-op script crosses multiple resizes.
-pub(crate) const HASHMAP_SWEEP_CFG: tracking::hashmap::HashMapConfig =
-    tracking::hashmap::HashMapConfig {
-        initial_buckets: 2,
-        max_chain: 2,
-    };
-
-/// Threads parameter passed to [`build`] (sizes per-thread tables of the
+/// Threads the swept structures are sized for (per-thread tables of the
 /// algorithms that need them; the sweep itself is single-threaded so that
 /// exhaustive crash-point enumeration is deterministic and the model
 /// unambiguous — concurrent interleavings are [`crate::explore`]'s job).
@@ -148,9 +125,8 @@ impl AdversaryKind {
 pub struct SweepCfg {
     /// Which structure shape to sweep.
     pub structure: StructureKind,
-    /// Which implementation. For the set shapes this picks among the full
-    /// lineup; for queue/stack, [`AlgoKind::TrackingComb`] selects the
-    /// flat-combining variant and everything else the plain Tracking one.
+    /// Which implementation; `(structure, algo)` must be a pair of the
+    /// [`crate::registry`].
     pub algo: AlgoKind,
     /// Seed for the workload script, sampling, and the seeded adversary.
     pub seed: u64,
@@ -367,529 +343,10 @@ impl SweepReport {
     }
 }
 
-// ---------------------------------------------------------------- scripts
-
-/// xorshift64* — the same tiny deterministic generator the integration
-/// tests use; reproduced here so `bench` stays dependency-free.
-pub(crate) struct Rng(pub(crate) u64);
-
-impl Rng {
-    pub(crate) fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Deterministic membership test for `--sample p`.
 pub(crate) fn sampled(seed: u64, k: u64, p: f64) -> bool {
     let r = splitmix64(seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     ((r >> 11) as f64 / (1u64 << 53) as f64) < p
-}
-
-fn set_script(seed: u64, len: usize) -> Vec<SetOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            let key = r % SET_KEYS + 1;
-            match (r >> 32) % 8 {
-                0..=3 => SetOp::Insert(key),
-                4..=6 => SetOp::Delete(key),
-                _ => SetOp::Find(key),
-            }
-        })
-        .collect()
-}
-
-fn queue_script(seed: u64, len: usize) -> Vec<QueueOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    let mut next = 100;
-    (0..len)
-        .map(|_| {
-            if rng.next() % 5 < 3 {
-                next += 1;
-                QueueOp::Enqueue(next)
-            } else {
-                QueueOp::Dequeue
-            }
-        })
-        .collect()
-}
-
-fn stack_script(seed: u64, len: usize) -> Vec<StackOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    let mut next = 200;
-    (0..len)
-        .map(|_| {
-            if rng.next() % 5 < 3 {
-                next += 1;
-                StackOp::Push(next)
-            } else {
-                StackOp::Pop
-            }
-        })
-        .collect()
-}
-
-fn map_script(seed: u64, len: usize) -> Vec<MapOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            let key = r % MAP_KEYS + 1;
-            match (r >> 32) % 8 {
-                // Put-heavy so the table actually grows through resizes.
-                0..=4 => MapOp::Put(key, (r >> 40) % 90 + 100),
-                5..=6 => MapOp::Remove(key),
-                _ => MapOp::Get(key),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------- subjects
-
-/// One recoverable structure under test, described by its sequential
-/// specification. `exec` is the post-prologue operation body (the harness
-/// issues [`ThreadCtx::begin_op`] itself, so a crash inside the prologue is
-/// a distinct, covered case); `recover` is the matching `*.Recover`
-/// function; `observe` runs the post-recovery read-only phase, appending
-/// what it sees to the history and checking quiescent structural
-/// invariants.
-pub(crate) trait CrashSubject {
-    type S: Spec + Default;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &<Self::S as Spec>::Op) -> <Self::S as Spec>::Ret;
-    fn recover(&self, ctx: &ThreadCtx, op: &<Self::S as Spec>::Op) -> <Self::S as Spec>::Ret;
-    fn recover_structure(&self) {}
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<Self::S>) -> Result<(), String>;
-
-    /// Verdict over a genuinely concurrent execution (the schedule
-    /// explorer's oracle): the per-thread completed operations — including
-    /// recovered responses of crash-interrupted ones — must, together with
-    /// the post-run observation phase, form a linearizable history, and the
-    /// structure must pass its quiescent invariants. The default is exactly
-    /// that; the exchanger overrides it with a pairing oracle, because its
-    /// sequential spec (`exchange → None`) only describes isolated threads.
-    fn concurrent_verdict(
-        &self,
-        ctx: &ThreadCtx,
-        recorded: &[CompletedOp<Self::S>],
-    ) -> Result<(), String> {
-        let mut h: History<Self::S> = History::new();
-        for r in recorded {
-            h.record_on(r.tid, r.op.clone(), r.ret.clone(), r.inv, r.res);
-        }
-        self.observe(ctx, &mut h)?;
-        h.check(Self::S::default())
-            .map(|_| ())
-            .map_err(|e| format!("not linearizable: {e}"))
-    }
-}
-
-/// One completed (or crash-recovered) operation of a concurrent execution,
-/// as fed to [`CrashSubject::concurrent_verdict`].
-pub(crate) struct CompletedOp<S: Spec> {
-    /// Logical (virtual) thread that ran the operation.
-    pub(crate) tid: usize,
-    pub(crate) op: S::Op,
-    pub(crate) ret: S::Ret,
-    /// Invocation / response stamps from the shared [`linearize::Clock`].
-    pub(crate) inv: u64,
-    pub(crate) res: u64,
-}
-
-pub(crate) struct SetSubject {
-    pub(crate) algo: Arc<dyn SetAlgo>,
-}
-
-impl CrashSubject for SetSubject {
-    type S = SetSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &SetOp) -> bool {
-        match *op {
-            SetOp::Insert(k) => self.algo.insert_started(ctx, k),
-            SetOp::Delete(k) => self.algo.delete_started(ctx, k),
-            SetOp::Find(k) => self.algo.find(ctx, k),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &SetOp) -> bool {
-        match *op {
-            SetOp::Insert(k) => self.algo.recover_insert(ctx, k),
-            SetOp::Delete(k) => self.algo.recover_delete(ctx, k),
-            SetOp::Find(k) => self.algo.recover_find(ctx, k),
-        }
-    }
-
-    fn recover_structure(&self) {
-        self.algo.recover_structure();
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<SetSpec>) -> Result<(), String> {
-        let mut present = 0usize;
-        for key in 1..=SET_KEYS {
-            let found = self.algo.find(ctx, key);
-            present += found as usize;
-            let t = h.invoke(0, SetOp::Find(key));
-            h.ret(t, found);
-        }
-        let len = self.algo.len();
-        if len != present {
-            return Err(format!(
-                "structural check: len() = {len} but {present} keys answer find"
-            ));
-        }
-        Ok(())
-    }
-}
-
-pub(crate) struct QueueSubject {
-    pub(crate) q: RecoverableQueue,
-}
-
-impl CrashSubject for QueueSubject {
-    type S = QueueSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &QueueOp) -> QueueRet {
-        match *op {
-            QueueOp::Enqueue(v) => {
-                self.q.enqueue_started(ctx, v);
-                QueueRet::Enqueued
-            }
-            QueueOp::Dequeue => QueueRet::Dequeued(self.q.dequeue_started(ctx)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &QueueOp) -> QueueRet {
-        match *op {
-            QueueOp::Enqueue(v) => {
-                self.q.recover_enqueue(ctx, v);
-                QueueRet::Enqueued
-            }
-            QueueOp::Dequeue => QueueRet::Dequeued(self.q.recover_dequeue(ctx)),
-        }
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<QueueSpec>) -> Result<(), String> {
-        // Drain: each dequeue is a real recorded operation, ending with the
-        // observation that the queue is empty.
-        let cap = self.q.len() + 1;
-        for _ in 0..cap {
-            let v = self.q.dequeue(ctx);
-            let t = h.invoke(0, QueueOp::Dequeue);
-            h.ret(t, QueueRet::Dequeued(v));
-            if v.is_none() {
-                break;
-            }
-        }
-        if !self.q.is_empty() {
-            return Err("structural check: queue not empty after drain".into());
-        }
-        Ok(())
-    }
-}
-
-/// [`QueueSubject`] for the flat-combining variant — same spec and
-/// observation phase, so the combining queue answers to exactly the
-/// linearizability and detectability obligations the plain one does.
-pub(crate) struct CombQueueSubject {
-    pub(crate) q: CombiningQueue,
-}
-
-impl CrashSubject for CombQueueSubject {
-    type S = QueueSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &QueueOp) -> QueueRet {
-        match *op {
-            QueueOp::Enqueue(v) => {
-                self.q.enqueue_started(ctx, v);
-                QueueRet::Enqueued
-            }
-            QueueOp::Dequeue => QueueRet::Dequeued(self.q.dequeue_started(ctx)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &QueueOp) -> QueueRet {
-        match *op {
-            QueueOp::Enqueue(v) => {
-                self.q.recover_enqueue(ctx, v);
-                QueueRet::Enqueued
-            }
-            QueueOp::Dequeue => QueueRet::Dequeued(self.q.recover_dequeue(ctx)),
-        }
-    }
-
-    fn recover_structure(&self) {
-        // The crash may keep the volatile image of the combiner lock /
-        // request / ready lines (cache-eviction modeling); clear them
-        // before any per-op recovery or a surviving lock wedges it.
-        self.q.recover_structure();
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<QueueSpec>) -> Result<(), String> {
-        let cap = self.q.len() + 1;
-        for _ in 0..cap {
-            let v = self.q.dequeue(ctx);
-            let t = h.invoke(0, QueueOp::Dequeue);
-            h.ret(t, QueueRet::Dequeued(v));
-            if v.is_none() {
-                break;
-            }
-        }
-        if !self.q.is_empty() {
-            return Err("structural check: combining queue not empty after drain".into());
-        }
-        Ok(())
-    }
-}
-
-pub(crate) struct StackSubject {
-    pub(crate) s: RecoverableStack,
-}
-
-impl CrashSubject for StackSubject {
-    type S = StackSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &StackOp) -> StackRet {
-        match *op {
-            StackOp::Push(v) => {
-                self.s.push_started(ctx, v);
-                StackRet::Pushed
-            }
-            StackOp::Pop => StackRet::Popped(self.s.pop_started(ctx)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &StackOp) -> StackRet {
-        match *op {
-            StackOp::Push(v) => {
-                self.s.recover_push(ctx, v);
-                StackRet::Pushed
-            }
-            StackOp::Pop => StackRet::Popped(self.s.recover_pop(ctx)),
-        }
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<StackSpec>) -> Result<(), String> {
-        let cap = self.s.len() + 1;
-        for _ in 0..cap {
-            let v = self.s.pop(ctx);
-            let t = h.invoke(0, StackOp::Pop);
-            h.ret(t, StackRet::Popped(v));
-            if v.is_none() {
-                break;
-            }
-        }
-        if !self.s.is_empty() {
-            return Err("structural check: stack not empty after drain".into());
-        }
-        Ok(())
-    }
-}
-
-/// [`StackSubject`] for the flat-combining variant.
-pub(crate) struct CombStackSubject {
-    pub(crate) s: CombiningStack,
-}
-
-impl CrashSubject for CombStackSubject {
-    type S = StackSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &StackOp) -> StackRet {
-        match *op {
-            StackOp::Push(v) => {
-                self.s.push_started(ctx, v);
-                StackRet::Pushed
-            }
-            StackOp::Pop => StackRet::Popped(self.s.pop_started(ctx)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &StackOp) -> StackRet {
-        match *op {
-            StackOp::Push(v) => {
-                self.s.recover_push(ctx, v);
-                StackRet::Pushed
-            }
-            StackOp::Pop => StackRet::Popped(self.s.recover_pop(ctx)),
-        }
-    }
-
-    fn recover_structure(&self) {
-        self.s.recover_structure();
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<StackSpec>) -> Result<(), String> {
-        let cap = self.s.len() + 1;
-        for _ in 0..cap {
-            let v = self.s.pop(ctx);
-            let t = h.invoke(0, StackOp::Pop);
-            h.ret(t, StackRet::Popped(v));
-            if v.is_none() {
-                break;
-            }
-        }
-        if !self.s.is_empty() {
-            return Err("structural check: combining stack not empty after drain".into());
-        }
-        Ok(())
-    }
-}
-
-/// A lone thread can never meet a partner, so every exchange must complete
-/// unmatched (`None`) and leave the slot free — which is exactly what a
-/// detectably-recovered exchange must also conclude after a crash.
-#[derive(Clone, Default)]
-pub(crate) struct ExchangeSpec;
-
-impl Spec for ExchangeSpec {
-    type Op = u64;
-    type Ret = Option<u64>;
-    type Digest = ();
-
-    fn apply(&mut self, _op: &u64) -> Option<u64> {
-        None
-    }
-
-    fn digest(&self) {}
-}
-
-/// Spin budget for exchanger ops (small: keeps the event count per op, and
-/// therefore the sweep, short while still exercising the wait loop).
-pub(crate) const EXCHANGE_SPIN: usize = 6;
-
-pub(crate) struct ExchangerSubject {
-    pub(crate) x: RecoverableExchanger,
-}
-
-impl CrashSubject for ExchangerSubject {
-    type S = ExchangeSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &u64) -> Option<u64> {
-        self.x.exchange_started(ctx, *op, EXCHANGE_SPIN)
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &u64) -> Option<u64> {
-        self.x.recover_exchange(ctx, *op, EXCHANGE_SPIN)
-    }
-
-    fn observe(&self, _ctx: &ThreadCtx, _h: &mut History<ExchangeSpec>) -> Result<(), String> {
-        if !self.x.is_free() {
-            return Err("structural check: exchanger slot not free after recovery".into());
-        }
-        Ok(())
-    }
-
-    /// Pairing oracle: every exchange that returned `Some(v)` must have a
-    /// unique partner — the operation that offered `v` — whose own result
-    /// is this operation's offer, on a *different* thread, with genuinely
-    /// overlapping intervals (a rendezvous has no sequential witness).
-    /// Offers are unique across the run, so the partner map is well-defined.
-    /// Unmatched (`None`) results carry no obligation; the slot must end
-    /// free either way.
-    fn concurrent_verdict(
-        &self,
-        _ctx: &ThreadCtx,
-        recorded: &[CompletedOp<ExchangeSpec>],
-    ) -> Result<(), String> {
-        for r in recorded {
-            let Some(got) = r.ret else { continue };
-            let partner = recorded
-                .iter()
-                .find(|p| p.op == got)
-                .ok_or_else(|| format!("t{} exchanged value {got} nobody offered", r.tid))?;
-            if partner.tid == r.tid {
-                return Err(format!(
-                    "t{} exchanged value {got} with itself (offer {})",
-                    r.tid, r.op
-                ));
-            }
-            if partner.ret != Some(r.op) {
-                return Err(format!(
-                    "asymmetric pairing: t{} offered {} and got {got}, but t{} \
-                     offering {got} got {:?}",
-                    r.tid, r.op, partner.tid, partner.ret
-                ));
-            }
-            if !(r.inv < partner.res && partner.inv < r.res) {
-                return Err(format!(
-                    "t{} [{}, {}] paired with t{} [{}, {}] without overlapping — \
-                     a rendezvous must be concurrent",
-                    r.tid, r.inv, r.res, partner.tid, partner.inv, partner.res
-                ));
-            }
-        }
-        if !self.x.is_free() {
-            return Err("structural check: exchanger slot not free after the run".into());
-        }
-        Ok(())
-    }
-}
-
-pub(crate) struct HashmapSubject {
-    pub(crate) m: RecoverableHashMap,
-}
-
-impl CrashSubject for HashmapSubject {
-    type S = MapSpec;
-
-    fn exec(&self, ctx: &ThreadCtx, op: &MapOp) -> MapRet {
-        match *op {
-            MapOp::Put(k, v) => MapRet::Put(self.m.put_started(ctx, k, v)),
-            MapOp::Remove(k) => MapRet::Removed(self.m.remove_started(ctx, k)),
-            MapOp::Get(k) => MapRet::Got(self.m.get(ctx, k)),
-        }
-    }
-
-    fn recover(&self, ctx: &ThreadCtx, op: &MapOp) -> MapRet {
-        match *op {
-            MapOp::Put(k, v) => MapRet::Put(self.m.recover_put(ctx, k, v)),
-            MapOp::Remove(k) => MapRet::Removed(self.m.recover_remove(ctx, k)),
-            MapOp::Get(k) => MapRet::Got(self.m.recover_get(ctx, k)),
-        }
-    }
-
-    fn observe(&self, ctx: &ThreadCtx, h: &mut History<MapSpec>) -> Result<(), String> {
-        let mut present = 0usize;
-        for key in 1..=MAP_KEYS {
-            let got = self.m.get(ctx, key);
-            present += got.is_some() as usize;
-            let t = h.invoke(0, MapOp::Get(key));
-            h.ret(t, MapRet::Got(got));
-        }
-        let len = self.m.len();
-        if len != present {
-            return Err(format!(
-                "structural check: len() = {len} but {present} keys answer get"
-            ));
-        }
-        // `check_invariants` walks every bucket of the current level
-        // (sorted chains, bucket-hash residency, no stale tags, no pending
-        // next level) and panics on violation; surface that as a verdict,
-        // not a sweep-killing panic.
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.m.check_invariants()))
-            .map_err(|p| {
-                let msg = p
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| p.downcast_ref::<&str>().copied())
-                    .unwrap_or("invariant panic");
-                format!("structural check: {msg}")
-            })?;
-        Ok(())
-    }
 }
 
 // ------------------------------------------------------- palloc subject
@@ -969,8 +426,20 @@ impl PallocSubject {
     }
 }
 
-impl CrashSubject for PallocSubject {
+impl Subject for PallocSubject {
     type S = PallocSpec;
+
+    /// Allocator steps at the script's 4 : 3 : 1 (allocs, retires, drains).
+    const BENCH: Bench = Bench {
+        mix: Mix {
+            of: 8,
+            read: 1,
+            add: 4,
+        },
+        keys: 0,
+        prefill: 0,
+        seed: 0,
+    };
 
     fn exec(&self, ctx: &ThreadCtx, op: &PallocOp) -> bool {
         let pool = ctx.pool();
@@ -1045,28 +514,40 @@ impl CrashSubject for PallocSubject {
         }
         Ok(())
     }
-}
 
-/// Deterministic allocator-churn script: ~1/2 allocs across every size
-/// class, ~3/8 retires, ~1/8 explicit drains (boundaries drain too).
-fn palloc_script(seed: u64, len: usize) -> Vec<PallocOp> {
-    let mut rng = Rng(splitmix64(seed) | 1);
-    (0..len)
-        .map(|_| {
-            let r = rng.next();
-            match (r >> 32) % 8 {
-                0..=3 => PallocOp::Alloc((r % pmem::MAX_CLASS as u64) as usize + 1),
-                4..=6 => PallocOp::Retire,
-                _ => PallocOp::Drain,
-            }
-        })
-        .collect()
+    fn call(&self, ctx: &ThreadCtx, op: &PallocOp) -> bool {
+        self.exec(ctx, op)
+    }
+
+    /// Deterministic allocator-churn script: ~1/2 allocs across every size
+    /// class, ~3/8 retires, ~1/8 explicit drains (boundaries drain too).
+    fn script(seed: u64, len: usize, who: ScriptFor) -> Vec<PallocOp> {
+        let mut rng = who.rng(seed, 0);
+        (0..len)
+            .map(|_| {
+                let r = rng.next();
+                match (r >> 32) % 8 {
+                    0..=3 => PallocOp::Alloc((r % pmem::MAX_CLASS as u64) as usize + 1),
+                    4..=6 => PallocOp::Retire,
+                    _ => PallocOp::Drain,
+                }
+            })
+            .collect()
+    }
+
+    fn draw(r: u64, mix: &Mix, _keys: u64) -> PallocOp {
+        match mix.class(r >> 32) {
+            Class::Read => PallocOp::Drain,
+            Class::Add => PallocOp::Alloc((r % pmem::MAX_CLASS as u64) as usize + 1),
+            Class::Remove => PallocOp::Retire,
+        }
+    }
 }
 
 fn make_palloc_case(cfg: &SweepCfg) -> Box<dyn Case> {
     let c = cfg.clone();
     Box::new(CaseRunner::new(
-        palloc_script(cfg.seed, cfg.script_len),
+        PallocSubject::script(cfg.seed, cfg.script_len, ScriptFor::Sweep),
         move |traced| {
             let pool = pool_for(&c, traced);
             let ctx = ThreadCtx::new(pool.clone(), 0);
@@ -1127,19 +608,19 @@ struct Checkpoint {
 /// for every replay — attaching anew per point could itself mutate
 /// persistent state (Romulus opens a transaction on attach), whereas
 /// [`PmemPool::restore`] rewinds everything a replay dirtied.
-struct ReplayState<Sub: CrashSubject> {
+struct ReplayState<Sub: Subject> {
     pool: Arc<PmemPool>,
     sub: Sub,
     ctx: ThreadCtx,
     /// Crash-free responses of the capture run; `responses[..cp.op_idx]`
     /// seeds a replay's history prefix.
-    responses: Vec<<<Sub as CrashSubject>::S as Spec>::Ret>,
+    responses: Vec<RetOf<Sub>>,
     /// Ascending by `events`; `checkpoints[0]` is always the script start.
     checkpoints: Vec<Checkpoint>,
 }
 
-struct CaseRunner<Sub: CrashSubject, B> {
-    script: Vec<<<Sub as CrashSubject>::S as Spec>::Op>,
+struct CaseRunner<Sub: Subject, B> {
+    script: Vec<OpOf<Sub>>,
     /// `format!("{:?}")` of each script op, rendered once — the verdict of
     /// every crash point names its interrupted op, and re-rendering per
     /// point is measurable across a full matrix.
@@ -1150,10 +631,10 @@ struct CaseRunner<Sub: CrashSubject, B> {
 
 impl<Sub, B> CaseRunner<Sub, B>
 where
-    Sub: CrashSubject,
+    Sub: Subject,
     B: Fn(bool) -> (Arc<PmemPool>, Sub, ThreadCtx),
 {
-    fn new(script: Vec<<<Sub as CrashSubject>::S as Spec>::Op>, build: B) -> Self {
+    fn new(script: Vec<OpOf<Sub>>, build: B) -> Self {
         CaseRunner {
             op_strs: script.iter().map(|op| format!("{op:?}")).collect(),
             script,
@@ -1165,7 +646,7 @@ where
 
 impl<Sub, B> CaseRunner<Sub, B>
 where
-    Sub: CrashSubject,
+    Sub: Subject,
     B: Fn(bool) -> (Arc<PmemPool>, Sub, ThreadCtx),
 {
     /// The shared script loop — identical in the count run, the capture run
@@ -1180,7 +661,7 @@ where
         ctx: &ThreadCtx,
         start: usize,
         progress: &Cell<(usize, bool)>,
-        responses: &RefCell<Vec<<Sub::S as Spec>::Ret>>,
+        responses: &RefCell<Vec<RetOf<Sub>>>,
         mut at_boundary: impl FnMut(usize),
     ) {
         for (i, op) in self.script.iter().enumerate().skip(start) {
@@ -1217,7 +698,7 @@ where
         sub: &Sub,
         ctx: &ThreadCtx,
         progress: (usize, bool),
-        responses: &RefCell<Vec<<Sub::S as Spec>::Ret>>,
+        responses: &RefCell<Vec<RetOf<Sub>>>,
         crashed: bool,
         trace_tail: Vec<String>,
     ) -> PointOutcome {
@@ -1354,7 +835,7 @@ where
         ctx: &ThreadCtx,
         j: usize,
         past_prologue: &Cell<bool>,
-    ) -> <Sub::S as Spec>::Ret {
+    ) -> RetOf<Sub> {
         pool.recover_allocator();
         sub.recover_structure();
         if past_prologue.get() {
@@ -1380,9 +861,9 @@ where
         sub: &Sub,
         ctx: &ThreadCtx,
         j: usize,
-        responses: &RefCell<Vec<<Sub::S as Spec>::Ret>>,
-        expected: &<Sub::S as Spec>::Ret,
-        actual: <Sub::S as Spec>::Ret,
+        responses: &RefCell<Vec<RetOf<Sub>>>,
+        expected: &RetOf<Sub>,
+        actual: RetOf<Sub>,
         tag: &str,
     ) {
         if actual != *expected {
@@ -1463,33 +944,7 @@ where
     fn run_point_impl(&self, cfg: &SweepCfg, k: u64, traced: bool) -> (PointOutcome, Vec<Event>) {
         let (pool, sub, ctx) = (self.build)(traced);
         pool.trace_clear(); // constructor events are not crash points
-        pool.crash_ctl().arm_after(k);
-        let progress = Cell::new((0, false));
-        let responses = RefCell::new(Vec::new());
-        let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_crashable(|| self.run_script(&sub, &ctx, 0, &progress, &responses, |_| {}))
-        }));
-        pool.crash_ctl().disarm();
-        let (events, trace_tail) = capture_stream(&pool, cfg, traced);
-        let done = match done {
-            Ok(d) => d,
-            Err(p) => return (self.classify_panic(k, progress.get(), p), events),
-        };
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.finish_point(
-                cfg,
-                k,
-                &pool,
-                &sub,
-                &ctx,
-                progress.get(),
-                &responses,
-                done.is_none(),
-                trace_tail,
-            )
-        }))
-        .unwrap_or_else(|p| self.classify_panic(k, progress.get(), p));
-        (out, events)
+        self.replay_point(cfg, k, traced, (&pool, &sub, &ctx), 0, Vec::new(), k)
     }
 
     /// Checkpointed engine: restore the nearest checkpoint at or before
@@ -1508,32 +963,41 @@ where
         let cp = &st.checkpoints[st.checkpoints.partition_point(|c| c.events <= k) - 1];
         st.pool.restore(&cp.snap);
         st.pool.set_trace_enabled(traced);
-        st.pool.crash_ctl().arm_after(k - cp.events);
-        let progress = Cell::new((cp.op_idx, false));
-        let responses = RefCell::new(st.responses[..cp.op_idx].to_vec());
+        let prefix = st.responses[..cp.op_idx].to_vec();
+        let on = (&*st.pool, &st.sub, &st.ctx);
+        self.replay_point(cfg, k, traced, on, cp.op_idx, prefix, k - cp.events)
+    }
+
+    /// Both engines' replay of point `k`: runs ops `[start, len)` on `on`
+    /// (with `responses` completed before them) under a crash armed after
+    /// `after` further events, then judges the point.
+    #[allow(clippy::too_many_arguments)]
+    fn replay_point(
+        &self,
+        cfg: &SweepCfg,
+        k: u64,
+        traced: bool,
+        (pool, sub, ctx): (&PmemPool, &Sub, &ThreadCtx),
+        start: usize,
+        responses: Vec<RetOf<Sub>>,
+        after: u64,
+    ) -> (PointOutcome, Vec<Event>) {
+        pool.crash_ctl().arm_after(after);
+        let progress = Cell::new((start, false));
+        let responses = RefCell::new(responses);
         let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_crashable(|| {
-                self.run_script(&st.sub, &st.ctx, cp.op_idx, &progress, &responses, |_| {})
-            })
+            run_crashable(|| self.run_script(sub, ctx, start, &progress, &responses, |_| {}))
         }));
-        st.pool.crash_ctl().disarm();
-        let (events, trace_tail) = capture_stream(&st.pool, cfg, traced);
+        pool.crash_ctl().disarm();
+        let (events, trace_tail) = capture_stream(pool, cfg, traced);
         let done = match done {
             Ok(d) => d,
             Err(p) => return (self.classify_panic(k, progress.get(), p), events),
         };
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.finish_point(
-                cfg,
-                k,
-                &st.pool,
-                &st.sub,
-                &st.ctx,
-                progress.get(),
-                &responses,
-                done.is_none(),
-                trace_tail,
-            )
+            let crashed = done.is_none();
+            let at = progress.get();
+            self.finish_point(cfg, k, pool, sub, ctx, at, &responses, crashed, trace_tail)
         }))
         .unwrap_or_else(|p| self.classify_panic(k, progress.get(), p));
         (out, events)
@@ -1542,7 +1006,7 @@ where
 
 impl<Sub, B> Case for CaseRunner<Sub, B>
 where
-    Sub: CrashSubject,
+    Sub: Subject,
     B: Fn(bool) -> (Arc<PmemPool>, Sub, ThreadCtx),
 {
     fn count_events(&self, _cfg: &SweepCfg) -> u64 {
@@ -1664,89 +1128,43 @@ fn render_tail(pool: &PmemPool, events: &[Event], n: usize) -> Vec<String> {
         .collect()
 }
 
-fn make_case(cfg: &SweepCfg) -> Box<dyn Case> {
-    let c = cfg.clone();
-    match cfg.structure {
-        StructureKind::List | StructureKind::Bst => Box::new(CaseRunner::new(
-            set_script(cfg.seed, cfg.script_len),
+/// The sweep engine: wraps a registered pair's constructor into a [`Case`].
+struct SweepEngine<'a>(&'a SweepCfg);
+
+impl Engine for SweepEngine<'_> {
+    type Out = Box<dyn Case>;
+
+    fn run<Sub: Subject>(
+        self,
+        make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
+    ) -> Box<dyn Case> {
+        let c = self.0.clone();
+        let dims = Dims::verify(SWEEP_THREADS);
+        Box::new(CaseRunner::new(
+            Sub::script(c.seed, c.script_len, ScriptFor::Sweep),
             move |traced| {
                 let pool = pool_for(&c, traced);
-                let algo = build(c.algo, pool.clone(), SWEEP_THREADS, SET_KEYS + 4);
-                pool.register_site_names(algo.sites());
+                let sub = make(&pool, &dims);
                 let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, SetSubject { algo }, ctx)
+                (pool, sub, ctx)
             },
-        )),
-        StructureKind::Queue if cfg.algo == AlgoKind::TrackingComb => Box::new(CaseRunner::new(
-            queue_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let q = CombiningQueue::new(pool.clone(), 0, SWEEP_THREADS);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, CombQueueSubject { q }, ctx)
-            },
-        )),
-        StructureKind::Queue => Box::new(CaseRunner::new(
-            queue_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let q = RecoverableQueue::new(pool.clone(), 0);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, QueueSubject { q }, ctx)
-            },
-        )),
-        StructureKind::Stack if cfg.algo == AlgoKind::TrackingComb => Box::new(CaseRunner::new(
-            stack_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let s = CombiningStack::new(pool.clone(), 0, SWEEP_THREADS);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, CombStackSubject { s }, ctx)
-            },
-        )),
-        StructureKind::Stack => Box::new(CaseRunner::new(
-            stack_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let s = RecoverableStack::new(pool.clone(), 0);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, StackSubject { s }, ctx)
-            },
-        )),
-        StructureKind::Exchanger => Box::new(CaseRunner::new(vec![101, 202], move |traced| {
-            let pool = pool_for(&c, traced);
-            pool.register_site_names(&tracking::sites::SITES);
-            let x = RecoverableExchanger::new(pool.clone(), 0);
-            let ctx = ThreadCtx::new(pool.clone(), 0);
-            (pool, ExchangerSubject { x }, ctx)
-        })),
-        StructureKind::Hashmap => Box::new(CaseRunner::new(
-            map_script(cfg.seed, cfg.script_len),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                pool.register_site_names(&tracking::sites::SITES);
-                let m = RecoverableHashMap::with_config(pool.clone(), 0, HASHMAP_SWEEP_CFG);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, HashmapSubject { m }, ctx)
-            },
-        )),
+        ))
     }
 }
 
-pub(crate) fn file_slug(s: &str) -> String {
-    s.chars()
-        .map(|ch| {
-            if ch.is_ascii_alphanumeric() {
-                ch.to_ascii_lowercase()
-            } else {
-                '-'
-            }
-        })
-        .collect()
+/// The registered pair a sweep configuration names.
+fn entry_of(cfg: &SweepCfg) -> &'static registry::Entry {
+    registry::find(cfg.structure, cfg.algo).unwrap_or_else(|| {
+        panic!(
+            "{} has no {} implementation",
+            cfg.structure.name(),
+            cfg.algo.name()
+        )
+    })
+}
+
+fn make_case(cfg: &SweepCfg) -> Box<dyn Case> {
+    entry_of(cfg).with(SweepEngine(cfg))
 }
 
 /// Deterministic second hash stream for paranoia sampling (decorrelated
@@ -1768,11 +1186,10 @@ const SWEEP_CSV_COLUMNS: &[&str] = &[
 /// Runs one full sweep per [`SweepCfg`] and returns its report.
 pub fn run_sweep(cfg: &SweepCfg) -> SweepReport {
     let label = format!(
-        "{}{}{}_{}",
+        "{}{}{}",
         if cfg.multi_crash > 0 { "recrash_" } else { "" },
         if cfg.reclaim { "churn_" } else { "" },
-        cfg.structure.name(),
-        file_slug(cfg.algo.name())
+        entry_of(cfg).label()
     );
     run_sweep_case(cfg, make_case(cfg), label)
 }
@@ -1924,16 +1341,27 @@ mod tests {
 
     #[test]
     fn scripts_are_deterministic_and_bounded() {
-        let a = set_script(42, 12);
-        let b = set_script(42, 12);
+        use crate::subject::{QueueSubject, SetSubject, StackSubject, SET_KEYS};
+        use linearize::SetOp;
+        use tracking::{RecoverableQueue, RecoverableStack};
+        let a = SetSubject::script(42, 12, ScriptFor::Sweep);
+        let b = SetSubject::script(42, 12, ScriptFor::Sweep);
         assert_eq!(a, b);
-        assert_ne!(a, set_script(43, 12));
+        assert_ne!(a, SetSubject::script(43, 12, ScriptFor::Sweep));
         for op in &a {
             let (SetOp::Insert(k) | SetOp::Delete(k) | SetOp::Find(k)) = op;
             assert!((1..=SET_KEYS).contains(k));
         }
-        assert_eq!(queue_script(7, 10), queue_script(7, 10));
-        assert_eq!(stack_script(7, 10), stack_script(7, 10));
+        type Q = QueueSubject<RecoverableQueue>;
+        type St = StackSubject<RecoverableStack>;
+        assert_eq!(
+            Q::script(7, 10, ScriptFor::Sweep),
+            Q::script(7, 10, ScriptFor::Sweep)
+        );
+        assert_eq!(
+            St::script(7, 10, ScriptFor::Sweep),
+            St::script(7, 10, ScriptFor::Sweep)
+        );
     }
 
     #[test]
@@ -1942,22 +1370,20 @@ mod tests {
         // its counted event space covers a full resize; this guards the
         // claim — the pinned script against the aggressive sweep config
         // must grow the table past its initial two buckets.
-        let script = map_script(0xDECA_FBAD, 24);
+        use crate::subject::{HashmapSubject, HASHMAP_SWEEP_CFG};
+        let script = HashmapSubject::script(0xDECA_FBAD, 24, ScriptFor::Sweep);
         let pool = std::sync::Arc::new(PmemPool::new(PoolCfg::model(4 << 20)));
-        let m = RecoverableHashMap::with_config(pool.clone(), 0, HASHMAP_SWEEP_CFG);
+        let entry = registry::find(StructureKind::Hashmap, AlgoKind::Tracking).unwrap();
+        let m: HashmapSubject = entry.subject(&pool, &Dims::verify(1));
         let ctx = ThreadCtx::new(pool, 0);
         for op in &script {
-            match *op {
-                MapOp::Put(k, v) => drop(m.put(&ctx, k, v)),
-                MapOp::Remove(k) => drop(m.remove(&ctx, k)),
-                MapOp::Get(k) => drop(m.get(&ctx, k)),
-            }
+            m.call(&ctx, op);
         }
         assert!(
-            m.bucket_count() > HASHMAP_SWEEP_CFG.initial_buckets,
+            m.0.bucket_count() > HASHMAP_SWEEP_CFG.initial_buckets,
             "pinned script never resized ({} buckets): the sweep pin no \
              longer covers the resize protocol",
-            m.bucket_count()
+            m.0.bucket_count()
         );
     }
 

@@ -1,47 +1,141 @@
-//! The timed throughput runner: the paper's benchmark loop.
+//! The timed run engine: N real OS threads drive one registered subject
+//! for a fixed window, and persistence-instruction counters are
+//! snapshotted around it so every run reports its `pwb`/`psync` per
+//! operation alongside throughput.
 //!
-//! Keys are drawn uniformly from `[1, key_range]`; the structure is
-//! prefilled with `key_range / 2` random inserts (the paper's 250 inserts
-//! over range 500 ≈ 40 % full); each worker then draws operations from the
-//! configured mix until the deadline. Persistence-instruction counters are
-//! snapshotted around the timed window so every run reports its
-//! `pwb`/`psync` per operation alongside throughput.
+//! Both timed workloads run here:
+//!
+//! * **the paper's benchmark loop** (the figure drivers, [`RunCfg::paper`]):
+//!   keys uniform in `[1, key_range]`, the structure prefilled with
+//!   `key_range / 2` random inserts (the paper's 250 over range 500), one
+//!   shared root, no sub-arenas;
+//! * **the throughput sweep** (`bin/throughput` and the baseline's thread
+//!   sweep, [`RunCfg::contended`]): the structure replicated over `shards`
+//!   root cells with thread *t* on shard `t % shards` (one shard is the
+//!   fully contended configuration the combining variants target), and
+//!   each worker allocating from a thread-private [`pmem::SubArena`] that
+//!   touches the global cursor only on chunk refills. On a host with fewer
+//!   cores than threads the threads time-slice, which still exercises
+//!   every synchronization path; the count-based `pwb`/`psync`-per-op
+//!   numbers are scheduling-independent and are the primary cross-variant
+//!   signal (see EXPERIMENTS.md, "Scaling & throughput methodology").
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use pmem::{install_thread_arena, uninstall_thread_arena, SubArena};
 use pmem::{Backend, PmemPool, PoolCfg, ThreadCtx};
 
-use crate::adapter::{build, AlgoKind, SetAlgo};
+use crate::adapter::AlgoKind;
+use crate::registry::{self, Dims, Engine, Entry};
+use crate::subject::Subject;
 
-/// Operation mix (percentages; insert/delete split the remainder evenly).
-#[derive(Copy, Clone, Debug)]
+/// An operation mix: each operation rolls a die of `of` faces; the first
+/// `read` faces draw a read-only operation (find, get), the next `add` an
+/// add (insert, enqueue, push, put) and the rest a remove. Shapes without
+/// a read-only operation remove instead.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Mix {
-    /// Percentage of `find` operations.
-    pub find_pct: u32,
+    /// Faces of the die.
+    pub of: u64,
+    /// Faces that draw a read-only operation.
+    pub read: u64,
+    /// Faces that draw an add.
+    pub add: u64,
+}
+
+/// What a roll of a [`Mix`] drew.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Class {
+    /// A read-only operation.
+    Read,
+    /// An add.
+    Add,
+    /// A remove.
+    Remove,
 }
 
 impl Mix {
+    /// The paper's mixes: `pct` % finds, inserts and deletes splitting the
+    /// rest evenly.
+    pub const fn finds(pct: u64) -> Mix {
+        Mix {
+            of: 100,
+            read: pct,
+            add: (100 - pct) / 2,
+        }
+    }
+
     /// The paper's read-intensive benchmark (70 % finds).
-    pub const READ_INTENSIVE: Mix = Mix { find_pct: 70 };
+    pub const READ_INTENSIVE: Mix = Mix::finds(70);
     /// The paper's update-intensive benchmark (30 % finds).
-    pub const UPDATE_INTENSIVE: Mix = Mix { find_pct: 30 };
+    pub const UPDATE_INTENSIVE: Mix = Mix::finds(30);
+    /// Adds only (prefills).
+    pub const ADD: Mix = Mix {
+        of: 1,
+        read: 0,
+        add: 1,
+    };
+    /// The throughput sweep's mix: half adds, a quarter each of reads and
+    /// removes, so pops mostly succeed and both paths stay hot.
+    pub const THROUGHPUT: Mix = Mix {
+        of: 4,
+        read: 1,
+        add: 2,
+    };
+
+    /// The class the die roll `roll` draws.
+    pub fn class(&self, roll: u64) -> Class {
+        let face = roll % self.of;
+        if face < self.read {
+            Class::Read
+        } else if face < self.read + self.add {
+            Class::Add
+        } else {
+            Class::Remove
+        }
+    }
+
+    /// Does this mix read at least as often as it updates?
+    pub fn read_mostly(&self) -> bool {
+        2 * self.read >= self.of
+    }
 }
 
-/// One throughput-run configuration.
+/// xorshift64* (12/25/27) — the timed workloads' generator.
+#[inline]
+pub(crate) fn next_rng(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545F4914F6CDD1D)
+}
+
+/// Free lines a worker keeps in reserve: it stops before allocation could
+/// abort the run.
+const HEADROOM_LINES: usize = 8192;
+
+/// One timed-run configuration.
 #[derive(Clone, Debug)]
 pub struct RunCfg {
-    /// Which implementation to run.
-    pub kind: AlgoKind,
+    /// The registered pair to run.
+    pub subject: &'static Entry,
     /// Worker threads.
     pub threads: usize,
+    /// Structure replicas (root cells); thread `t` drives shard
+    /// `t % shards`. Capped at [`pmem::NUM_ROOTS`].
+    pub shards: usize,
     /// Timed-window length.
     pub duration: Duration,
     /// Keys are uniform in `[1, key_range]`.
     pub key_range: u64,
     /// Operation mix.
     pub mix: Mix,
+    /// Adds per shard before the window (so removes mostly succeed).
+    pub prefill: u64,
     /// Pool capacity in bytes (arena for nodes + descriptors).
     pub pool_bytes: usize,
     /// Persistence backend for the run.
@@ -52,6 +146,8 @@ pub struct RunCfg {
     pub psync_enabled: bool,
     /// `pwb` site mask (bit *i* enables site *i*); `u64::MAX` = all.
     pub site_mask: u64,
+    /// Sub-arena chunk size in lines (0 = no per-thread arena).
+    pub chunk_lines: usize,
     /// Arm the flush-elision layer ([`pmem::PoolCfg::flushopt`]): redundant
     /// `pwb`s elide against the per-line flush-state table and fences inside
     /// the algorithms' coalescible regions elide when nothing is pending.
@@ -63,19 +159,44 @@ pub struct RunCfg {
 }
 
 impl RunCfg {
-    /// Paper-shaped defaults for `kind` at `threads` threads.
+    /// The paper's benchmark for the set algorithm `kind` at `threads`
+    /// threads: one shared root, no sub-arenas.
     pub fn paper(kind: AlgoKind, threads: usize) -> RunCfg {
         RunCfg {
-            kind,
+            subject: registry::set(kind),
             threads,
+            shards: 1,
             duration: Duration::from_millis(300),
             key_range: 500,
             mix: Mix::READ_INTENSIVE,
+            prefill: 250,
             pool_bytes: 1 << 30,
             backend: Backend::Clflush,
             seed: 0xD1CE,
             psync_enabled: true,
             site_mask: u64::MAX,
+            chunk_lines: 0,
+            flushopt: false,
+        }
+    }
+
+    /// The throughput sweep's defaults for `subject` at `threads` threads:
+    /// one contended shard, Clflush backend, per-thread arenas on.
+    pub fn contended(subject: &'static Entry, threads: usize) -> RunCfg {
+        RunCfg {
+            subject,
+            threads,
+            shards: 1,
+            duration: Duration::from_millis(200),
+            key_range: 4096,
+            mix: Mix::THROUGHPUT,
+            prefill: 256,
+            pool_bytes: 1 << 30,
+            backend: Backend::Clflush,
+            seed: 0x7A11E1,
+            psync_enabled: true,
+            site_mask: u64::MAX,
+            chunk_lines: pmem::DEFAULT_CHUNK_LINES,
             flushopt: false,
         }
     }
@@ -84,20 +205,47 @@ impl RunCfg {
 /// What a run measured.
 #[derive(Clone, Debug)]
 pub struct RunResult {
+    /// Subject name.
+    pub subject: &'static str,
+    /// Worker threads.
+    pub threads: usize,
+    /// Shards used (post-cap).
+    pub shards: usize,
     /// Completed operations across all threads.
     pub ops: u64,
+    /// Completed operations per thread.
+    pub per_thread_ops: Vec<u64>,
     /// Actual timed-window length.
     pub elapsed: Duration,
     /// `pwb` executions per site during the window.
     pub pwb_per_site: [u64; pmem::MAX_SITES],
     /// `psync` + `pfence` executions during the window.
     pub psync: u64,
+    /// `pwb`s elided/coalesced by the flush-elision layer in the window
+    /// (0 unless the pool was built with [`pmem::PoolCfg::flushopt`]).
+    pub pwb_elided: u64,
+    /// Fences elided inside coalescible regions in the window.
+    pub psync_coalesced: u64,
+    /// Sub-arena chunk refills across all workers (global-cursor touches).
+    pub arena_refills: u64,
+    /// Lines stranded in abandoned sub-arena chunks.
+    pub arena_waste_lines: u64,
 }
 
 impl RunResult {
     /// Million operations per second.
     pub fn mops(&self) -> f64 {
-        self.ops as f64 / self.elapsed.as_secs_f64() / 1e6
+        self.ops_per_sec() / 1e6
+    }
+
+    /// Aggregate operations per second.
+    pub fn ops_per_sec(&self) -> f64 {
+        self.ops as f64 / self.elapsed.as_secs_f64().max(1e-9)
+    }
+
+    /// Mean per-thread operations per second.
+    pub fn per_thread_ops_per_sec(&self) -> f64 {
+        self.ops_per_sec() / self.threads.max(1) as f64
     }
 
     /// Total `pwb`s in the window.
@@ -114,98 +262,125 @@ impl RunResult {
     pub fn psync_per_op(&self) -> f64 {
         self.psync as f64 / self.ops.max(1) as f64
     }
+
+    /// Elided/coalesced `pwb`s per completed operation.
+    pub fn pwb_elided_per_op(&self) -> f64 {
+        self.pwb_elided as f64 / self.ops.max(1) as f64
+    }
+
+    /// Coalesced fences per completed operation.
+    pub fn psync_coalesced_per_op(&self) -> f64 {
+        self.psync_coalesced as f64 / self.ops.max(1) as f64
+    }
 }
 
-// xorshift64* — cheap deterministic per-thread RNG for the hot loop.
-#[inline]
-fn next_rng(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
-/// Runs one timed throughput measurement per `cfg`.
+/// Runs one timed measurement per `cfg`.
 pub fn run(cfg: &RunCfg) -> RunResult {
-    let pool = Arc::new(PmemPool::new(PoolCfg {
-        capacity: cfg.pool_bytes,
-        backend: cfg.backend,
-        shadow: false,
-        max_threads: cfg.threads.max(1).next_power_of_two().max(8),
-        flushopt: cfg.flushopt,
-        ..Default::default()
-    }));
-    let algo = build(cfg.kind, pool.clone(), cfg.threads, cfg.key_range);
-    prefill(&pool, &*algo, cfg);
-    pool.set_psync_enabled(cfg.psync_enabled);
-    pool.set_sites_mask(cfg.site_mask);
-    pool.stats_reset();
-    let before = pool.stats();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_ops = Arc::new(AtomicU64::new(0));
-    let barrier = Arc::new(Barrier::new(cfg.threads + 1));
-    let mut handles = Vec::with_capacity(cfg.threads);
-    for t in 0..cfg.threads {
-        let pool = pool.clone();
-        let algo: Arc<dyn SetAlgo> = algo.clone();
-        let stop = stop.clone();
-        let total_ops = total_ops.clone();
-        let barrier = barrier.clone();
-        let cfg = cfg.clone();
-        handles.push(std::thread::spawn(move || {
-            let ctx = ThreadCtx::new(pool.clone(), t);
-            let mut rng = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
-            barrier.wait();
-            let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                // Leave headroom so allocation never aborts the run.
-                if pool.remaining_lines() < 4096 {
-                    break;
-                }
-                let r = next_rng(&mut rng);
-                let key = r % cfg.key_range + 1;
-                let dice = (r >> 32) % 100;
-                let f = cfg.mix.find_pct as u64;
-                if dice < f {
-                    std::hint::black_box(algo.find(&ctx, key));
-                } else if dice < f + (100 - f) / 2 {
-                    std::hint::black_box(algo.insert(&ctx, key));
-                } else {
-                    std::hint::black_box(algo.delete(&ctx, key));
-                }
-                ops += 1;
-            }
-            total_ops.fetch_add(ops, Ordering::Relaxed);
-        }));
-    }
-    barrier.wait();
-    let start = Instant::now();
-    std::thread::sleep(cfg.duration);
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().expect("worker panicked");
-    }
-    let elapsed = start.elapsed();
-    let after = pool.stats();
-    let d = after.delta(&before);
-    // restore pool instrumentation defaults (pool is dropped anyway)
-    RunResult {
-        ops: total_ops.load(Ordering::Relaxed),
-        elapsed,
-        pwb_per_site: d.pwb_per_site,
-        psync: d.psync + d.pfence,
-    }
+    cfg.subject.with(Timed(cfg))
 }
 
-fn prefill(pool: &Arc<PmemPool>, algo: &dyn SetAlgo, cfg: &RunCfg) {
-    let ctx = ThreadCtx::new(pool.clone(), 0);
-    let mut rng = cfg.seed ^ 0xABCDEF;
-    for _ in 0..cfg.key_range / 2 {
-        let key = next_rng(&mut rng) % cfg.key_range + 1;
-        algo.insert(&ctx, key);
+struct Timed<'a>(&'a RunCfg);
+
+impl Engine for Timed<'_> {
+    type Out = RunResult;
+
+    fn run<Sub: Subject>(
+        self,
+        make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
+    ) -> RunResult {
+        let cfg = self.0;
+        let threads = cfg.threads.max(1);
+        let shards = cfg.shards.clamp(1, pmem::NUM_ROOTS);
+        let pool = Arc::new(PmemPool::new(PoolCfg {
+            capacity: cfg.pool_bytes,
+            backend: cfg.backend,
+            shadow: false,
+            max_threads: threads.next_power_of_two().max(8),
+            flushopt: cfg.flushopt,
+            ..Default::default()
+        }));
+        let subs: Vec<Sub> = (0..shards)
+            .map(|root| {
+                let dims = Dims {
+                    root,
+                    threads,
+                    keys: cfg.key_range,
+                    map: Default::default(),
+                };
+                make(&pool, &dims)
+            })
+            .collect();
+        // Prefill every shard from thread slot 0, with persistence on.
+        {
+            let ctx = ThreadCtx::new(pool.clone(), 0);
+            let mut rng = cfg.seed ^ 0xABCDEF;
+            for sub in &subs {
+                for _ in 0..cfg.prefill {
+                    let op = Sub::draw(next_rng(&mut rng), &Mix::ADD, cfg.key_range);
+                    sub.call(&ctx, &op);
+                }
+            }
+        }
+        pool.set_psync_enabled(cfg.psync_enabled);
+        pool.set_sites_mask(cfg.site_mask);
+        pool.stats_reset();
+        let before = pool.stats();
+
+        let stop = AtomicBool::new(false);
+        let barrier = Barrier::new(threads + 1);
+        let (outs, elapsed) = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (pool, sub, stop, barrier) = (&pool, &subs[t % shards], &stop, &barrier);
+                    s.spawn(move || {
+                        if cfg.chunk_lines > 0 {
+                            install_thread_arena(SubArena::new(pool.clone(), cfg.chunk_lines));
+                        }
+                        let ctx = ThreadCtx::new(pool.clone(), t);
+                        let mut rng = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
+                        barrier.wait();
+                        let mut ops = 0u64;
+                        while !stop.load(Ordering::Relaxed) {
+                            if pool.remaining_lines() < HEADROOM_LINES {
+                                break;
+                            }
+                            let op = Sub::draw(next_rng(&mut rng), &cfg.mix, cfg.key_range);
+                            std::hint::black_box(sub.call(&ctx, &op));
+                            ops += 1;
+                        }
+                        let arena = uninstall_thread_arena();
+                        let refills = arena.as_ref().map_or(0, |a| a.refills());
+                        let waste = arena.map_or(0, |a| a.waste_lines() as u64);
+                        (ops, refills, waste)
+                    })
+                })
+                .collect();
+            barrier.wait();
+            let start = Instant::now();
+            std::thread::sleep(cfg.duration);
+            stop.store(true, Ordering::Relaxed);
+            let outs: Vec<(u64, u64, u64)> = handles
+                .into_iter()
+                .map(|h| h.join().expect("timed worker panicked"))
+                .collect();
+            (outs, start.elapsed())
+        });
+        let d = pool.stats().delta(&before);
+        let per_thread_ops: Vec<u64> = outs.iter().map(|o| o.0).collect();
+        RunResult {
+            subject: cfg.subject.name,
+            threads,
+            shards,
+            ops: per_thread_ops.iter().sum(),
+            per_thread_ops,
+            elapsed,
+            pwb_per_site: d.pwb_per_site,
+            psync: d.psync + d.pfence,
+            pwb_elided: d.pwb_elided_total(),
+            psync_coalesced: d.psync_coalesced,
+            arena_refills: outs.iter().map(|o| o.1).sum(),
+            arena_waste_lines: outs.iter().map(|o| o.2).sum(),
+        }
     }
 }
 
@@ -218,6 +393,7 @@ mod tests {
             duration: Duration::from_millis(50),
             pool_bytes: 256 << 20,
             key_range: 64,
+            prefill: 32,
             backend: Backend::Noop,
             ..RunCfg::paper(kind, 2)
         }

@@ -5,7 +5,8 @@
 //! definite, correct response, and the structure is uncorrupted. The
 //! helpers make that checkable mechanically:
 //!
-//! * [`mk`] builds any evaluated algorithm on a fresh Model-mode pool;
+//! * [`mk`] builds any evaluated set algorithm on a fresh Model-mode pool,
+//!   and [`all_algos`] lists the registry's set competitors;
 //! * [`KeyTally`] maintains, per key, the balance of *successful* inserts
 //!   minus *successful* deletes. Because set operations on the same key
 //!   serialize (a successful insert and a successful delete of the same key
@@ -19,20 +20,16 @@
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
+use bench::registry::{self, COMPETITOR};
 use bench::{build, AlgoKind, SetAlgo};
 use pmem::{PmemPool, PoolCfg, ThreadCtx};
 
-/// All algorithm variants under test: the paper's five, the Tracking BST,
-/// and OneFile (measured in the paper, shown here).
-pub const ALL_ALGOS: [AlgoKind; 7] = [
-    AlgoKind::Tracking,
-    AlgoKind::TrackingBst,
-    AlgoKind::Capsules,
-    AlgoKind::CapsulesOpt,
-    AlgoKind::Romulus,
-    AlgoKind::RedoOpt,
-    AlgoKind::OneFile,
-];
+/// All set algorithms under test: the registry's competitors — the
+/// paper's five, the Tracking BST, and OneFile (measured in the paper,
+/// shown here).
+pub fn all_algos() -> Vec<AlgoKind> {
+    registry::with_role(COMPETITOR).map(|e| e.algo).collect()
+}
 
 /// Builds `kind` on a fresh Model-mode (shadowed, crashable) pool.
 pub fn mk(

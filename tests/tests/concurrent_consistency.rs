@@ -4,7 +4,7 @@
 use std::sync::{Arc, Barrier};
 
 use bench::AlgoKind;
-use integration_tests::{mk, KeyTally, Rng, ALL_ALGOS};
+use integration_tests::{all_algos, mk, KeyTally, Rng};
 use pmem::ThreadCtx;
 
 const THREADS: usize = 4;
@@ -13,7 +13,7 @@ const THREADS: usize = 4;
 /// balance of every key must equal its presence.
 #[test]
 fn per_key_balance_holds_for_all_algorithms() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         let range = 20u64;
         let (pool, algo) = mk(kind, 512 << 20, THREADS, range);
         let tally = Arc::new(KeyTally::new(range));
@@ -58,7 +58,7 @@ fn per_key_balance_holds_for_all_algorithms() {
 /// that key must alternate globally, which the balance oracle enforces.
 #[test]
 fn single_key_contention_alternates() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         let (pool, algo) = mk(kind, 256 << 20, THREADS, 4);
         let tally = Arc::new(KeyTally::new(4));
         let barrier = Arc::new(Barrier::new(THREADS));
@@ -93,7 +93,7 @@ fn single_key_contention_alternates() {
 /// must succeed, and the final size is exact.
 #[test]
 fn disjoint_partitions_never_conflict() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         // RedoOpt packs keys into 20 bits and Romulus sizes its region up
         // front, so keep the per-thread stripes modest.
         let per_thread = 40u64;

@@ -11,7 +11,7 @@
 //! exhaustively.
 
 use bench::AlgoKind;
-use integration_tests::{mk, Rng, ALL_ALGOS};
+use integration_tests::{all_algos, mk, Rng};
 use pmem::{CrashAdversary, PessimistAdversary, SeededAdversary, SiteId, ThreadCtx};
 
 const POOL: usize = 64 << 20;
@@ -131,7 +131,7 @@ sweeps! {
 /// have been corrupted by the interrupted read).
 #[test]
 fn find_crash_sweep_all_algorithms() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         for crash_at in 0..400 {
             let (pool, algo) = mk(kind, POOL, 4, 64);
             let ctx = ThreadCtx::new(pool.clone(), 0);
@@ -160,7 +160,7 @@ fn find_crash_sweep_all_algorithms() {
 /// track a sequential reference model exactly.
 #[test]
 fn randomized_crash_workload_matches_model() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         let (pool, algo) = mk(kind, 256 << 20, 4, 32);
         let ctx = ThreadCtx::new(pool.clone(), 0);
         let mut model = std::collections::BTreeSet::new();

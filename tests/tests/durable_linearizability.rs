@@ -7,14 +7,14 @@
 //! forgot to flush can hide behind a lucky eviction.
 
 use bench::AlgoKind;
-use integration_tests::{mk, Rng, ALL_ALGOS};
+use integration_tests::{all_algos, mk, Rng};
 use pmem::{PessimistAdversary, ThreadCtx};
 
 /// Every completed update survives a maximal-loss crash struck immediately
 /// after it returns.
 #[test]
 fn completed_updates_survive_maximal_loss() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         let (pool, algo) = mk(kind, 256 << 20, 2, 32);
         let ctx = ThreadCtx::new(pool.clone(), 0);
         let mut model = std::collections::BTreeSet::new();
@@ -53,7 +53,7 @@ fn completed_updates_survive_maximal_loss() {
 /// state).
 #[test]
 fn completed_finds_remain_justified_after_crash() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         let (pool, algo) = mk(kind, 128 << 20, 2, 16);
         let ctx = ThreadCtx::new(pool.clone(), 0);
         let mut rng = Rng(0xF17D ^ kind as u64);

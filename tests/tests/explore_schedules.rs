@@ -15,6 +15,7 @@
 //! 4. sharding partitions the schedule grid without changing any verdict.
 
 use bench::explore::{run_explore, CrashMode, ExploreCfg};
+use bench::registry;
 use bench::sweep::AdversaryKind;
 use bench::{AlgoKind, StructureKind};
 
@@ -26,12 +27,14 @@ fn quick_cfg(structure: StructureKind, algo: AlgoKind) -> ExploreCfg {
     cfg
 }
 
-/// The full schedulable matrix at 2 threads: every structure family, every
-/// schedulable implementation, all three strategies, with crash injection.
+/// The full lineup at 2 threads: every structure family, every registered
+/// implementation in its lineup (Romulus included, schedulable through the
+/// spin-yield channel), all three strategies, with crash injection.
 #[test]
 fn full_matrix_linearizes_with_crash_injection() {
     for structure in StructureKind::all() {
-        for algo in structure.explore_lineup() {
+        for pair in registry::select(&[structure], None).unwrap() {
+            let algo = pair.algo;
             let report = run_explore(&quick_cfg(structure, algo));
             assert!(
                 report.ok(),
@@ -49,23 +52,6 @@ fn full_matrix_linearizes_with_crash_injection() {
             );
         }
     }
-}
-
-/// Romulus used to be the one non-schedulable competitor (blocking writer
-/// mutex + volatile seqlock reader spin); the spin-yield channel
-/// (`pmem::yield_spin` inside both wait loops) made it schedulable, so
-/// the full list lineup now participates in exploration.
-#[test]
-fn romulus_is_schedulable_via_the_spin_channel() {
-    assert!(AlgoKind::Romulus.schedulable());
-    assert!(StructureKind::List
-        .explore_lineup()
-        .contains(&AlgoKind::Romulus));
-    // The whole paper lineup is schedulable.
-    assert_eq!(
-        StructureKind::List.explore_lineup(),
-        StructureKind::List.lineup()
-    );
 }
 
 /// Determinism: identical configurations replay identical schedules —

@@ -146,7 +146,7 @@ fn capsules_full_elides_traverse_flushes_without_changing_results() {
             ..PoolCfg::model(16 << 20)
         }));
         let ctx = ThreadCtx::new(pool.clone(), 0);
-        let set = bench::adapter::build(bench::AlgoKind::Capsules, pool.clone(), 1, 32);
+        let set = bench::build(bench::AlgoKind::Capsules, pool.clone(), 1, 32);
         let mut results = Vec::new();
         let mut rng = 0x0BAD_5EEDu64;
         for i in 0..96u64 {

@@ -10,7 +10,7 @@
 use std::sync::{Arc, Barrier, Mutex};
 
 use bench::AlgoKind;
-use integration_tests::{mk, Rng, ALL_ALGOS};
+use integration_tests::{all_algos, mk, Rng};
 use linearize::{Clock, History, QueueOp, QueueRet, QueueSpec, SetOp, SetSpec};
 use pmem::{PmemPool, PoolCfg, ThreadCtx};
 
@@ -65,7 +65,7 @@ fn record_set_history(kind: AlgoKind, seed: u64) -> History<SetSpec> {
 
 #[test]
 fn concurrent_set_histories_are_linearizable() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         for trial in 0..TRIALS {
             let h = record_set_history(kind, 0xACE0 + trial as u64 * 7919);
             assert_eq!(h.len(), THREADS * OPS_PER_THREAD);
@@ -133,7 +133,7 @@ fn concurrent_queue_histories_are_linearizable() {
 /// linearizability property.
 #[test]
 fn set_histories_spanning_crashes_are_linearizable() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         for trial in 0..6u64 {
             let (pool, algo) = mk(kind, 128 << 20, 2, 8);
             let clock = Clock::new();

@@ -5,7 +5,7 @@
 //! reproducible from the printed case index and seed.
 
 use bench::AlgoKind;
-use integration_tests::{mk, Rng, ALL_ALGOS};
+use integration_tests::{all_algos, mk, Rng};
 use pmem::{SeededAdversary, SiteId, ThreadCtx};
 
 #[derive(Copy, Clone, Debug)]
@@ -204,7 +204,7 @@ fn all_algorithms_agree_on_a_long_sequence() {
         })
         .collect();
     let mut reference: Option<Vec<bool>> = None;
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         let (pool, algo) = mk(kind, 256 << 20, 2, 64);
         let ctx = ThreadCtx::new(pool, 0);
         let responses: Vec<bool> = ops

@@ -3,7 +3,7 @@
 //! crash the recovery function itself, repeatedly, and require the final
 //! outcome to still be correct.
 
-use integration_tests::{mk, ALL_ALGOS};
+use integration_tests::{all_algos, mk};
 use pmem::{SeededAdversary, SiteId, ThreadCtx};
 
 /// Crash an insert, then crash its recovery k times before letting it
@@ -11,7 +11,7 @@ use pmem::{SeededAdversary, SiteId, ThreadCtx};
 /// structure's state.
 #[test]
 fn recovery_survives_repeated_crashes() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         for first_crash in [3u64, 17, 45, 90, 160, 300] {
             let (pool, algo) = mk(kind, 128 << 20, 2, 32);
             let ctx = ThreadCtx::new(pool.clone(), 0);
@@ -57,7 +57,7 @@ fn recovery_survives_repeated_crashes() {
 /// re-executing the operation.
 #[test]
 fn recovery_of_completed_op_is_idempotent() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         let (pool, algo) = mk(kind, 64 << 20, 2, 32);
         let ctx = ThreadCtx::new(pool.clone(), 0);
         assert!(algo.insert(&ctx, 9));
@@ -80,7 +80,7 @@ fn recovery_of_completed_op_is_idempotent() {
 /// system re-invokes the operation — it must behave like a fresh call.
 #[test]
 fn recovery_with_clean_checkpoint_reinvokes() {
-    for kind in ALL_ALGOS {
+    for kind in all_algos() {
         let (pool, algo) = mk(kind, 64 << 20, 2, 32);
         let ctx = ThreadCtx::new(pool.clone(), 0);
         // CP_q = 0, RD_q = initial: a crash fell before the op started.

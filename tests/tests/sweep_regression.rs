@@ -136,20 +136,33 @@ fn masked_site_event_totals_are_pinned() {
 
 /// Hashes a trace stream's observable content (everything but the seq
 /// numbers, which per-thread banking makes allocation-order dependent):
-/// kind, site, line, tid and dirty annotation of every retained event, in
-/// global order. Two runs with equal hashes executed bit-identical
+/// kind, site, line, thread and dirty annotation of every retained event,
+/// in global order. Two runs with equal hashes executed bit-identical
 /// instrumented event streams.
+///
+/// Threads are numbered by their first appearance in the stream, not by
+/// their trace tid: trace tids come from a process-global counter, so
+/// every other test that traced earlier in the same binary would shift
+/// them.
 fn stream_hash(snap: &pmem::TraceSnapshot) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325; // FNV-1a
     let mut mix = |v: u64| {
         h ^= v;
         h = h.wrapping_mul(0x100000001b3);
     };
+    let mut threads = Vec::new();
     for e in &snap.events {
+        let thread = match threads.iter().position(|&t| t == e.tid) {
+            Some(i) => i,
+            None => {
+                threads.push(e.tid);
+                threads.len() - 1
+            }
+        };
         mix(e.kind.label().len() as u64 ^ (e.kind as u64) << 8);
         mix(e.site as u64);
         mix(e.line as u64);
-        mix(e.tid as u64);
+        mix(thread as u64);
         mix(e.dirty as u64);
     }
     mix(snap.dropped);
@@ -167,7 +180,7 @@ fn pinned_stream(algo: AlgoKind, flushopt: bool) -> u64 {
         ..PoolCfg::model(16 << 20)
     }));
     let ctx = ThreadCtx::new(pool.clone(), 0);
-    let set = bench::adapter::build(algo, pool.clone(), 1, 32);
+    let set = bench::build(algo, pool.clone(), 1, 32);
     let mut rng = PIN_SEED;
     for i in 0..24u64 {
         rng = rng
