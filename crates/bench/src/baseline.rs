@@ -491,7 +491,8 @@ pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
     }
 }
 
-fn json_f(v: f64) -> String {
+/// A JSON number with three decimals (`null` when not finite).
+pub(crate) fn json_f(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.3}")
     } else {
@@ -690,6 +691,15 @@ pub fn compare_bench_rows(
     (lines, warnings)
 }
 
+/// Checks that `json`'s first `key` field is a finite non-negative number.
+pub(crate) fn check_number(json: &str, key: &str) -> Result<(), String> {
+    match extract_number(json, key) {
+        Some(v) if v.is_finite() && v >= 0.0 => Ok(()),
+        Some(v) => Err(format!("field {key} has non-finite/negative value {v}")),
+        None => Err(format!("missing numeric field {key}")),
+    }
+}
+
 /// Validates that `json` looks like a `bench-baseline/v1` document: schema
 /// tag, non-empty bench list with the required numeric fields, and an
 /// overhead block. Returns a description of the first problem found.
@@ -711,13 +721,7 @@ pub fn validate_json(json: &str) -> Result<(), String> {
         if json.matches("\"subject\":").count() == 0 {
             return Err("thread_sweep section present but empty".into());
         }
-        for key in ["per_thread_ops_per_sec"] {
-            match extract_number(json, key) {
-                Some(v) if v.is_finite() && v >= 0.0 => {}
-                Some(v) => return Err(format!("field {key} has non-finite/negative value {v}")),
-                None => return Err(format!("missing numeric field {key}")),
-            }
-        }
+        check_number(json, "per_thread_ops_per_sec")?;
     }
     let benches = json.matches("\"ns_per_op\":").count();
     if benches < 2 {
@@ -732,21 +736,13 @@ pub fn validate_json(json: &str) -> Result<(), String> {
         "on_ns_per_op",
         "ratio",
     ] {
-        match extract_number(json, key) {
-            Some(v) if v.is_finite() && v >= 0.0 => {}
-            Some(v) => return Err(format!("field {key} has non-finite/negative value {v}")),
-            None => return Err(format!("missing numeric field {key}")),
-        }
+        check_number(json, key)?;
     }
     // Elision densities (additive since PR 9): validated when present, so
     // earlier committed reports still pass; fresh reports always carry them.
     if json.contains("\"pwb_elided_per_op\":") {
         for key in ["pwb_elided_per_op", "psync_coalesced_per_op"] {
-            match extract_number(json, key) {
-                Some(v) if v.is_finite() && v >= 0.0 => {}
-                Some(v) => return Err(format!("field {key} has non-finite/negative value {v}")),
-                None => return Err(format!("missing numeric field {key}")),
-            }
+            check_number(json, key)?;
         }
     }
     Ok(())

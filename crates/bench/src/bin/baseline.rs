@@ -21,40 +21,24 @@ use bench::baseline::{
     bench_rows_from_json, compare_bench_rows, extract_number, run_baseline, validate_json,
     BaselineCfg,
 };
+use bench::cli::{self, Args};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut label = "pr4".to_string();
     let mut out: Option<std::path::PathBuf> = None;
     let mut prev: Option<std::path::PathBuf> = None;
     let mut ops: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--smoke" => smoke = true,
-            "--label" => {
-                i += 1;
-                label = args[i].clone();
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args[i].clone().into());
-            }
-            "--prev" => {
-                i += 1;
-                prev = Some(args[i].clone().into());
-            }
-            "--ops" => {
-                i += 1;
-                ops = Some(args[i].parse().expect("bad op count"));
-            }
-            flag => {
-                eprintln!("unknown flag {flag}");
-                std::process::exit(2);
-            }
+            "--label" => label = args.value(&flag),
+            "--out" => out = Some(args.value::<String>(&flag).into()),
+            "--prev" => prev = Some(args.value::<String>(&flag).into()),
+            "--ops" => ops = Some(args.value(&flag)),
+            flag => cli::usage(format!("unknown flag {flag}")),
         }
-        i += 1;
     }
 
     let mut cfg = if smoke {
@@ -70,8 +54,7 @@ fn main() {
         let doc = std::fs::read_to_string(p).expect("reading --prev JSON");
         cfg.prev_off_ns_per_op = extract_number(&doc, "off_ns_per_op");
         if cfg.prev_off_ns_per_op.is_none() {
-            eprintln!("--prev {} has no off_ns_per_op field", p.display());
-            std::process::exit(2);
+            cli::usage(format!("--prev {} has no off_ns_per_op field", p.display()));
         }
         prev_doc = Some(doc);
     }

@@ -44,121 +44,62 @@
 //! structure × algorithm pair is written under `--out`; the first failing
 //! point (if any) is minimized and its final trace window printed.
 
+use bench::cli::{self, Args};
 use bench::registry;
-use bench::sweep::{run_palloc_sweep, run_sweep, AdversaryKind, SweepCfg, SweepReport};
+use bench::sweep::{run_palloc_sweep, run_sweep, SweepCfg, SweepReport};
 use bench::{AlgoKind, StructureKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut structures: Vec<StructureKind> = StructureKind::all().to_vec();
     let mut algo: Option<AlgoKind> = None;
     let mut base = SweepCfg::new(StructureKind::List, AlgoKind::Tracking);
     let mut out = std::path::PathBuf::from("results/crashsweep");
     let (mut churn, mut palloc_only, mut smoke) = (false, false, false);
     let mut structures_named = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--structure" => {
-                i += 1;
                 structures_named = true;
-                structures = match args[i].as_str() {
-                    "all" => StructureKind::all().to_vec(),
-                    s => vec![StructureKind::parse(s).unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown structure '{s}' (list|bst|queue|stack|exchanger|hashmap|all)"
-                        );
-                        std::process::exit(2);
-                    })],
-                };
+                structures = cli::structures(&args.value::<String>(&flag));
             }
-            "--algo" => {
-                i += 1;
-                algo = match args[i].as_str() {
-                    "all" => None,
-                    s => Some(AlgoKind::parse(s).unwrap_or_else(|| {
-                        eprintln!("unknown algorithm '{s}'");
-                        std::process::exit(2);
-                    })),
-                };
-            }
+            "--algo" => algo = cli::algo(&args.value::<String>(&flag)),
             "--shard" => {
-                i += 1;
-                let (idx, cnt) = args[i].split_once('/').unwrap_or_else(|| {
-                    eprintln!("--shard expects I/N, e.g. --shard 0/4");
-                    std::process::exit(2);
-                });
-                base.shard_index = idx.parse().expect("bad shard index");
-                base.shard_count = cnt.parse().expect("bad shard count");
-                assert!(
-                    base.shard_count > 0 && base.shard_index < base.shard_count,
-                    "shard index must be in [0, N)"
-                );
+                (base.shard_index, base.shard_count) = cli::shard(&args.value::<String>(&flag));
             }
             "--sample" => {
-                i += 1;
-                base.sample = args[i].parse().expect("bad sample probability");
+                base.sample = args.value(&flag);
                 assert!(
                     (0.0..=1.0).contains(&base.sample),
                     "sample must be in [0, 1]"
                 );
             }
-            "--adversary" => {
-                i += 1;
-                base.adversary = AdversaryKind::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!("unknown adversary '{}' (pessimist|seeded)", args[i]);
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                i += 1;
-                base.seed = args[i].parse().expect("bad seed");
-            }
-            "--ops" => {
-                i += 1;
-                base.script_len = args[i].parse().expect("bad script length");
-            }
-            "--pool-mb" => {
-                i += 1;
-                base.pool_bytes = args[i].parse::<usize>().expect("bad pool size") << 20;
-            }
+            "--adversary" => base.adversary = cli::adversary(&args.value::<String>(&flag)),
+            "--seed" => base.seed = args.value(&flag),
+            "--ops" => base.script_len = args.value(&flag),
+            "--pool-mb" => base.pool_bytes = args.value::<usize>(&flag) << 20,
             "--engine" => {
-                i += 1;
-                base.checkpoint = match args[i].as_str() {
+                base.checkpoint = match args.value::<String>(&flag).as_str() {
                     "checkpoint" => true,
                     "scratch" => false,
-                    e => {
-                        eprintln!("unknown engine '{e}' (checkpoint|scratch)");
-                        std::process::exit(2);
-                    }
+                    e => cli::usage(format!("unknown engine '{e}' (checkpoint|scratch)")),
                 };
             }
             "--paranoia" => {
-                i += 1;
-                base.paranoia = args[i].parse().expect("bad paranoia probability");
+                base.paranoia = args.value(&flag);
                 assert!(
                     (0.0..=1.0).contains(&base.paranoia),
                     "paranoia must be in [0, 1]"
                 );
             }
-            "--multi-crash" => {
-                i += 1;
-                base.multi_crash = args[i].parse().expect("bad multi-crash count");
-            }
+            "--multi-crash" => base.multi_crash = args.value(&flag),
             "--churn" => churn = true,
             "--palloc" => palloc_only = true,
             "--flushopt" => base.flushopt = true,
             "--smoke" => smoke = true,
-            "--out" => {
-                i += 1;
-                out = args[i].clone().into();
-            }
-            flag => {
-                eprintln!("unknown flag {flag}");
-                std::process::exit(2);
-            }
+            "--out" => out = args.value::<String>(&flag).into(),
+            flag => cli::usage(format!("unknown flag {flag}")),
         }
-        i += 1;
     }
 
     if smoke {
@@ -195,10 +136,7 @@ fn main() {
         .map(|(s, a)| registry::find(s, a).expect("smoke pairs are registered"))
         .collect()
     } else {
-        registry::select(&structures, algo).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        registry::select(&structures, algo).unwrap_or_else(|e| cli::usage(e))
     };
 
     println!(

@@ -29,124 +29,56 @@
 //! non-linearizable history (or a schedule replay diverged). One CSV per
 //! structure × algorithm pair is written under `--out`.
 
+use bench::cli::{self, Args};
 use bench::explore::{run_explore, CrashMode, ExploreCfg, StrategyKind};
 use bench::registry;
-use bench::sweep::AdversaryKind;
 use bench::{AlgoKind, StructureKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut structures: Vec<StructureKind> = StructureKind::all().to_vec();
     let mut algo: Option<AlgoKind> = None;
     let mut base = ExploreCfg::new(StructureKind::List, AlgoKind::Tracking);
     let mut crash_samples = 2u64;
     let mut crash_on = true;
     let mut out = std::path::PathBuf::from("results/explore");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--structure" => {
-                i += 1;
-                structures = match args[i].as_str() {
-                    "all" => StructureKind::all().to_vec(),
-                    s => vec![StructureKind::parse(s).unwrap_or_else(|| {
-                        eprintln!(
-                            "unknown structure '{s}' (list|bst|queue|stack|exchanger|hashmap|all)"
-                        );
-                        std::process::exit(2);
-                    })],
-                };
-            }
-            "--algo" => {
-                i += 1;
-                algo = match args[i].as_str() {
-                    "all" => None,
-                    s => Some(AlgoKind::parse(s).unwrap_or_else(|| {
-                        eprintln!("unknown algorithm '{s}'");
-                        std::process::exit(2);
-                    })),
-                };
-            }
-            "--threads" => {
-                i += 1;
-                base.threads = args[i].parse().expect("bad thread count");
-            }
-            "--ops" => {
-                i += 1;
-                base.ops_per_thread = args[i].parse().expect("bad ops count");
-            }
-            "--schedules" => {
-                i += 1;
-                base.schedules = args[i].parse().expect("bad schedule count");
-            }
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--structure" => structures = cli::structures(&args.value::<String>(&flag)),
+            "--algo" => algo = cli::algo(&args.value::<String>(&flag)),
+            "--threads" => base.threads = args.value(&flag),
+            "--ops" => base.ops_per_thread = args.value(&flag),
+            "--schedules" => base.schedules = args.value(&flag),
             "--strategy" => {
-                i += 1;
-                base.strategies = match args[i].as_str() {
+                base.strategies = match args.value::<String>(&flag).as_str() {
                     "all" => StrategyKind::all().to_vec(),
                     s => vec![StrategyKind::parse(s).unwrap_or_else(|| {
-                        eprintln!("unknown strategy '{s}' (rr|random|pct|all)");
-                        std::process::exit(2);
+                        cli::usage(format!("unknown strategy '{s}' (rr|random|pct|all)"))
                     })],
                 };
             }
             "--crash" => {
-                i += 1;
-                crash_on = match args[i].as_str() {
+                crash_on = match args.value::<String>(&flag).as_str() {
                     "off" => false,
                     "sampled" => true,
-                    c => {
-                        eprintln!("unknown crash mode '{c}' (off|sampled)");
-                        std::process::exit(2);
-                    }
+                    c => cli::usage(format!("unknown crash mode '{c}' (off|sampled)")),
                 };
             }
-            "--crash-samples" => {
-                i += 1;
-                crash_samples = args[i].parse().expect("bad crash sample count");
-            }
-            "--adversary" => {
-                i += 1;
-                base.adversary = AdversaryKind::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!("unknown adversary '{}' (pessimist|seeded)", args[i]);
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                i += 1;
-                base.seed = args[i].parse().expect("bad seed");
-            }
+            "--crash-samples" => crash_samples = args.value(&flag),
+            "--adversary" => base.adversary = cli::adversary(&args.value::<String>(&flag)),
+            "--seed" => base.seed = args.value(&flag),
             "--shard" => {
-                i += 1;
-                let (idx, cnt) = args[i].split_once('/').unwrap_or_else(|| {
-                    eprintln!("--shard expects I/N, e.g. --shard 0/4");
-                    std::process::exit(2);
-                });
-                base.shard_index = idx.parse().expect("bad shard index");
-                base.shard_count = cnt.parse().expect("bad shard count");
-                assert!(
-                    base.shard_count > 0 && base.shard_index < base.shard_count,
-                    "shard index must be in [0, N)"
-                );
+                (base.shard_index, base.shard_count) = cli::shard(&args.value::<String>(&flag));
             }
-            "--pool-mb" => {
-                i += 1;
-                base.pool_bytes = args[i].parse::<usize>().expect("bad pool size") << 20;
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone().into();
-            }
+            "--pool-mb" => base.pool_bytes = args.value::<usize>(&flag) << 20,
+            "--out" => out = args.value::<String>(&flag).into(),
             "--flushopt" => base.flushopt = true,
             "--smoke" => {
                 base.schedules = 1;
                 crash_samples = 1;
             }
-            flag => {
-                eprintln!("unknown flag {flag}");
-                std::process::exit(2);
-            }
+            flag => cli::usage(format!("unknown flag {flag}")),
         }
-        i += 1;
     }
     base.crash = if crash_on {
         CrashMode::Sampled {
@@ -156,10 +88,7 @@ fn main() {
         CrashMode::Off
     };
 
-    let pairs = registry::select(&structures, algo).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let pairs = registry::select(&structures, algo).unwrap_or_else(|e| cli::usage(e));
 
     println!(
         "schedule explorer: {} pair(s), threads={}, ops/thread={}, schedules={}/strategy, \

@@ -12,53 +12,31 @@
 
 use std::time::Duration;
 
+use bench::cli::{self, Args};
 use bench::figures::{self, FigCfg};
 use bench::workload::Mix;
 use bench::AlgoKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut what = "all".to_string();
     let mut cfg = FigCfg::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                i += 1;
-                cfg.threads = args[i]
-                    .split(',')
-                    .map(|s| s.parse().expect("bad thread count"))
-                    .collect();
-            }
-            "--duration-ms" => {
-                i += 1;
-                cfg.duration = Duration::from_millis(args[i].parse().expect("bad duration"));
-            }
-            "--range" => {
-                i += 1;
-                cfg.key_range = args[i].parse().expect("bad range");
-            }
-            "--pool-mb" => {
-                i += 1;
-                cfg.pool_bytes = args[i].parse::<usize>().expect("bad pool size") << 20;
-            }
-            "--out" => {
-                i += 1;
-                cfg.out_dir = args[i].clone().into();
-            }
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--threads" => cfg.threads = cli::list(&args.value::<String>(&flag)),
+            "--duration-ms" => cfg.duration = Duration::from_millis(args.value(&flag)),
+            "--range" => cfg.key_range = args.value(&flag),
+            "--pool-mb" => cfg.pool_bytes = args.value::<usize>(&flag) << 20,
+            "--out" => cfg.out_dir = args.value::<String>(&flag).into(),
             "--smoke" => {
                 let out = cfg.out_dir.clone();
                 cfg = FigCfg::smoke();
                 cfg.out_dir = out;
             }
             "--attribution" => what = "attribution".to_string(),
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}");
-                std::process::exit(2);
-            }
+            flag if flag.starts_with("--") => cli::usage(format!("unknown flag {flag}")),
             w => what = w.to_string(),
         }
-        i += 1;
     }
 
     let emit = |csv: bench::csv::Csv| {
@@ -143,11 +121,8 @@ fn main() {
                 }
             }
         }
-        other => {
-            eprintln!(
-                "unknown figure '{other}' (use all|fig3|fig4|fig5|fig6|ablation|range|mix|uc|categorize|attribution)"
-            );
-            std::process::exit(2);
-        }
+        other => cli::usage(format!(
+            "unknown figure '{other}' (use all|fig3|fig4|fig5|fig6|ablation|range|mix|uc|categorize|attribution)"
+        )),
     }
 }

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use bench::cli::{self, Args};
 use bench::registry::{self, Dims, Engine, COMPETITOR};
 use bench::{AlgoKind, Mix, Subject};
 use pmem::{Backend, PmemPool, PoolCfg, ThreadCtx};
@@ -64,26 +65,15 @@ impl Histogram {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ops: u64 = 100_000;
     let mut range: u64 = 500;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--ops" => {
-                i += 1;
-                ops = args[i].parse().expect("bad op count");
-            }
-            "--range" => {
-                i += 1;
-                range = args[i].parse().expect("bad range");
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--ops" => ops = args.value(&flag),
+            "--range" => range = args.value(&flag),
+            other => cli::usage(format!("unknown flag {other}")),
         }
-        i += 1;
     }
 
     println!(

@@ -26,20 +26,14 @@
 
 use std::time::Duration;
 
+use bench::cli::{self, Args};
 use bench::parallel::{
     compare_sweeps, sweep_points_from_json, throughput_json, validate_throughput_json, SweepPoint,
 };
 use bench::registry::{self, Entry, THROUGHPUT};
 use bench::{run, RunCfg, StructureKind};
 
-fn parse_list(s: &str) -> Vec<usize> {
-    s.split(',')
-        .map(|t| t.trim().parse().expect("bad thread count"))
-        .collect()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
     let mut threads_list: Option<Vec<usize>> = None;
     let mut shards: usize = 1;
@@ -49,55 +43,27 @@ fn main() {
     let mut out: Option<std::path::PathBuf> = None;
     let mut prev: Option<std::path::PathBuf> = None;
     let mut flushopt = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::from_env();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
             "--smoke" => smoke = true,
             "--flushopt" => flushopt = true,
-            "--threads" => {
-                i += 1;
-                threads_list = Some(parse_list(&args[i]));
-            }
-            "--shards" => {
-                i += 1;
-                shards = args[i].parse().expect("bad shard count");
-            }
-            "--duration-ms" => {
-                i += 1;
-                duration_ms = Some(args[i].parse().expect("bad duration"));
-            }
+            "--threads" => threads_list = Some(cli::list(&args.value::<String>(&flag))),
+            "--shards" => shards = args.value(&flag),
+            "--duration-ms" => duration_ms = Some(args.value(&flag)),
             "--subjects" => {
-                i += 1;
-                subjects = Some(
-                    args[i]
-                        .split(',')
-                        .map(|t| {
-                            registry::parse_subject(t.trim()).unwrap_or_else(|| {
-                                eprintln!("unknown subject {t}");
-                                std::process::exit(2);
-                            })
-                        })
-                        .collect(),
-                );
+                let tokens: String = args.value(&flag);
+                let parse = |t: &str| {
+                    registry::parse_subject(t.trim())
+                        .unwrap_or_else(|| cli::usage(format!("unknown subject {t}")))
+                };
+                subjects = Some(tokens.split(',').map(parse).collect());
             }
-            "--label" => {
-                i += 1;
-                label = args[i].clone();
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args[i].clone().into());
-            }
-            "--prev" => {
-                i += 1;
-                prev = Some(args[i].clone().into());
-            }
-            flag => {
-                eprintln!("unknown flag {flag}");
-                std::process::exit(2);
-            }
+            "--label" => label = args.value(&flag),
+            "--out" => out = Some(args.value::<String>(&flag).into()),
+            "--prev" => prev = Some(args.value::<String>(&flag).into()),
+            flag => cli::usage(format!("unknown flag {flag}")),
         }
-        i += 1;
     }
 
     let threads_list = threads_list.unwrap_or_else(|| if smoke { vec![2] } else { vec![1, 2, 4] });

@@ -370,21 +370,7 @@ impl Sched {
             let st = &mut *st;
             st.strategy.pick(&st.alive, st.events)
         };
-        if next != me {
-            st.granted = next;
-            self.cv.notify_all();
-            while st.granted != me {
-                if st.abort {
-                    drop(st);
-                    panic!("schedule explorer aborted");
-                }
-                st = self.wait(st);
-            }
-        }
-        if st.abort {
-            drop(st);
-            panic!("schedule explorer aborted");
-        }
+        let mut st = self.hand_over(st, me, next);
         st.events += 1;
         if st.events >= st.fuel {
             st.abort = true;
@@ -432,14 +418,21 @@ impl Sched {
             st.strategy.demote(me);
             st.strategy.pick(&st.alive, st.events)
         };
+        drop(self.hand_over(st, me, next));
+    }
+
+    /// Grants the turn to `next` (unless that is `me`) and blocks until it
+    /// comes back to `me`; panics if the exploration aborted meanwhile.
+    fn hand_over<'a>(
+        &self,
+        mut st: std::sync::MutexGuard<'a, SchedSt>,
+        me: usize,
+        next: usize,
+    ) -> std::sync::MutexGuard<'a, SchedSt> {
         if next != me {
             st.granted = next;
             self.cv.notify_all();
-            while st.granted != me {
-                if st.abort {
-                    drop(st);
-                    panic!("schedule explorer aborted");
-                }
+            while st.granted != me && !st.abort {
                 st = self.wait(st);
             }
         }
@@ -447,6 +440,7 @@ impl Sched {
             drop(st);
             panic!("schedule explorer aborted");
         }
+        st
     }
 
     /// Removes the worker from the schedule (script finished or crash
@@ -731,23 +725,6 @@ fn worker_body<Sub: Subject>(
     }
 }
 
-/// Object-safe face of one generic [`ExpRunner`].
-trait ExpCase {
-    /// Executes one schedule, crash-free (`crash_k == None`) or with a
-    /// crash armed at event `crash_k`. `horizon` bounds PCT change points;
-    /// the driver fixes it once (from a calibration run) so a crash replay
-    /// constructs the *identical* strategy as the crash-free run it
-    /// replays.
-    fn run_one(
-        &self,
-        cfg: &ExploreCfg,
-        strategy: StrategyKind,
-        schedule: u64,
-        crash_k: Option<u64>,
-        horizon: u64,
-    ) -> RunOutcome;
-}
-
 /// The attach-once exploration context: pool, subject, and per-thread
 /// contexts are built once; every schedule run rewinds the pool to the
 /// `base` snapshot ([`PmemPool::restore`] re-arms the crash model and
@@ -760,12 +737,7 @@ struct ExpRunner<Sub: Subject> {
     base: PoolSnapshot,
 }
 
-impl<Sub> ExpRunner<Sub>
-where
-    Sub: Subject + Sync,
-    OpOf<Sub>: Send + Sync,
-    <Sub::S as Spec>::Ret: Send,
-{
+impl<Sub: Subject> ExpRunner<Sub> {
     fn new(pool: Arc<PmemPool>, sub: Sub, threads: usize, scripts: Vec<Vec<OpOf<Sub>>>) -> Self {
         let ctxs = (0..threads)
             .map(|t| ThreadCtx::new(pool.clone(), t))
@@ -779,14 +751,12 @@ where
             base,
         }
     }
-}
 
-impl<Sub> ExpCase for ExpRunner<Sub>
-where
-    Sub: Subject + Sync,
-    OpOf<Sub>: Send + Sync,
-    <Sub::S as Spec>::Ret: Send,
-{
+    /// Executes one schedule, crash-free (`crash_k == None`) or with a
+    /// crash armed at event `crash_k`. `horizon` bounds PCT change points;
+    /// the driver fixes it once (from a calibration run) so a crash replay
+    /// constructs the *identical* strategy as the crash-free run it
+    /// replays.
     fn run_one(
         &self,
         cfg: &ExploreCfg,
@@ -956,17 +926,21 @@ where
     }
 }
 
+/// Executes one schedule of an exploration: `(strategy, schedule, crash_k,
+/// horizon)` as in [`ExpRunner::run_one`].
+type RunOne<'a> = Box<dyn Fn(StrategyKind, u64, Option<u64>, u64) -> RunOutcome + 'a>;
+
 /// The explore engine: builds a registered pair's subject once, with one
 /// script per virtual thread.
 struct ExploreEngine<'a>(&'a ExploreCfg);
 
-impl Engine for ExploreEngine<'_> {
-    type Out = Box<dyn ExpCase>;
+impl<'a> Engine for ExploreEngine<'a> {
+    type Out = RunOne<'a>;
 
     fn run<Sub: Subject>(
         self,
         make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
-    ) -> Box<dyn ExpCase> {
+    ) -> RunOne<'a> {
         let cfg = self.0;
         let pool = Arc::new(PmemPool::new(PoolCfg {
             reclaim: cfg.reclaim,
@@ -978,7 +952,10 @@ impl Engine for ExploreEngine<'_> {
         let scripts = (0..n)
             .map(|t| Sub::script(cfg.seed, cfg.ops_per_thread, ScriptFor::Thread(t)))
             .collect();
-        Box::new(ExpRunner::new(pool, sub, n, scripts))
+        let runner = ExpRunner::new(pool, sub, n, scripts);
+        Box::new(move |strategy, schedule, crash_k, horizon| {
+            runner.run_one(cfg, strategy, schedule, crash_k, horizon)
+        })
     }
 }
 
@@ -1038,15 +1015,13 @@ pub fn run_explore(cfg: &ExploreCfg) -> ExploreReport {
         cfg.ops_per_thread
     );
 
-    let case = entry.with(ExploreEngine(cfg));
+    let run_one = entry.with(ExploreEngine(cfg));
     // Calibrate the PCT horizon with one throwaway crash-free round-robin
     // run (also a cheap end-to-end smoke of the pair before the matrix).
     // Fixed once for the whole exploration: a crash replay must construct
     // the identical strategy as the crash-free run it replays, and shards
     // must generate the same schedules as an unsharded run.
-    let horizon = case
-        .run_one(cfg, StrategyKind::RoundRobin, 0, None, 0)
-        .events;
+    let horizon = run_one(StrategyKind::RoundRobin, 0, None, 0).events;
 
     let mut csv = Csv::new(
         &format!(
@@ -1093,7 +1068,7 @@ pub fn run_explore(cfg: &ExploreCfg) -> ExploreReport {
                 runs_skipped += 1;
                 continue;
             }
-            let free = case.run_one(cfg, strategy, schedule, None, horizon);
+            let free = run_one(strategy, schedule, None, horizon);
             runs += 1;
             total_events += free.events;
             let clean = free.ok;
@@ -1102,7 +1077,7 @@ pub fn run_explore(cfg: &ExploreCfg) -> ExploreReport {
             if let CrashMode::Sampled { per_schedule } = cfg.crash {
                 if clean {
                     for k in crash_points(cfg.seed, strategy, schedule, events, per_schedule) {
-                        let r = case.run_one(cfg, strategy, schedule, Some(k), horizon);
+                        let r = run_one(strategy, schedule, Some(k), horizon);
                         crash_runs += 1;
                         total_events += r.events;
                         record(&mut csv, &r, &mut violations);

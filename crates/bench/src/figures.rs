@@ -23,7 +23,7 @@ use pmem::{Backend, SiteId};
 
 use crate::adapter::AlgoKind;
 use crate::csv::Csv;
-use crate::workload::{run, Mix, RunCfg};
+use crate::workload::{run, Mix, RunCfg, RunResult};
 
 /// Impact categories of `pwb` code lines (paper's L/M/H).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -137,10 +137,22 @@ pub fn fig_throughput(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
     csv
 }
 
-/// Figures 3b / 4b: `psync`s per operation (counting backend — the counts
-/// are backend-independent and the no-op backend keeps the sweep fast).
+/// Figures 3b / 4b: `psync`s per operation.
 pub fn fig_psyncs(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
-    let mut csv = Csv::new(name, &["algo", "threads", "psync_per_op"]);
+    fig_counts(cfg, mix, name, "psync_per_op", RunResult::psync_per_op)
+}
+
+/// One per-operation count of each paper competitor across threads, from
+/// counting runs (no-op backend: the counts are backend-independent and it
+/// keeps the sweep fast).
+fn fig_counts(
+    cfg: &FigCfg,
+    mix: Mix,
+    name: &str,
+    column: &str,
+    count: fn(&RunResult) -> f64,
+) -> Csv {
+    let mut csv = Csv::new(name, &["algo", "threads", column]);
     for kind in AlgoKind::paper_lineup() {
         for &t in &cfg.threads {
             let mut rc = cfg.base(kind, t, mix);
@@ -149,7 +161,7 @@ pub fn fig_psyncs(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
             csv.push(&[
                 kind.name().to_string(),
                 t.to_string(),
-                format!("{:.3}", r.psync_per_op()),
+                format!("{:.3}", count(&r)),
             ]);
         }
     }
@@ -183,20 +195,7 @@ pub fn fig_no_psync(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
 
 /// Figures 3d / 4d: `pwb`s per operation.
 pub fn fig_pwbs(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
-    let mut csv = Csv::new(name, &["algo", "threads", "pwb_per_op"]);
-    for kind in AlgoKind::paper_lineup() {
-        for &t in &cfg.threads {
-            let mut rc = cfg.base(kind, t, mix);
-            rc.backend = Backend::Noop;
-            let r = run(&rc);
-            csv.push(&[
-                kind.name().to_string(),
-                t.to_string(),
-                format!("{:.3}", r.pwb_per_op()),
-            ]);
-        }
-    }
-    csv
+    fig_counts(cfg, mix, name, "pwb_per_op", RunResult::pwb_per_op)
 }
 
 /// One categorized site: id, name, measured single-site impact, class.
@@ -365,15 +364,25 @@ pub fn fig_x_loss(cfg: &FigCfg, mix: Mix, kind: AlgoKind, name: &str) -> Csv {
 /// flush-every-read placement and against disabling the read-only
 /// optimization, reporting throughput and pwb volume.
 pub fn fig_ablation(cfg: &FigCfg, name: &str) -> Csv {
-    let mut csv = Csv::new(name, &["variant", "mix", "threads", "mops", "pwb_per_op"]);
-    let variants = [
-        AlgoKind::Tracking,
-        AlgoKind::TrackingNaive,
-        AlgoKind::TrackingNoReadOpt,
-        AlgoKind::CapsulesOpt,
-    ];
+    fig_both_mixes(
+        cfg,
+        name,
+        "variant",
+        &[
+            AlgoKind::Tracking,
+            AlgoKind::TrackingNaive,
+            AlgoKind::TrackingNoReadOpt,
+            AlgoKind::CapsulesOpt,
+        ],
+    )
+}
+
+/// Throughput and pwb volume of `kinds` under both paper mixes, across
+/// threads.
+fn fig_both_mixes(cfg: &FigCfg, name: &str, first: &str, kinds: &[AlgoKind]) -> Csv {
+    let mut csv = Csv::new(name, &[first, "mix", "threads", "mops", "pwb_per_op"]);
     for mix in [Mix::READ_INTENSIVE, Mix::UPDATE_INTENSIVE] {
-        for kind in variants {
+        for &kind in kinds {
             for &t in &cfg.threads {
                 let r = run(&cfg.base(kind, t, mix));
                 csv.push(&[
@@ -434,22 +443,7 @@ pub fn fig_mix_sweep(cfg: &FigCfg, name: &str) -> Csv {
 /// algorithms in \[16\]"): RedoOpt's whole-object copies vs OneFile's
 /// word-granular redo logs, both mixes.
 pub fn fig_uc_compare(cfg: &FigCfg, name: &str) -> Csv {
-    let mut csv = Csv::new(name, &["algo", "mix", "threads", "mops", "pwb_per_op"]);
-    for mix in [Mix::READ_INTENSIVE, Mix::UPDATE_INTENSIVE] {
-        for kind in [AlgoKind::RedoOpt, AlgoKind::OneFile] {
-            for &t in &cfg.threads {
-                let r = run(&cfg.base(kind, t, mix));
-                csv.push(&[
-                    kind.name().to_string(),
-                    mixname(mix).to_string(),
-                    t.to_string(),
-                    format!("{:.4}", r.mops()),
-                    format!("{:.2}", r.pwb_per_op()),
-                ]);
-            }
-        }
-    }
-    csv
+    fig_both_mixes(cfg, name, "algo", &[AlgoKind::RedoOpt, AlgoKind::OneFile])
 }
 
 /// Per-site cost attribution (beyond the paper's figures), built on the

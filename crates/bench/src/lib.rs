@@ -42,7 +42,8 @@
 //!   registered subject's own micro-workload, the allocator phases, the
 //!   thread sweep and an instrumentation-overhead benchmark, emitted as
 //!   `BENCH_*.json` at the repo root so successive PRs leave a comparable
-//!   trajectory.
+//!   trajectory;
+//! * [`cli`] — the flag reader the command-line tools share.
 //!
 //! Numbers are *shapes*, not absolutes: the substrate is simulated NVMM
 //! over DRAM (`clflush`/`sfence`), and a thread count above the host's
@@ -53,6 +54,7 @@
 
 pub mod adapter;
 pub mod baseline;
+pub mod cli;
 pub mod csv;
 pub mod explore;
 pub mod figures;

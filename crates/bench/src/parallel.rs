@@ -56,13 +56,7 @@ impl SweepPoint {
 
     /// Renders the point as a JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let f = |v: f64| {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        };
+        let f = crate::baseline::json_f;
         format!(
             "{{\"subject\": \"{}\", \"threads\": {}, \"shards\": {}, \"ops\": {}, \
              \"ops_per_sec\": {}, \"per_thread_ops_per_sec\": {}, \
@@ -158,11 +152,7 @@ pub fn validate_throughput_json(json: &str) -> Result<(), String> {
         "pwb_per_op",
         "psync_per_op",
     ] {
-        match crate::baseline::extract_number(json, key) {
-            Some(v) if v.is_finite() && v >= 0.0 => {}
-            Some(v) => return Err(format!("field {key} has non-finite/negative value {v}")),
-            None => return Err(format!("missing numeric field {key}")),
-        }
+        crate::baseline::check_number(json, key)?;
     }
     Ok(())
 }

@@ -252,6 +252,34 @@ pub struct PointOutcome {
 }
 
 impl PointOutcome {
+    /// Point `k`, interrupting op `op_index` (`op`), before any verdict:
+    /// crashed, both obligations holding.
+    fn new(k: u64, op_index: usize, op: String) -> PointOutcome {
+        PointOutcome {
+            k,
+            op_index,
+            op,
+            crashed: true,
+            detect_ok: true,
+            durable_ok: true,
+            exhausted: false,
+            note: String::new(),
+            recrash_points: 0,
+            trace_tail: Vec::new(),
+        }
+    }
+
+    /// A point whose run exhausted the pool; `note` carries the pool's
+    /// capacity message.
+    fn exhausted(k: u64, op_index: usize, op: String, note: String) -> PointOutcome {
+        PointOutcome {
+            crashed: false,
+            exhausted: true,
+            note,
+            ..PointOutcome::new(k, op_index, op)
+        }
+    }
+
     /// Did this crash point pass both obligations?
     pub fn ok(&self) -> bool {
         self.crashed && self.detect_ok && self.durable_ok && !self.exhausted
@@ -642,13 +670,7 @@ where
             replay: RefCell::new(None),
         }
     }
-}
 
-impl<Sub, B> CaseRunner<Sub, B>
-where
-    Sub: Subject,
-    B: Fn(bool) -> (Arc<PmemPool>, Sub, ThreadCtx),
-{
     /// The shared script loop — identical in the count run, the capture run
     /// and every replay, so tick streams line up exactly. Runs ops
     /// `[start, len)`; `at_boundary(i)` fires right before op `i`'s
@@ -704,16 +726,9 @@ where
     ) -> PointOutcome {
         let (j, past_prologue) = progress;
         let mut outcome = PointOutcome {
-            k,
-            op_index: j,
-            op: self.op_strs[j].clone(),
             crashed,
-            detect_ok: true,
-            durable_ok: true,
-            exhausted: false,
-            note: String::new(),
-            recrash_points: 0,
             trace_tail,
+            ..PointOutcome::new(k, j, self.op_strs[j].clone())
         };
         if !crashed {
             // The count said event k exists, yet the replay finished: the
@@ -732,6 +747,11 @@ where
             model.apply(op);
         }
         let expected = model.apply(&self.script[j]);
+        let judge = |outcome: &mut PointOutcome, actual, tag: &str| {
+            self.judge(
+                outcome, pool, sub, ctx, j, responses, &expected, actual, tag,
+            )
+        };
 
         if cfg.multi_crash == 0 {
             // No further crash can fire before the next restore/rebuild, so
@@ -740,17 +760,7 @@ where
             pool.set_crash_model_dormant(true);
             let pp = Cell::new(past_prologue);
             let actual = self.run_recovery(pool, sub, ctx, j, &pp);
-            self.judge(
-                &mut outcome,
-                pool,
-                sub,
-                ctx,
-                j,
-                responses,
-                &expected,
-                actual,
-                "",
-            );
+            judge(&mut outcome, actual, "");
             return outcome;
         }
 
@@ -765,17 +775,7 @@ where
         let r0 = self.run_recovery(pool, sub, ctx, j, &pp);
         let recovery_events = SENTINEL - pool.crash_ctl().remaining() as u64;
         pool.crash_ctl().disarm();
-        self.judge(
-            &mut outcome,
-            pool,
-            sub,
-            ctx,
-            j,
-            responses,
-            &expected,
-            r0,
-            "",
-        );
+        judge(&mut outcome, r0, "");
 
         for i in 0..cfg.multi_crash {
             let k2 = splitmix64(cfg.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 48))
@@ -804,17 +804,7 @@ where
             // re-crash fell, exactly as a twice-restarted system would.
             pool.crash(&mut *cfg.adversary.instantiate(k ^ (k2 << 20) ^ 0xD00D, cfg.seed));
             let r2 = self.run_recovery(pool, sub, ctx, j, &pp);
-            self.judge(
-                &mut outcome,
-                pool,
-                sub,
-                ctx,
-                j,
-                responses,
-                &expected,
-                r2,
-                &tag,
-            );
+            judge(&mut outcome, r2, &tag);
         }
         pool.set_crash_model_dormant(true);
         outcome
@@ -925,18 +915,8 @@ where
             std::panic::resume_unwind(payload);
         };
         let (j, _) = progress;
-        PointOutcome {
-            k,
-            op_index: j,
-            op: self.op_strs[j].clone(),
-            crashed: false,
-            detect_ok: true,
-            durable_ok: true,
-            exhausted: true,
-            note: format!("pool exhausted: {msg}"),
-            recrash_points: 0,
-            trace_tail: Vec::new(),
-        }
+        let note = format!("pool exhausted: {msg}");
+        PointOutcome::exhausted(k, j, self.op_strs[j].clone(), note)
     }
 
     /// Scratch engine, also returning the pre-crash event stream when
@@ -1222,18 +1202,8 @@ fn run_sweep_case(cfg: &SweepCfg, case: Box<dyn Case>, label: String) -> SweepRe
             let Some(msg) = pmem::exhaustion_message(p.as_ref()) else {
                 std::panic::resume_unwind(p);
             };
-            let out = PointOutcome {
-                k: 0,
-                op_index: 0,
-                op: String::new(),
-                crashed: false,
-                detect_ok: true,
-                durable_ok: true,
-                exhausted: true,
-                note: format!("pool exhausted during the crash-free count run: {msg}"),
-                recrash_points: 0,
-                trace_tail: Vec::new(),
-            };
+            let note = format!("pool exhausted during the crash-free count run: {msg}");
+            let out = PointOutcome::exhausted(0, 0, String::new(), note);
             return SweepReport {
                 cfg: cfg.clone(),
                 label: label.clone(),
@@ -1274,16 +1244,12 @@ fn run_sweep_case(cfg: &SweepCfg, case: Box<dyn Case>, label: String) -> SweepRe
             paranoia_checked += 1;
             if let Some(err) = case.paranoia_check(cfg, k) {
                 violations.push(PointOutcome {
-                    k,
-                    op_index: p.op_index,
-                    op: p.op.clone(),
                     crashed: p.crashed,
                     detect_ok: false,
                     durable_ok: p.durable_ok,
                     exhausted: p.exhausted,
                     note: format!("paranoia: {err}"),
-                    recrash_points: 0,
-                    trace_tail: Vec::new(),
+                    ..PointOutcome::new(k, p.op_index, p.op.clone())
                 });
             }
         }
