@@ -572,9 +572,13 @@ impl Subject for PallocSubject {
     }
 }
 
-fn make_palloc_case(cfg: &SweepCfg) -> Box<dyn Case> {
+/// What a [`CaseRunner`]'s build closure returns: a fresh pool (traced or
+/// not), the subject in it, and thread 0's context.
+type Build<Sub> = (Arc<PmemPool>, Sub, ThreadCtx);
+
+fn palloc_case(cfg: &SweepCfg) -> CaseRunner<PallocSubject, impl Fn(bool) -> Build<PallocSubject>> {
     let c = cfg.clone();
-    Box::new(CaseRunner::new(
+    CaseRunner::new(
         PallocSubject::script(cfg.seed, cfg.script_len, ScriptFor::Sweep),
         move |traced| {
             let pool = pool_for(&c, traced);
@@ -582,7 +586,7 @@ fn make_palloc_case(cfg: &SweepCfg) -> Box<dyn Case> {
             let owned = pool.root(0);
             (pool, PallocSubject { owned }, ctx)
         },
-    ))
+    )
 }
 
 // ---------------------------------------------------------------- engine
@@ -604,23 +608,6 @@ fn pool_for(cfg: &SweepCfg, traced: bool) -> Arc<PmemPool> {
     }));
     pool.set_sites_mask(cfg.site_mask);
     pool
-}
-
-/// Object-safe face of one generic [`CaseRunner`].
-trait Case {
-    fn count_events(&self, cfg: &SweepCfg) -> u64;
-    /// Capture run of the checkpointed engine: one traced crash-free
-    /// execution that takes pool snapshots at operation boundaries. Must
-    /// run before [`Case::run_point_checkpointed`].
-    fn prepare(&self, cfg: &SweepCfg, total_events: u64);
-    /// Scratch engine: rebuild the structure, replay the whole script.
-    fn run_point(&self, cfg: &SweepCfg, k: u64, traced: bool) -> PointOutcome;
-    /// Checkpointed engine: restore the nearest checkpoint, replay the
-    /// remaining ops with the countdown rebased to the checkpoint.
-    fn run_point_checkpointed(&self, cfg: &SweepCfg, k: u64, traced: bool) -> PointOutcome;
-    /// Re-runs point `k` traced under *both* engines; `Some(detail)` when
-    /// their verdicts or pre-crash event streams diverge.
-    fn paranoia_check(&self, cfg: &SweepCfg, k: u64) -> Option<String>;
 }
 
 /// One replay checkpoint: the pool state at an operation boundary,
@@ -660,7 +647,7 @@ struct CaseRunner<Sub: Subject, B> {
 impl<Sub, B> CaseRunner<Sub, B>
 where
     Sub: Subject,
-    B: Fn(bool) -> (Arc<PmemPool>, Sub, ThreadCtx),
+    B: Fn(bool) -> Build<Sub>,
 {
     fn new(script: Vec<OpOf<Sub>>, build: B) -> Self {
         CaseRunner {
@@ -982,14 +969,9 @@ where
         .unwrap_or_else(|p| self.classify_panic(k, progress.get(), p));
         (out, events)
     }
-}
 
-impl<Sub, B> Case for CaseRunner<Sub, B>
-where
-    Sub: Subject,
-    B: Fn(bool) -> (Arc<PmemPool>, Sub, ThreadCtx),
-{
-    fn count_events(&self, _cfg: &SweepCfg) -> u64 {
+    /// Count run: the crash-free script's instrumented events.
+    fn count_events(&self) -> u64 {
         let (pool, sub, ctx) = (self.build)(true);
         pool.trace_clear(); // constructor events are not crash points
         let progress = Cell::new((0, false));
@@ -998,7 +980,10 @@ where
         pool.trace_snapshot().total()
     }
 
-    fn prepare(&self, _cfg: &SweepCfg, total_events: u64) {
+    /// Capture run of the checkpointed engine: one traced crash-free
+    /// execution that takes pool snapshots at operation boundaries. Must
+    /// run before [`Self::run_point_checkpointed`].
+    fn prepare(&self, total_events: u64) {
         // ~√E events between checkpoints: replay cost per point drops from
         // O(E) to O(√E) while the capture keeps only O(√E) snapshots.
         let interval = ((total_events as f64).sqrt().ceil() as u64).max(4);
@@ -1036,14 +1021,19 @@ where
         });
     }
 
+    /// Scratch engine: rebuild the structure, replay the whole script.
     fn run_point(&self, cfg: &SweepCfg, k: u64, traced: bool) -> PointOutcome {
         self.run_point_impl(cfg, k, traced).0
     }
 
+    /// Checkpointed engine: restore the nearest checkpoint, replay the
+    /// remaining ops with the countdown rebased to the checkpoint.
     fn run_point_checkpointed(&self, cfg: &SweepCfg, k: u64, traced: bool) -> PointOutcome {
         self.run_point_ckpt_impl(cfg, k, traced).0
     }
 
+    /// Re-runs point `k` traced under *both* engines; `Some(detail)` when
+    /// their verdicts or pre-crash event streams diverge.
     fn paranoia_check(&self, cfg: &SweepCfg, k: u64) -> Option<String> {
         let (s, s_ev) = self.run_point_impl(cfg, k, true);
         let (c, c_ev) = self.run_point_ckpt_impl(cfg, k, true);
@@ -1108,27 +1098,35 @@ fn render_tail(pool: &PmemPool, events: &[Event], n: usize) -> Vec<String> {
         .collect()
 }
 
-/// The sweep engine: wraps a registered pair's constructor into a [`Case`].
-struct SweepEngine<'a>(&'a SweepCfg);
+/// The replay case of a registered pair's subject under `cfg`.
+fn case_of<Sub: Subject>(
+    cfg: &SweepCfg,
+    make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
+) -> CaseRunner<Sub, impl Fn(bool) -> Build<Sub>> {
+    let c = cfg.clone();
+    let dims = Dims::verify(SWEEP_THREADS);
+    CaseRunner::new(
+        Sub::script(c.seed, c.script_len, ScriptFor::Sweep),
+        move |traced| {
+            let pool = pool_for(&c, traced);
+            let sub = make(&pool, &dims);
+            let ctx = ThreadCtx::new(pool.clone(), 0);
+            (pool, sub, ctx)
+        },
+    )
+}
+
+/// The sweep engine: sweeps a registered pair, reporting under a label.
+struct SweepEngine<'a>(&'a SweepCfg, String);
 
 impl Engine for SweepEngine<'_> {
-    type Out = Box<dyn Case>;
+    type Out = SweepReport;
 
     fn run<Sub: Subject>(
         self,
         make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
-    ) -> Box<dyn Case> {
-        let c = self.0.clone();
-        let dims = Dims::verify(SWEEP_THREADS);
-        Box::new(CaseRunner::new(
-            Sub::script(c.seed, c.script_len, ScriptFor::Sweep),
-            move |traced| {
-                let pool = pool_for(&c, traced);
-                let sub = make(&pool, &dims);
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                (pool, sub, ctx)
-            },
-        ))
+    ) -> SweepReport {
+        run_sweep_case(self.0, &case_of(self.0, make), self.1)
     }
 }
 
@@ -1141,10 +1139,6 @@ fn entry_of(cfg: &SweepCfg) -> &'static registry::Entry {
             cfg.algo.name()
         )
     })
-}
-
-fn make_case(cfg: &SweepCfg) -> Box<dyn Case> {
-    entry_of(cfg).with(SweepEngine(cfg))
 }
 
 /// Deterministic second hash stream for paranoia sampling (decorrelated
@@ -1171,7 +1165,7 @@ pub fn run_sweep(cfg: &SweepCfg) -> SweepReport {
         if cfg.reclaim { "churn_" } else { "" },
         entry_of(cfg).label()
     );
-    run_sweep_case(cfg, make_case(cfg), label)
+    entry_of(cfg).with(SweepEngine(cfg, label))
 }
 
 /// Sweeps the allocator itself (the `PallocSubject` script): forces a reclaim
@@ -1182,20 +1176,24 @@ pub fn run_palloc_sweep(cfg: &SweepCfg) -> SweepReport {
         reclaim: true,
         ..cfg.clone()
     };
-    let case = make_palloc_case(&cfg);
+    let case = palloc_case(&cfg);
     let label = format!(
         "{}churn_palloc",
         if cfg.multi_crash > 0 { "recrash_" } else { "" }
     );
-    run_sweep_case(&cfg, case, label)
+    run_sweep_case(&cfg, &case, label)
 }
 
-fn run_sweep_case(cfg: &SweepCfg, case: Box<dyn Case>, label: String) -> SweepReport {
+fn run_sweep_case<Sub: Subject>(
+    cfg: &SweepCfg,
+    case: &CaseRunner<Sub, impl Fn(bool) -> Build<Sub>>,
+    label: String,
+) -> SweepReport {
     // A pool too small for the crash-free script is a configuration
     // problem, not a crash-consistency finding: classify it as one
     // `exhausted` violation carrying the pool's actionable capacity
     // message instead of letting the panic kill the whole matrix.
-    let counted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case.count_events(cfg)));
+    let counted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case.count_events()));
     let total_events = match counted {
         Ok(n) => n,
         Err(p) => {
@@ -1219,7 +1217,7 @@ fn run_sweep_case(cfg: &SweepCfg, case: Box<dyn Case>, label: String) -> SweepRe
         }
     };
     if cfg.checkpoint {
-        case.prepare(cfg, total_events);
+        case.prepare(total_events);
     }
     let mut csv = Csv::new(&label, SWEEP_CSV_COLUMNS);
     let mut violations = Vec::new();
@@ -1396,8 +1394,17 @@ mod tests {
     fn traced_rerun_renders_a_site_attributed_window() {
         let mut cfg = SweepCfg::new(StructureKind::Exchanger, AlgoKind::Tracking);
         cfg.pool_bytes = 4 << 20;
-        let case = make_case(&cfg);
-        let p = case.run_point(&cfg, 5, true);
+        struct Point<'a>(&'a SweepCfg);
+        impl Engine for Point<'_> {
+            type Out = PointOutcome;
+            fn run<Sub: Subject>(
+                self,
+                make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
+            ) -> PointOutcome {
+                case_of(self.0, make).run_point(self.0, 5, true)
+            }
+        }
+        let p = entry_of(&cfg).with(Point(&cfg));
         assert!(p.crashed);
         assert!(!p.trace_tail.is_empty(), "traced rerun must keep a window");
         assert!(
