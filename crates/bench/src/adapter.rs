@@ -232,6 +232,28 @@ set_algo!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{build, entries};
+    use pmem::{PmemPool, PoolCfg};
+    use std::sync::Arc;
+
+    /// Every registered set pair builds through [`build`] and operates.
+    #[test]
+    fn every_kind_builds_and_operates() {
+        let sets =
+            entries().filter(|e| matches!(e.structure, StructureKind::List | StructureKind::Bst));
+        for e in sets {
+            let name = e.name;
+            let pool = Arc::new(PmemPool::new(PoolCfg::model(32 << 20)));
+            let ctx = ThreadCtx::new(pool.clone(), 0);
+            let s = build(e.algo, pool, 4, 500);
+            assert!(s.insert(&ctx, 10), "{name}");
+            assert!(s.find(&ctx, 10), "{name}");
+            assert!(s.delete(&ctx, 10), "{name}");
+            assert!(!s.find(&ctx, 10), "{name}");
+            assert!(s.is_empty(), "{name}");
+            assert!(!s.sites().is_empty(), "{name}");
+        }
+    }
 
     #[test]
     fn kind_names_roundtrip() {

@@ -240,6 +240,32 @@ mod tests {
         }
     }
 
+    /// Every registered pair keeps both of two real threads busy and
+    /// persists. At 64 keys: OneFile can hang on two real threads at the
+    /// sweep's 4096-key range (ROADMAP item 1).
+    #[test]
+    fn every_subject_sustains_two_threads() {
+        for e in registry::entries() {
+            let r = run(&RunCfg {
+                duration: Duration::from_millis(40),
+                key_range: 64,
+                pool_bytes: 256 << 20,
+                backend: Backend::Noop,
+                prefill: 32,
+                ..RunCfg::contended(e, 2)
+            });
+            let name = e.name;
+            assert_eq!(r.per_thread_ops.len(), 2, "{name}");
+            assert!(r.ops > 0, "{name} completed no ops");
+            assert!(
+                r.per_thread_ops.iter().all(|&o| o > 0),
+                "{name} starved a thread: {:?}",
+                r.per_thread_ops
+            );
+            assert!(r.pwb_total() > 0 && r.psync > 0, "{name} must persist");
+        }
+    }
+
     #[test]
     fn sharding_spreads_threads() {
         let mut cfg = tiny(StructureKind::Stack, 2);

@@ -378,31 +378,16 @@ mod tests {
     use crate::baseline::{row_name, row_plan, PALLOC_PHASES};
     use crate::explore::{run_explore, CrashMode, ExploreCfg, StrategyKind};
     use crate::sweep::{run_sweep, AdversaryKind, SweepCfg};
-    use crate::workload::{run, RunCfg};
-    use pmem::{Backend, PoolCfg, ThreadCtx};
-    use std::time::Duration;
 
-    /// Every registered pair builds, passes a short sampled crash sweep and
-    /// a two-thread explored schedule with no violations, and keeps both of
-    /// two real threads busy; every set pair operates through
-    /// [`build`]; and the names the committed files and `--prev`
-    /// comparisons key on stay put.
+    /// Every registered pair builds and passes a short sampled crash sweep
+    /// and a two-thread explored schedule with no violations. (Operating
+    /// every set pair and running every pair on two real threads are
+    /// `adapter::tests::every_kind_builds_and_operates` and
+    /// `parallel::tests::every_subject_sustains_two_threads`.)
     #[test]
-    fn every_registered_pair_builds_sweeps_explores_and_runs() {
+    fn every_registered_pair_sweeps_and_explores_clean() {
         for e in entries() {
             let name = e.name;
-            if matches!(e.structure, S::List | S::Bst) {
-                let pool = Arc::new(PmemPool::new(PoolCfg::model(32 << 20)));
-                let ctx = ThreadCtx::new(pool.clone(), 0);
-                let s = build(e.algo, pool, 4, 500);
-                assert!(s.insert(&ctx, 10), "{name}");
-                assert!(s.find(&ctx, 10), "{name}");
-                assert!(s.delete(&ctx, 10), "{name}");
-                assert!(!s.find(&ctx, 10), "{name}");
-                assert!(s.is_empty(), "{name}");
-                assert!(!s.sites().is_empty(), "{name}");
-            }
-
             let sweep = run_sweep(&SweepCfg {
                 pool_bytes: 8 << 20,
                 script_len: 6,
@@ -423,26 +408,13 @@ mod tests {
             });
             assert_eq!(explore.runs, 1, "{name}");
             assert!(explore.ok(), "{name} explore: {:?}", explore.violations);
-
-            let r = run(&RunCfg {
-                duration: Duration::from_millis(40),
-                key_range: 64,
-                pool_bytes: 256 << 20,
-                backend: Backend::Noop,
-                prefill: 32,
-                ..RunCfg::contended(e, 2)
-            });
-            assert_eq!(r.per_thread_ops.len(), 2, "{name}");
-            assert!(
-                r.per_thread_ops.iter().all(|&o| o > 0),
-                "{name} starved a thread: {:?}",
-                r.per_thread_ops
-            );
-            assert!(r.pwb_total() > 0 && r.psync > 0, "{name} must persist");
         }
+    }
 
-        // Romulus, the one blocking design, explores through the spin-yield
-        // channel, so it stays in the list lineup.
+    /// The names the committed files and `--prev` comparisons key on stay
+    /// put.
+    #[test]
+    fn report_names_stay_put() {
         let lineup = select(&StructureKind::all(), None).unwrap();
         assert!(lineup.contains(&find(S::List, A::Romulus).unwrap()));
         let labels: Vec<String> = lineup.iter().map(|e| e.label()).collect();

@@ -42,6 +42,9 @@
 //! the live volatile view inside the critical section (never captured
 //! early and published late), and commits of a line cannot interleave, so
 //! each per-word persisted image only ever moves forward in snapshot time.
+//! A line is pushed onto the queued stack inside that same critical
+//! section, so a line marked queued is always on a stack some fence will
+//! drain.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -212,6 +215,12 @@ impl ShadowMem {
     /// arbitrarily old image, and the next `psync` would commit it —
     /// rolling the persisted image *backward* past durably-committed
     /// updates, something no real write-back can do.
+    ///
+    /// The line is pushed onto the queued stack *before* the [`ST_QUEUED`]
+    /// bit is published. Otherwise a second `pwb` could see the bit, skip
+    /// its own push, and fence while the line is on no stack and no fence
+    /// is active: that fence would return with the snapshot uncommitted
+    /// (durability law 4).
     pub(crate) fn pwb(&self, volatile: &[AtomicU64], line: usize) {
         let base = line * WORDS_PER_LINE;
         let s = self.lock_line(line);
@@ -221,11 +230,13 @@ impl ShadowMem {
                 Ordering::Relaxed,
             );
         }
-        // Publishes the snapshot and releases the lock in one store.
-        self.pend_state[line].store(ST_QUEUED, Ordering::Release);
+        // A fence that steals the stack before the bit is published waits
+        // on the line's lock, then commits this snapshot.
         if s & ST_QUEUED == 0 {
             self.push_pending(line);
         }
+        // Publishes the snapshot and releases the lock in one store.
+        self.pend_state[line].store(ST_QUEUED, Ordering::Release);
     }
 
     /// Commits every pending snapshot to the persisted image (`psync`).

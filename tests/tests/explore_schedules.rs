@@ -54,6 +54,19 @@ fn full_matrix_linearizes_with_crash_injection() {
     }
 }
 
+/// Romulus used to be the one non-schedulable competitor (blocking writer
+/// mutex + volatile seqlock reader spin); the spin-yield channel
+/// (`pmem::yield_spin` inside both wait loops) made it schedulable, so
+/// the full list lineup participates in exploration.
+#[test]
+fn romulus_is_schedulable_via_the_spin_channel() {
+    let lineup = registry::select(&[StructureKind::List], None).unwrap();
+    let algos: Vec<AlgoKind> = lineup.iter().map(|e| e.algo).collect();
+    assert!(algos.contains(&AlgoKind::Romulus));
+    // The whole paper lineup is schedulable.
+    assert_eq!(algos, AlgoKind::paper_lineup());
+}
+
 /// Determinism: identical configurations replay identical schedules —
 /// same per-run event counts, same verdicts, byte-identical CSV.
 #[test]
