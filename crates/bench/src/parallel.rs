@@ -241,8 +241,8 @@ mod tests {
     }
 
     /// Every registered pair keeps both of two real threads busy and
-    /// persists. At 64 keys: OneFile can hang on two real threads at the
-    /// sweep's 4096-key range (ROADMAP item 1).
+    /// persists. At 64 keys, so the list competitors that copy or walk the
+    /// whole set per operation stay quick in a debug build.
     #[test]
     fn every_subject_sustains_two_threads() {
         for e in registry::entries() {

@@ -124,20 +124,31 @@ impl TxView<'_> {
         self.write(FREE_HEAD, off);
     }
 
-    fn search(&self, key: u64) -> (u64, u64) {
+    /// `None` if the traversal outlasts the region's node count: the
+    /// committed state moved under the view (a newer transaction was
+    /// applied mid-build), and the mix of its words with this view's own
+    /// writes can form a cycle that would otherwise spin forever. The
+    /// build is stale anyway — its `curTx` CAS must fail.
+    fn search(&self, key: u64) -> Option<(u64, u64)> {
+        let mut steps = self.list.size_words / 2 + 2;
         let mut pred = self.read(LIST_HEAD);
         let mut curr = self.read(pred + NN);
         while self.read(curr + NK) < key {
             pred = curr;
             curr = self.read(curr + NN);
+            steps -= 1;
+            if steps == 0 {
+                return None;
+            }
         }
-        (pred, curr)
+        Some((pred, curr))
     }
 
-    /// Applies one announced set operation, returning its response.
-    fn apply_op(&mut self, op: u64, key: u64) -> bool {
-        let (pred, curr) = self.search(key);
-        match op {
+    /// Applies one announced set operation, returning its response (`None`
+    /// if the view is torn, see [`Self::search`]).
+    fn apply_op(&mut self, op: u64, key: u64) -> Option<bool> {
+        let (pred, curr) = self.search(key)?;
+        Some(match op {
             A_INSERT => {
                 if self.read(curr + NK) == key {
                     false
@@ -160,7 +171,7 @@ impl TxView<'_> {
                 }
             }
             _ => unreachable!("invalid announced op"),
-        }
+        })
     }
 }
 
@@ -337,16 +348,22 @@ impl OneFileList {
                 list: self,
                 writes: Vec::with_capacity(16),
             };
+            let mut torn = false;
             for t in 0..self.threads {
                 let (op, key, aseq) = ann_unpack(pool.load(self.ann(t)));
                 if op == A_NONE || aseq <= view.read(OPRES_BASE + t as u64) >> 1 {
                     continue;
                 }
-                let r = view.apply_op(op, key);
+                let Some(r) = view.apply_op(op, key) else {
+                    torn = true;
+                    break;
+                };
                 view.write(OPRES_BASE + t as u64, aseq << 1 | r as u64);
             }
-            if view.writes.is_empty() {
-                continue; // raced: someone else applied everything
+            if torn || view.writes.is_empty() {
+                // Raced: someone else committed (and maybe applied
+                // everything) while this transaction was being built.
+                continue;
             }
             // Deduplicate to final values: application CASes each word to
             // `(value, s+1)` at most once (the seq check makes re-application
