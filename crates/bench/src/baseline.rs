@@ -192,7 +192,8 @@ pub fn row_name(entry: &Entry, flushopt: bool) -> String {
     format!("{}{}", entry.name, if flushopt { "+flushopt" } else { "" })
 }
 
-/// The allocator phases timed by [`bench_palloc`], in report order.
+/// The allocator phases the baseline times (`palloc/<phase>` rows), in
+/// report order.
 pub const PALLOC_PHASES: [&str; 3] = ["alloc", "retire", "drain"];
 
 /// Times one registered pair's baseline workload and measures its event
