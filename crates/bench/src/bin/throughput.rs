@@ -5,7 +5,8 @@
 //! throughput [options]
 //!   --smoke            CI tier: 2 subjects, short windows
 //!   --threads LIST     comma-separated thread counts (default 1,2,4)
-//!   --shards N         structure replicas, 0 = one per thread (default 1)
+//!   --shards N         structure replicas, 0 = one per thread, at most 8
+//!                      (default 1)
 //!   --duration-ms N    timed window per point (default 200, smoke 40)
 //!   --subjects LIST    comma-separated: queue,stack,comb-queue,comb-stack,hashmap
 //!                      (or any registered pair's report name, e.g. queue/Tracking)

@@ -227,16 +227,13 @@ mod tests {
     use crate::registry;
     use pmem::Backend;
 
-    fn tiny(structure: StructureKind, threads: usize) -> RunCfg {
+    fn tiny(subject: &'static Entry, threads: usize) -> RunCfg {
         RunCfg {
             duration: Duration::from_millis(40),
             pool_bytes: 256 << 20,
             backend: Backend::Noop,
             prefill: 64,
-            ..RunCfg::contended(
-                registry::find(structure, AlgoKind::Tracking).unwrap(),
-                threads,
-            )
+            ..RunCfg::contended(subject, threads)
         }
     }
 
@@ -266,18 +263,28 @@ mod tests {
         }
     }
 
+    /// Every throughput subject runs two real threads on two shards.
     #[test]
     fn sharding_spreads_threads() {
-        let mut cfg = tiny(StructureKind::Stack, 2);
-        cfg.shards = 2;
-        let r = run(&cfg);
-        assert_eq!(r.shards, 2);
-        assert!(r.ops > 0);
+        for e in registry::with_role(registry::THROUGHPUT) {
+            let r = run(&RunCfg {
+                shards: 2,
+                ..tiny(e, 2)
+            });
+            let name = e.name;
+            assert_eq!(r.shards, 2, "{name}");
+            assert!(
+                r.per_thread_ops.iter().all(|&o| o > 0),
+                "{name} starved a shard: {:?}",
+                r.per_thread_ops
+            );
+        }
     }
 
     #[test]
     fn arena_refills_stay_rare() {
-        let r = run(&tiny(StructureKind::Queue, 2));
+        let queue = registry::find(StructureKind::Queue, AlgoKind::Tracking).unwrap();
+        let r = run(&tiny(queue, 2));
         // Each 4096-line chunk serves dozens of ops, so refills must stay a
         // tiny fraction of throughput; a regression to per-op global-cursor
         // traffic would put refills on the order of `ops` itself. The bound

@@ -11,14 +11,15 @@
 //!   shared root, no sub-arenas;
 //! * **the throughput sweep** (`bin/throughput` and the baseline's thread
 //!   sweep, [`RunCfg::contended`]): the structure replicated over `shards`
-//!   root cells with thread *t* on shard `t % shards` (one shard is the
-//!   fully contended configuration the combining variants target), and
-//!   each worker allocating from a thread-private [`pmem::SubArena`] that
-//!   touches the global cursor only on chunk refills. On a host with fewer
-//!   cores than threads the threads time-slice, which still exercises
-//!   every synchronization path; the count-based `pwb`/`psync`-per-op
-//!   numbers are scheduling-independent and are the primary cross-variant
-//!   signal (see EXPERIMENTS.md, "Scaling & throughput methodology").
+//!   disjoint sets of root cells with thread *t* on shard `t % shards` (one
+//!   shard is the fully contended configuration the combining variants
+//!   target), and each worker allocating from a thread-private
+//!   [`pmem::SubArena`] that touches the global cursor only on chunk
+//!   refills. On a host with fewer cores than threads the threads
+//!   time-slice, which still exercises every synchronization path; the
+//!   count-based `pwb`/`psync`-per-op numbers are scheduling-independent
+//!   and are the primary cross-variant signal (see EXPERIMENTS.md,
+//!   "Scaling & throughput methodology").
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -118,6 +119,32 @@ pub(crate) fn next_rng(state: &mut u64) -> u64 {
 /// abort the run.
 const HEADROOM_LINES: usize = 8192;
 
+/// Root cells per shard. The Tracking queue keeps its tail hint in the
+/// root cell after its head cell, so shard `k` hangs off root `2k`.
+const ROOTS_PER_SHARD: usize = 2;
+
+/// Builds `shards` replicas of `make`'s subject in `pool`, each on its own
+/// root cells.
+fn build_shards<Sub: Subject>(
+    make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub,
+    pool: &Arc<PmemPool>,
+    shards: usize,
+    threads: usize,
+    keys: u64,
+) -> Vec<Sub> {
+    (0..shards)
+        .map(|k| {
+            let dims = Dims {
+                root: k * ROOTS_PER_SHARD,
+                threads,
+                keys,
+                map: Default::default(),
+            };
+            make(pool, &dims)
+        })
+        .collect()
+}
+
 /// One timed-run configuration.
 #[derive(Clone, Debug)]
 pub struct RunCfg {
@@ -125,8 +152,8 @@ pub struct RunCfg {
     pub subject: &'static Entry,
     /// Worker threads.
     pub threads: usize,
-    /// Structure replicas (root cells); thread `t` drives shard
-    /// `t % shards`. Capped at [`pmem::NUM_ROOTS`].
+    /// Structure replicas; thread `t` drives shard `t % shards`. Capped at
+    /// half of [`pmem::NUM_ROOTS`] (each shard owns two root cells).
     pub shards: usize,
     /// Timed-window length.
     pub duration: Duration,
@@ -290,7 +317,7 @@ impl Engine for Timed<'_> {
     ) -> RunResult {
         let cfg = self.0;
         let threads = cfg.threads.max(1);
-        let shards = cfg.shards.clamp(1, pmem::NUM_ROOTS);
+        let shards = cfg.shards.clamp(1, pmem::NUM_ROOTS / ROOTS_PER_SHARD);
         let pool = Arc::new(PmemPool::new(PoolCfg {
             capacity: cfg.pool_bytes,
             backend: cfg.backend,
@@ -299,17 +326,7 @@ impl Engine for Timed<'_> {
             flushopt: cfg.flushopt,
             ..Default::default()
         }));
-        let subs: Vec<Sub> = (0..shards)
-            .map(|root| {
-                let dims = Dims {
-                    root,
-                    threads,
-                    keys: cfg.key_range,
-                    map: Default::default(),
-                };
-                make(&pool, &dims)
-            })
-            .collect();
+        let subs = build_shards(make, &pool, shards, threads, cfg.key_range);
         // Prefill every shard from thread slot 0, with persistence on.
         {
             let ctx = ThreadCtx::new(pool.clone(), 0);
@@ -441,5 +458,41 @@ mod tests {
             r2.pwb_per_op(),
             r1.pwb_per_op()
         );
+    }
+
+    /// Shards are disjoint structures: an add on one shard is invisible
+    /// to the other. Shards one root cell apart once shared a cell: the
+    /// Tracking queue's tail hint was the next shard's head cell.
+    #[test]
+    fn shards_share_no_root_cell() {
+        struct Disjoint;
+        impl Engine for Disjoint {
+            type Out = Result<(), String>;
+            fn run<Sub: Subject>(
+                self,
+                make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
+            ) -> Result<(), String> {
+                for (add_on, look_at) in [(0, 1), (1, 0)] {
+                    let pool = Arc::new(PmemPool::new(PoolCfg {
+                        capacity: 16 << 20,
+                        backend: Backend::Noop,
+                        ..Default::default()
+                    }));
+                    let subs = build_shards(make, &pool, 2, 2, 8);
+                    let ctx = ThreadCtx::new(pool.clone(), 0);
+                    subs[add_on].call(&ctx, &Sub::draw(1, &Mix::ADD, 8));
+                    let mut h = linearize::History::new();
+                    subs[look_at].observe(&ctx, &mut h)?;
+                    h.check(Sub::S::default())
+                        .map_err(|e| format!("shard {look_at} sees shard {add_on}'s add: {e}"))?;
+                }
+                Ok(())
+            }
+        }
+        for e in registry::with_role(registry::THROUGHPUT) {
+            if let Err(err) = e.with(Disjoint) {
+                panic!("{}: {err}", e.name);
+            }
+        }
     }
 }

@@ -705,13 +705,22 @@ mod tests {
 
         let t = Arc::new(Trace::new(PER_WRITER as usize, true));
         let stop = Arc::new(AtomicBool::new(false));
+        // Set once the snapshotter took a snapshot. Writers wait for it at
+        // mid-storm, so however the threads are scheduled, one snapshot
+        // completes before the storm ends. It is set before the snapshot
+        // is checked, so a failed check releases the writers and shows as
+        // a test failure, not a hang.
+        let snapped = Arc::new(AtomicBool::new(false));
         let snapper = {
             let t = Arc::clone(&t);
             let stop = Arc::clone(&stop);
+            let snapped = Arc::clone(&snapped);
             std::thread::spawn(move || {
                 let mut snaps = 0u32;
                 while !stop.load(Ordering::Relaxed) {
-                    check_consistent(&t.snapshot());
+                    let snap = t.snapshot();
+                    snapped.store(true, Ordering::Release);
+                    check_consistent(&snap);
                     snaps += 1;
                 }
                 snaps
@@ -720,8 +729,14 @@ mod tests {
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let t = Arc::clone(&t);
+                let snapped = Arc::clone(&snapped);
                 std::thread::spawn(move || {
                     for i in 0..PER_WRITER {
+                        if i == PER_WRITER / 2 {
+                            while !snapped.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                        }
                         let seq = t.next_seq();
                         t.record(seq, EventKind::Store, NO_SITE, (w as u64) << 32 | i, false);
                     }

@@ -43,8 +43,9 @@ use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
 use crate::help::help;
-use crate::result::{dec_bool, enc_bool, BOTTOM};
-use crate::sites::{S_CP, S_DESC, S_NEW, S_RD};
+use crate::op;
+use crate::result::{dec_bool, enc_bool, BOTTOM, FALSE};
+use crate::sites::{S_CP, S_NEW};
 
 /// First sentinel key: larger than every user key, smaller than [`INF2`].
 pub const INF1: u64 = u64::MAX - 1;
@@ -170,15 +171,6 @@ impl RecoverableBst {
         }
     }
 
-    fn prologue(&self, ctx: &ThreadCtx) {
-        let pool = &*self.pool;
-        ctx.set_rd(0);
-        pool.pbarrier(ctx.rd_addr(), 1, S_RD);
-        ctx.set_cp(1);
-        pool.pwb(ctx.cp_addr(), S_CP);
-        pool.psync();
-    }
-
     // ------------------------------------------------------------------
     // Insert (Algorithm 5)
     // ------------------------------------------------------------------
@@ -196,7 +188,7 @@ impl RecoverableBst {
         // Line 1: the key leaf is allocated once, reused across attempts.
         let new_leaf = ctx.palloc(1);
         Self::init_leaf(pool, new_leaf, key);
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             // Gather phase (lines 8–10)
             let s = self.search(key);
@@ -210,23 +202,7 @@ impl RecoverableBst {
             if l_key == key {
                 // Duplicate: read-only outcome (lines 22–23, 27); WriteSet
                 // and NewSet stay empty (see module docs, deviation 1).
-                desc.init(
-                    pool,
-                    OP_INSERT,
-                    enc_bool(false),
-                    &[AffectEntry {
-                        info_addr: s.p.add(N_INFO),
-                        observed: s.p_info,
-                        untag_on_cleanup: true,
-                    }],
-                    &[],
-                    &[],
-                );
-                desc.set_result(pool, enc_bool(false));
-                desc.pbarrier(pool, S_DESC);
-                ctx.set_rd(desc.raw());
-                pool.pwb(ctx.rd_addr(), S_RD);
-                pool.psync();
+                op::read_only(ctx, desc, OP_INSERT, FALSE, s.p.add(N_INFO), s.p_info);
                 // The pre-allocated key leaf was never published: retire it
                 // (no-op on a bump pool).
                 ctx.retire(new_leaf, 1);
@@ -269,16 +245,8 @@ impl RecoverableBst {
                 }],
                 &[internal.add(N_INFO)],
             );
-            // Line 24 (+ deviation 2: flush the key leaf as well)
-            pool.pwb(new_leaf, S_NEW);
-            pool.pwb(new_sibling, S_NEW);
-            pool.pwb(internal, S_NEW);
-            pool.pwb_range(desc.addr(), crate::descriptor::D_WORDS, S_DESC);
-            pool.pfence();
-            // Lines 25–26
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            // Lines 24–26 (+ deviation 2: flush the key leaf as well)
+            op::publish(ctx, desc, &[new_leaf, new_sibling, internal]);
             // Lines 28–29
             help(pool, desc);
             let r = desc.result(pool);
@@ -301,9 +269,9 @@ impl RecoverableBst {
 
     /// `Insert.Recover` (Algorithm 1 lines 27–31).
     pub fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        match self.recover_update(ctx) {
-            Some(r) => r,
-            None => self.insert(ctx, key),
+        match op::recover(ctx) {
+            None | Some((_, BOTTOM)) => self.insert(ctx, key),
+            Some((_, r)) => dec_bool(r),
         }
     }
 
@@ -321,7 +289,7 @@ impl RecoverableBst {
     pub fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
         Self::assert_user_key(key);
         let pool = &*self.pool;
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             // Gather phase (lines 46–48)
             let s = self.search(key);
@@ -338,23 +306,7 @@ impl RecoverableBst {
             if pool.load(s.l.add(N_KEY)) != key {
                 // Absent: read-only outcome (lines 60–61, 65); WriteSet
                 // stays empty (deviation 1).
-                desc.init(
-                    pool,
-                    OP_DELETE,
-                    enc_bool(false),
-                    &[AffectEntry {
-                        info_addr: s.p.add(N_INFO),
-                        observed: s.p_info,
-                        untag_on_cleanup: true,
-                    }],
-                    &[],
-                    &[],
-                );
-                desc.set_result(pool, enc_bool(false));
-                desc.pbarrier(pool, S_DESC);
-                ctx.set_rd(desc.raw());
-                pool.pwb(ctx.rd_addr(), S_RD);
-                pool.psync();
+                op::read_only(ctx, desc, OP_DELETE, FALSE, s.p.add(N_INFO), s.p_info);
                 return false;
             }
             // A present user key is at depth >= 2 (depth-1 leaves are the
@@ -397,10 +349,7 @@ impl RecoverableBst {
                 &[],
             );
             // Lines 62–64
-            desc.pbarrier(pool, S_DESC);
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[]);
             // Lines 66–67
             help(pool, desc);
             let r = desc.result(pool);
@@ -419,25 +368,9 @@ impl RecoverableBst {
 
     /// `Delete.Recover` (Algorithm 1 lines 27–31).
     pub fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        match self.recover_update(ctx) {
-            Some(r) => r,
-            None => self.delete(ctx, key),
-        }
-    }
-
-    fn recover_update(&self, ctx: &ThreadCtx) -> Option<bool> {
-        let pool = &*self.pool;
-        let rd = ctx.rd();
-        if ctx.cp() == 0 || rd == 0 {
-            return None;
-        }
-        let desc = Desc::from_raw(rd);
-        help(pool, desc);
-        let r = desc.result(pool);
-        if r != BOTTOM {
-            Some(dec_bool(r))
-        } else {
-            None
+        match op::recover(ctx) {
+            None | Some((_, BOTTOM)) => self.delete(ctx, key),
+            Some((_, r)) => dec_bool(r),
         }
     }
 
@@ -457,23 +390,14 @@ impl RecoverableBst {
                 continue;
             }
             let result = pool.load(s.l.add(N_KEY)) == key;
-            desc.init(
-                pool,
+            op::read_only(
+                ctx,
+                desc,
                 OP_FIND,
                 enc_bool(result),
-                &[AffectEntry {
-                    info_addr: s.p.add(N_INFO),
-                    observed: s.p_info,
-                    untag_on_cleanup: true,
-                }],
-                &[],
-                &[],
+                s.p.add(N_INFO),
+                s.p_info,
             );
-            desc.set_result(pool, enc_bool(result));
-            desc.pbarrier(pool, S_DESC);
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
             return result;
         }
     }

@@ -42,8 +42,9 @@ use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
 use crate::help::help;
+use crate::op;
 use crate::result::{dec_val, BOTTOM, TRUE};
-use crate::sites::{S_CP, S_DESC, S_NEW, S_PARTNER, S_RD};
+use crate::sites::{S_CP, S_NEW, S_PARTNER};
 
 /// Descriptor op-type tag for slot captures.
 pub const OP_CAPTURE: u8 = 7;
@@ -103,15 +104,6 @@ impl RecoverableExchanger {
         &self.pool
     }
 
-    fn prologue(&self, ctx: &ThreadCtx) {
-        let pool = &*self.pool;
-        ctx.set_rd(0);
-        pool.pbarrier(ctx.rd_addr(), 1, S_RD);
-        ctx.set_cp(1);
-        pool.pwb(ctx.cp_addr(), S_CP);
-        pool.psync();
-    }
-
     /// Exchanges `value` with a concurrent peer. Spins up to roughly
     /// `spin_budget` iterations waiting for a partner after capturing the
     /// slot; returns `None` if the wait was cancelled without a collision.
@@ -124,7 +116,7 @@ impl RecoverableExchanger {
     pub fn exchange_started(&self, ctx: &ThreadCtx, value: u64, spin_budget: usize) -> Option<u64> {
         assert!(value <= VALUE_MAX, "value too large to exchange");
         let pool = &*self.pool;
-        self.prologue(ctx);
+        op::begin(ctx);
         // The waiter node is allocated once and reused across attempts (it
         // is only published by a successful capture).
         let nd_p = ctx.palloc(1);
@@ -160,12 +152,7 @@ impl RecoverableExchanger {
                     }],
                     &[nd_p.add(N_INFO)],
                 );
-                pool.pwb(nd_p, S_NEW);
-                pool.pwb_range(desc.addr(), crate::descriptor::D_WORDS, S_DESC);
-                pool.pfence();
-                ctx.set_rd(desc.raw());
-                pool.pwb(ctx.rd_addr(), S_RD);
-                pool.psync();
+                op::publish(ctx, desc, &[nd_p]);
                 help(pool, desc);
                 if desc.result(pool) == BOTTOM {
                     continue; // someone else captured first; retry
@@ -208,12 +195,7 @@ impl RecoverableExchanger {
                 ],
                 &[free2.add(N_INFO)],
             );
-            pool.pwb(free2, S_NEW);
-            pool.pwb_range(desc.addr(), crate::descriptor::D_WORDS, S_DESC);
-            pool.pfence();
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[free2]);
             help(pool, desc);
             let r = desc.result(pool);
             if r != BOTTOM {
@@ -286,12 +268,7 @@ impl RecoverableExchanger {
                 }],
                 &[free2.add(N_INFO)],
             );
-            pool.pwb(free2, S_NEW);
-            pool.pwb_range(desc.addr(), crate::descriptor::D_WORDS, S_DESC);
-            pool.pfence();
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[free2]);
             help(pool, desc);
             if desc.result(pool) != BOTTOM {
                 // The withdrawal took effect: our node left the slot and —
@@ -315,13 +292,9 @@ impl RecoverableExchanger {
     /// descriptor type — see module docs).
     pub fn recover_exchange(&self, ctx: &ThreadCtx, value: u64, spin_budget: usize) -> Option<u64> {
         let pool = &*self.pool;
-        let rd = ctx.rd();
-        if ctx.cp() == 0 || rd == 0 {
+        let Some((desc, r)) = op::recover(ctx) else {
             return self.exchange(ctx, value, spin_budget);
-        }
-        let desc = Desc::from_raw(rd);
-        help(pool, desc);
-        let r = desc.result(pool);
+        };
         match desc.op_type(pool) {
             OP_COLLIDE => {
                 if r != BOTTOM {

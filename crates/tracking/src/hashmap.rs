@@ -71,8 +71,9 @@ use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
 use crate::help::help;
 use crate::list::{KEY_MAX, KEY_MIN};
+use crate::op;
 use crate::result::{dec_val, enc_bool, enc_val, BOTTOM, FALSE, TRUE};
-use crate::sites::{S_CP, S_CURSOR, S_DESC, S_LEVEL, S_NEW, S_RD};
+use crate::sites::{S_CP, S_CURSOR, S_DESC, S_LEVEL, S_NEW};
 
 /// Descriptor op-type tag for map puts.
 pub const OP_PUT: u8 = 10;
@@ -271,17 +272,6 @@ impl RecoverableHashMap {
         }
     }
 
-    /// The recoverable-operation prologue (identical to the list's):
-    /// persist `RD_q := ⊥` strictly before `CP_q := 1`.
-    fn prologue(&self, ctx: &ThreadCtx) {
-        let pool = &*self.pool;
-        ctx.set_rd(0);
-        pool.pbarrier(ctx.rd_addr(), 1, S_RD);
-        ctx.set_cp(1);
-        pool.pwb(ctx.cp_addr(), S_CP);
-        pool.psync();
-    }
-
     /// Returns the current level, first driving any pending resize to
     /// completion (cooperative full-help: user operations never run
     /// two-level routing).
@@ -337,7 +327,7 @@ impl RecoverableHashMap {
         // are only published by a successful tagging phase).
         let newcurr = ctx.palloc(1);
         let newnd = ctx.palloc(1);
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             let lvl = self.current_level(ctx);
             let head = self.bucket_head(lvl, key);
@@ -416,13 +406,7 @@ impl RecoverableHashMap {
                     &[newcurr.add(N_INFO), newnd.add(N_INFO)],
                 );
             }
-            pool.pwb(newcurr, S_NEW);
-            pool.pwb(newnd, S_NEW);
-            pool.pwb_range(desc.addr(), crate::descriptor::D_WORDS, S_DESC);
-            pool.pfence();
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[newcurr, newnd]);
             if dup {
                 ctx.retire(newcurr, 1);
                 ctx.retire(newnd, 1);
@@ -441,9 +425,9 @@ impl RecoverableHashMap {
     /// `Put.Recover`: returns the recorded response if the interrupted put
     /// demonstrably took effect, else re-invokes it.
     pub fn recover_put(&self, ctx: &ThreadCtx, key: u64, val: u64) -> bool {
-        match self.recover_update(ctx) {
-            Some(r) => r == TRUE,
-            None => self.put(ctx, key, val),
+        match op::recover(ctx) {
+            None | Some((_, BOTTOM)) => self.put(ctx, key, val),
+            Some((_, r)) => r == TRUE,
         }
     }
 
@@ -462,7 +446,7 @@ impl RecoverableHashMap {
     pub fn remove_started(&self, ctx: &ThreadCtx, key: u64) -> Option<u64> {
         Self::assert_user_kv(key, 0);
         let pool = &*self.pool;
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             let lvl = self.current_level(ctx);
             let head = self.bucket_head(lvl, key);
@@ -483,23 +467,7 @@ impl RecoverableHashMap {
                     continue;
                 }
                 let desc = Desc::alloc(pool);
-                desc.init(
-                    pool,
-                    OP_REMOVE,
-                    FALSE,
-                    &[AffectEntry {
-                        info_addr: s.curr.add(N_INFO),
-                        observed: s.curr_info,
-                        untag_on_cleanup: true,
-                    }],
-                    &[],
-                    &[],
-                );
-                desc.set_result(pool, FALSE);
-                desc.pbarrier(pool, S_DESC);
-                ctx.set_rd(desc.raw());
-                pool.pwb(ctx.rd_addr(), S_RD);
-                pool.psync();
+                op::read_only(ctx, desc, OP_REMOVE, FALSE, s.curr.add(N_INFO), s.curr_info);
                 return None;
             }
             // Present: unlink curr; its gathered value becomes the response
@@ -530,10 +498,7 @@ impl RecoverableHashMap {
                 }],
                 &[],
             );
-            desc.pbarrier(pool, S_DESC);
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[]);
             help(pool, desc);
             let r = desc.result(pool);
             if r != BOTTOM {
@@ -546,28 +511,10 @@ impl RecoverableHashMap {
     /// `Remove.Recover`: returns the recorded response if the interrupted
     /// remove demonstrably took effect, else re-invokes it.
     pub fn recover_remove(&self, ctx: &ThreadCtx, key: u64) -> Option<u64> {
-        match self.recover_update(ctx) {
-            Some(FALSE) => None,
-            Some(r) => Some(dec_val(r)),
-            None => self.remove(ctx, key),
-        }
-    }
-
-    /// Common recovery body: `Some(raw result)` if the interrupted
-    /// operation demonstrably took effect, `None` if it must be re-invoked.
-    fn recover_update(&self, ctx: &ThreadCtx) -> Option<u64> {
-        let pool = &*self.pool;
-        let rd = ctx.rd();
-        if ctx.cp() == 0 || rd == 0 {
-            return None;
-        }
-        let desc = Desc::from_raw(rd);
-        help(pool, desc);
-        let r = desc.result(pool);
-        if r != BOTTOM {
-            Some(r)
-        } else {
-            None
+        match op::recover(ctx) {
+            None | Some((_, BOTTOM)) => self.remove(ctx, key),
+            Some((_, FALSE)) => None,
+            Some((_, r)) => Some(dec_val(r)),
         }
     }
 
@@ -598,23 +545,7 @@ impl RecoverableHashMap {
                 continue;
             }
             let res = if found { enc_val(val) } else { FALSE };
-            desc.init(
-                pool,
-                OP_GET,
-                res,
-                &[AffectEntry {
-                    info_addr: s.curr.add(N_INFO),
-                    observed: s.curr_info,
-                    untag_on_cleanup: true,
-                }],
-                &[],
-                &[],
-            );
-            desc.set_result(pool, res);
-            desc.pbarrier(pool, S_DESC);
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::read_only(ctx, desc, OP_GET, res, s.curr.add(N_INFO), s.curr_info);
             return if found { Some(val) } else { None };
         }
     }

@@ -29,6 +29,13 @@
 //! interrupted operation, call `help` on it, and either return the recorded
 //! result or safely re-invoke the operation.
 //!
+//! These steps of Algorithm 1 — the prologue, the publication of each
+//! attempt's descriptor through `RD_q`, the read-only outcome and
+//! `Op.Recover` — are written once, in the crate-private `op` module, with
+//! the persistence orders they rely on. Each structure supplies only its
+//! gather phase and its descriptor sets (the flat-combining variants run
+//! their own announce protocol instead).
+//!
 //! ## What is provided
 //!
 //! * [`list::RecoverableList`] — the detectably recoverable sorted linked
@@ -76,6 +83,7 @@ pub mod exchanger;
 pub mod hashmap;
 pub mod help;
 pub mod list;
+mod op;
 pub mod queue;
 pub mod result;
 pub mod sites;

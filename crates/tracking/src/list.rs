@@ -38,8 +38,9 @@ use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
 use crate::help::help;
+use crate::op;
 use crate::result::{dec_bool, enc_bool, BOTTOM};
-use crate::sites::{S_CP, S_DESC, S_NEW, S_RD, S_TRAVERSE};
+use crate::sites::{S_CP, S_NEW, S_TRAVERSE};
 
 /// Sentinel key of `head` (smaller than every user key).
 pub const KEY_MIN: u64 = 0;
@@ -187,19 +188,6 @@ impl RecoverableList {
         }
     }
 
-    /// The recoverable-operation prologue shared by insert and delete
-    /// (Algorithm 3 lines 4–7 / Algorithm 4 lines 46–49): persist
-    /// `RD_q := ⊥` strictly before `CP_q := 1`, so a post-crash
-    /// `CP_q = 1` certifies that `RD_q` belongs to *this* operation.
-    fn prologue(&self, ctx: &ThreadCtx) {
-        let pool = &*self.pool;
-        ctx.set_rd(0);
-        pool.pbarrier(ctx.rd_addr(), 1, S_RD);
-        ctx.set_cp(1);
-        pool.pwb(ctx.cp_addr(), S_CP);
-        pool.psync();
-    }
-
     // ------------------------------------------------------------------
     // Insert (Algorithm 3)
     // ------------------------------------------------------------------
@@ -219,7 +207,7 @@ impl RecoverableList {
         // attempts (they are only published by a successful tagging phase).
         let newcurr = ctx.palloc(1);
         let newnd = ctx.palloc(1);
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             // Gather phase (lines 9–13)
             let s = self.search(key);
@@ -287,15 +275,8 @@ impl RecoverableList {
                     &[newcurr.add(N_INFO), newnd.add(N_INFO)],
                 );
             }
-            // Line 28: pbarrier(newcurr, newnd, *opInfo)
-            pool.pwb(newcurr, S_NEW);
-            pool.pwb(newnd, S_NEW);
-            pool.pwb_range(desc.addr(), crate::descriptor::D_WORDS, S_DESC);
-            pool.pfence();
-            // Lines 29–30
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            // Lines 28–30: pbarrier(newcurr, newnd, *opInfo), then RD_q
+            op::publish(ctx, desc, &[newcurr, newnd]);
             // Line 31: read-only outcome returns without Help (unless the
             // read-only optimization is ablated away)
             if dup && self.cfg.read_only_opt {
@@ -329,9 +310,9 @@ impl RecoverableList {
 
     /// `Insert.Recover` (Algorithm 1 lines 27–31).
     pub fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        match self.recover_update(ctx) {
-            Some(r) => r,
-            None => self.insert(ctx, key),
+        match op::recover(ctx) {
+            None | Some((_, BOTTOM)) => self.insert(ctx, key),
+            Some((_, r)) => dec_bool(r),
         }
     }
 
@@ -349,7 +330,7 @@ impl RecoverableList {
     pub fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
         Self::assert_user_key(key);
         let pool = &*self.pool;
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             // Gather phase (lines 51–55)
             let s = self.search(key);
@@ -411,10 +392,7 @@ impl RecoverableList {
                 );
             }
             // Lines 69–71
-            desc.pbarrier(pool, S_DESC);
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[]);
             // Line 72
             if absent && self.cfg.read_only_opt {
                 return false;
@@ -436,31 +414,9 @@ impl RecoverableList {
 
     /// `Delete.Recover` (Algorithm 1 lines 27–31).
     pub fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        match self.recover_update(ctx) {
-            Some(r) => r,
-            None => self.delete(ctx, key),
-        }
-    }
-
-    /// Common recovery body: returns `Some(result)` if the interrupted
-    /// operation demonstrably took effect, `None` if it must be re-invoked.
-    fn recover_update(&self, ctx: &ThreadCtx) -> Option<bool> {
-        let pool = &*self.pool;
-        let rd = ctx.rd();
-        // Line 28: CP=0 means RD was not yet re-initialized for this op;
-        // RD=Null means no attempt was published. Either way: re-invoke.
-        if ctx.cp() == 0 || rd == 0 {
-            return None;
-        }
-        let desc = Desc::from_raw(rd);
-        // Line 29: finish (or confirm the failure of) the last attempt.
-        // help is idempotent, so this is safe even if the attempt completed.
-        help(pool, desc);
-        let r = desc.result(pool);
-        if r != BOTTOM {
-            Some(dec_bool(r))
-        } else {
-            None
+        match op::recover(ctx) {
+            None | Some((_, BOTTOM)) => self.delete(ctx, key),
+            Some((_, r)) => dec_bool(r),
         }
     }
 
@@ -491,23 +447,14 @@ impl RecoverableList {
             // Lines 85–90: the response depends only on the immutable key
             // of curr; linearizes at the read of curr's info field above.
             let result = pool.load(s.curr.add(N_KEY)) == key;
-            desc.init(
-                pool,
+            op::read_only(
+                ctx,
+                desc,
                 OP_FIND,
                 enc_bool(result),
-                &[AffectEntry {
-                    info_addr: s.curr.add(N_INFO),
-                    observed: s.curr_info,
-                    untag_on_cleanup: true,
-                }],
-                &[],
-                &[],
+                s.curr.add(N_INFO),
+                s.curr_info,
             );
-            desc.set_result(pool, enc_bool(result));
-            desc.pbarrier(pool, S_DESC);
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
             return result;
         }
     }
@@ -524,7 +471,7 @@ impl RecoverableList {
     /// result, clean up — exactly what the paper's red code lines avoid.
     fn find_unoptimized(&self, ctx: &ThreadCtx, key: u64) -> bool {
         let pool = &*self.pool;
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             let s = self.search(key);
             if is_tagged(s.curr_info) {
@@ -547,10 +494,7 @@ impl RecoverableList {
                 &[],
                 &[],
             );
-            desc.pbarrier(pool, S_DESC);
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[]);
             help(pool, desc);
             let r = desc.result(pool);
             if r != BOTTOM {

@@ -36,8 +36,9 @@ use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
 use crate::help::help;
+use crate::op;
 use crate::result::{dec_val, enc_val, BOTTOM, FALSE};
-use crate::sites::{S_CP, S_DESC, S_NEW, S_RD};
+use crate::sites::{S_CP, S_NEW};
 
 /// Descriptor op-type tag for enqueues.
 pub const OP_ENQ: u8 = 10;
@@ -88,15 +89,6 @@ impl RecoverableQueue {
         &self.pool
     }
 
-    fn prologue(&self, ctx: &ThreadCtx) {
-        let pool = &*self.pool;
-        ctx.set_rd(0);
-        pool.pbarrier(ctx.rd_addr(), 1, S_RD);
-        ctx.set_cp(1);
-        pool.pwb(ctx.cp_addr(), S_CP);
-        pool.psync();
-    }
-
     /// Chases `next` pointers from the tail hint to the last node, and the
     /// last node's `info` gathered on first access.
     fn find_last(&self) -> (PAddr, u64) {
@@ -132,7 +124,7 @@ impl RecoverableQueue {
         // The new node is allocated once and reused across attempts.
         let new = ctx.palloc(1);
         pool.store(new.add(N_VALUE), value);
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             // Gather
             let (last, last_info) = self.find_last();
@@ -159,12 +151,7 @@ impl RecoverableQueue {
                 }],
                 &[new.add(N_INFO)],
             );
-            pool.pwb(new, S_NEW);
-            pool.pwb_range(desc.addr(), crate::descriptor::D_WORDS, S_DESC);
-            pool.pfence();
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[new]);
             help(pool, desc);
             if desc.result(pool) != BOTTOM {
                 // best-effort tail hint (volatile semantics: safe to lose)
@@ -176,14 +163,7 @@ impl RecoverableQueue {
 
     /// `Enqueue.Recover`.
     pub fn recover_enqueue(&self, ctx: &ThreadCtx, value: u64) {
-        let pool = &*self.pool;
-        let rd = ctx.rd();
-        if ctx.cp() == 0 || rd == 0 {
-            return self.enqueue(ctx, value);
-        }
-        let desc = Desc::from_raw(rd);
-        help(pool, desc);
-        if desc.result(pool) == BOTTOM {
+        if matches!(op::recover(ctx), None | Some((_, BOTTOM))) {
             self.enqueue(ctx, value)
         }
     }
@@ -197,7 +177,7 @@ impl RecoverableQueue {
     /// [`Self::dequeue`] without the system's `CP_q := 0` pre-step.
     pub fn dequeue_started(&self, ctx: &ThreadCtx) -> Option<u64> {
         let pool = &*self.pool;
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             // Gather
             let h = PAddr::from_raw(pool.load(self.head_cell));
@@ -216,23 +196,7 @@ impl RecoverableQueue {
                 if pool.load(self.head_cell) != h.raw() {
                     continue;
                 }
-                desc.init(
-                    pool,
-                    OP_DEQ,
-                    FALSE,
-                    &[AffectEntry {
-                        info_addr: h.add(N_INFO),
-                        observed: h_info,
-                        untag_on_cleanup: true,
-                    }],
-                    &[],
-                    &[],
-                );
-                desc.set_result(pool, FALSE);
-                desc.pbarrier(pool, S_DESC);
-                ctx.set_rd(desc.raw());
-                pool.pwb(ctx.rd_addr(), S_RD);
-                pool.psync();
+                op::read_only(ctx, desc, OP_DEQ, FALSE, h.add(N_INFO), h_info);
                 return None;
             }
             let f = PAddr::from_raw(next);
@@ -253,10 +217,7 @@ impl RecoverableQueue {
                 }],
                 &[],
             );
-            desc.pbarrier(pool, S_DESC);
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[]);
             help(pool, desc);
             let r = desc.result(pool);
             if r != BOTTOM {
@@ -274,20 +235,10 @@ impl RecoverableQueue {
 
     /// `Dequeue.Recover`.
     pub fn recover_dequeue(&self, ctx: &ThreadCtx) -> Option<u64> {
-        let pool = &*self.pool;
-        let rd = ctx.rd();
-        if ctx.cp() == 0 || rd == 0 {
-            return self.dequeue(ctx);
-        }
-        let desc = Desc::from_raw(rd);
-        help(pool, desc);
-        let r = desc.result(pool);
-        if r == BOTTOM {
-            self.dequeue(ctx)
-        } else if r == FALSE {
-            None
-        } else {
-            Some(dec_val(r))
+        match op::recover(ctx) {
+            None | Some((_, BOTTOM)) => self.dequeue(ctx),
+            Some((_, FALSE)) => None,
+            Some((_, r)) => Some(dec_val(r)),
         }
     }
 

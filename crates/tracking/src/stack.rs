@@ -87,8 +87,9 @@ use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
 use crate::help::help;
+use crate::op;
 use crate::result::{dec_val, enc_val, BOTTOM, FALSE};
-use crate::sites::{S_CP, S_DESC, S_NEW, S_RD};
+use crate::sites::{S_CP, S_NEW};
 
 /// Descriptor op-type tag for pushes.
 pub const OP_PUSH: u8 = 12;
@@ -155,15 +156,6 @@ impl RecoverableStack {
         &self.pool
     }
 
-    fn prologue(&self, ctx: &ThreadCtx) {
-        let pool = &*self.pool;
-        ctx.set_rd(0);
-        pool.pbarrier(ctx.rd_addr(), 1, S_RD);
-        ctx.set_cp(1);
-        pool.pwb(ctx.cp_addr(), S_CP);
-        pool.psync();
-    }
-
     /// Pushes `value`.
     pub fn push(&self, ctx: &ThreadCtx, value: u64) {
         ctx.begin_op(S_CP);
@@ -176,7 +168,7 @@ impl RecoverableStack {
         let pool = &*self.pool;
         let new = ctx.palloc(1);
         pool.store(new.add(N_VALUE), value);
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             // Gather: the current (stamped) top word and the top node's
             // info version stamp.
@@ -218,12 +210,7 @@ impl RecoverableStack {
                 }],
                 &[new.add(N_INFO)],
             );
-            pool.pwb(new, S_NEW);
-            pool.pwb_range(desc.addr(), crate::descriptor::D_WORDS, S_DESC);
-            pool.pfence();
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[new]);
             help(pool, desc);
             if desc.result(pool) != BOTTOM {
                 return;
@@ -233,14 +220,7 @@ impl RecoverableStack {
 
     /// `Push.Recover`.
     pub fn recover_push(&self, ctx: &ThreadCtx, value: u64) {
-        let pool = &*self.pool;
-        let rd = ctx.rd();
-        if ctx.cp() == 0 || rd == 0 {
-            return self.push(ctx, value);
-        }
-        let desc = Desc::from_raw(rd);
-        help(pool, desc);
-        if desc.result(pool) == BOTTOM {
+        if matches!(op::recover(ctx), None | Some((_, BOTTOM))) {
             self.push(ctx, value)
         }
     }
@@ -254,7 +234,7 @@ impl RecoverableStack {
     /// [`Self::pop`] without the system's `CP_q := 0` pre-step.
     pub fn pop_started(&self, ctx: &ThreadCtx) -> Option<u64> {
         let pool = &*self.pool;
-        self.prologue(ctx);
+        op::begin(ctx);
         loop {
             let top_word = pool.load(self.top_cell);
             let top = node_of(top_word);
@@ -280,23 +260,7 @@ impl RecoverableStack {
                 if pool.load(self.top_cell) != top_word || pool.load(top.add(N_INFO)) != info {
                     continue;
                 }
-                desc.init(
-                    pool,
-                    OP_POP,
-                    FALSE,
-                    &[AffectEntry {
-                        info_addr: top.add(N_INFO),
-                        observed: info,
-                        untag_on_cleanup: true,
-                    }],
-                    &[],
-                    &[],
-                );
-                desc.set_result(pool, FALSE);
-                desc.pbarrier(pool, S_DESC);
-                ctx.set_rd(desc.raw());
-                pool.pwb(ctx.rd_addr(), S_RD);
-                pool.psync();
+                op::read_only(ctx, desc, OP_POP, FALSE, top.add(N_INFO), info);
                 return None;
             }
             let value = pool.load(top.add(N_VALUE)); // immutable once published
@@ -317,10 +281,7 @@ impl RecoverableStack {
                 }],
                 &[],
             );
-            desc.pbarrier(pool, S_DESC);
-            ctx.set_rd(desc.raw());
-            pool.pwb(ctx.rd_addr(), S_RD);
-            pool.psync();
+            op::publish(ctx, desc, &[]);
             help(pool, desc);
             let r = desc.result(pool);
             if r != BOTTOM {
@@ -337,20 +298,10 @@ impl RecoverableStack {
 
     /// `Pop.Recover`.
     pub fn recover_pop(&self, ctx: &ThreadCtx) -> Option<u64> {
-        let pool = &*self.pool;
-        let rd = ctx.rd();
-        if ctx.cp() == 0 || rd == 0 {
-            return self.pop(ctx);
-        }
-        let desc = Desc::from_raw(rd);
-        help(pool, desc);
-        let r = desc.result(pool);
-        if r == BOTTOM {
-            self.pop(ctx)
-        } else if r == FALSE {
-            None
-        } else {
-            Some(dec_val(r))
+        match op::recover(ctx) {
+            None | Some((_, BOTTOM)) => self.pop(ctx),
+            Some((_, FALSE)) => None,
+            Some((_, r)) => Some(dec_val(r)),
         }
     }
 
