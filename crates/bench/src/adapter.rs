@@ -39,15 +39,21 @@ pub trait SetAlgo: Send + Sync {
 /// The implementations of the paper's evaluation, Figure 3a's legend.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum AlgoKind {
-    /// The paper's contribution applied to the sorted linked list (§4).
+    /// The paper's contribution applied to the sorted linked list (§4), in
+    /// the lean persistence placement (DESIGN.md §7).
     Tracking,
+    /// The Tracking list in the paper's own persistence placement: what
+    /// the figure drivers reproducing the paper run.
+    TrackingPaper,
     /// Tracking applied to the external BST (§6) — extra datapoint, not in
     /// the paper's figures.
     TrackingBst,
-    /// Ablation: Tracking list with the naive flush-every-shared-read
-    /// placement (what the paper's persistence-instruction scheme avoids).
+    /// Ablation: the paper's Tracking list with the naive
+    /// flush-every-shared-read placement (what the paper's
+    /// persistence-instruction scheme avoids).
     TrackingNaive,
-    /// Ablation: Tracking list without the read-only optimization.
+    /// Ablation: the paper's Tracking list without its read-only
+    /// optimization.
     TrackingNoReadOpt,
     /// Flat-combining detectable variant of the queue/stack shapes
     /// (`tracking::CombiningQueue` / `CombiningStack`) — not a set
@@ -71,6 +77,7 @@ impl AlgoKind {
     pub fn parse(s: &str) -> Option<AlgoKind> {
         Some(match s {
             "tracking" => AlgoKind::Tracking,
+            "tracking-paper" => AlgoKind::TrackingPaper,
             "tracking-bst" => AlgoKind::TrackingBst,
             "tracking-naive" => AlgoKind::TrackingNaive,
             "tracking-no-read-opt" => AlgoKind::TrackingNoReadOpt,
@@ -88,6 +95,7 @@ impl AlgoKind {
     pub fn name(self) -> &'static str {
         match self {
             AlgoKind::Tracking => "Tracking",
+            AlgoKind::TrackingPaper => "Tracking[paper]",
             AlgoKind::TrackingBst => "Tracking-BST",
             AlgoKind::TrackingNaive => "Tracking[naive-flush]",
             AlgoKind::TrackingNoReadOpt => "Tracking[no-read-opt]",
@@ -100,7 +108,9 @@ impl AlgoKind {
         }
     }
 
-    /// The five list-based competitors of Figures 3–4.
+    /// The five list-based competitors of Figures 3–4, Tracking in the
+    /// lean placement (the figure drivers draw it in the paper's,
+    /// [`AlgoKind::TrackingPaper`]).
     pub fn paper_lineup() -> [AlgoKind; 5] {
         [
             AlgoKind::Tracking,

@@ -87,7 +87,7 @@ fn main() {
         "fig5" => emit(figures::fig_x_loss(
             &cfg,
             Mix::UPDATE_INTENSIVE,
-            AlgoKind::Tracking,
+            figures::PAPER_TRACKING,
             "fig5_x_loss_tracking",
         )),
         "fig6" => emit(figures::fig_x_loss(
@@ -105,7 +105,7 @@ fn main() {
         "uc" => emit(figures::fig_uc_compare(&cfg, "appendix_uc_compare")),
         "attribution" => emit(figures::fig_attribution(&cfg, "appendix_site_attribution")),
         "categorize" => {
-            for kind in [AlgoKind::Tracking, AlgoKind::CapsulesOpt] {
+            for kind in [figures::PAPER_TRACKING, AlgoKind::CapsulesOpt] {
                 println!(
                     "\n== {} sites ({} threads) ==",
                     kind.name(),

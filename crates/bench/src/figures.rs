@@ -112,6 +112,24 @@ impl FigCfg {
     }
 }
 
+/// The Tracking list as the paper's figures measure it: Algorithm 1 in the
+/// paper's own persistence placement. The lean default is a row of
+/// [`fig_ablation`].
+pub const PAPER_TRACKING: AlgoKind = AlgoKind::TrackingPaper;
+
+/// The head-to-head pair of Figures 3c/4c, 3e/4e and 3f/4f and of the
+/// operation-mix sweep.
+const HEAD_TO_HEAD: [AlgoKind; 2] = [PAPER_TRACKING, AlgoKind::CapsulesOpt];
+
+/// The five implementations of Figures 3–4, with Tracking in the paper's
+/// placement.
+fn paper_lineup() -> [AlgoKind; 5] {
+    AlgoKind::paper_lineup().map(|k| match k {
+        AlgoKind::Tracking => PAPER_TRACKING,
+        k => k,
+    })
+}
+
 fn mixname(mix: Mix) -> &'static str {
     if mix.read_mostly() {
         "read-intensive"
@@ -123,7 +141,7 @@ fn mixname(mix: Mix) -> &'static str {
 /// Figures 3a / 4a: throughput vs threads for the five implementations.
 pub fn fig_throughput(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
     let mut csv = Csv::new(name, &["algo", "threads", "mops", "ops"]);
-    for kind in AlgoKind::paper_lineup() {
+    for kind in paper_lineup() {
         for &t in &cfg.threads {
             let r = run(&cfg.base(kind, t, mix));
             csv.push(&[
@@ -153,7 +171,7 @@ fn fig_counts(
     count: fn(&RunResult) -> f64,
 ) -> Csv {
     let mut csv = Csv::new(name, &["algo", "threads", column]);
-    for kind in AlgoKind::paper_lineup() {
+    for kind in paper_lineup() {
         for &t in &cfg.threads {
             let mut rc = cfg.base(kind, t, mix);
             rc.backend = Backend::Noop;
@@ -172,7 +190,7 @@ fn fig_counts(
 /// Capsules-Opt.
 pub fn fig_no_psync(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
     let mut csv = Csv::new(name, &["variant", "threads", "mops"]);
-    for kind in [AlgoKind::Tracking, AlgoKind::CapsulesOpt] {
+    for kind in HEAD_TO_HEAD {
         for &t in &cfg.threads {
             let full = run(&cfg.base(kind, t, mix));
             let mut rc = cfg.base(kind, t, mix);
@@ -268,7 +286,7 @@ pub fn fig_pwb_categories(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
         name,
         &["algo", "site", "impact_pct", "category", "pwbs_per_op"],
     );
-    for kind in [AlgoKind::Tracking, AlgoKind::CapsulesOpt] {
+    for kind in HEAD_TO_HEAD {
         let sites = categorize(cfg, mix, kind);
         // Count executed pwbs per site in a full (all sites) counting run.
         let mut rc = cfg.base(kind, cfg.categorize_threads, mix);
@@ -306,7 +324,7 @@ pub fn fig_pwb_categories(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
 /// full → −L → −L−M → −L−M−H (= `[no pwbs]`), across threads.
 pub fn fig_category_sweep(cfg: &FigCfg, mix: Mix, name: &str) -> Csv {
     let mut csv = Csv::new(name, &["variant", "threads", "mops"]);
-    for kind in [AlgoKind::Tracking, AlgoKind::CapsulesOpt] {
+    for kind in HEAD_TO_HEAD {
         let sites = categorize(cfg, mix, kind);
         let all = mask_of(&sites, |_| true);
         let not_l = mask_of(&sites, |s| s.category != Category::Low);
@@ -359,19 +377,21 @@ pub fn fig_x_loss(cfg: &FigCfg, mix: Mix, kind: AlgoKind, name: &str) -> Csv {
     csv
 }
 
-/// Ablation study (beyond the paper's figures): what Tracking's two design
+/// Ablation study (beyond the paper's figures): what Tracking's design
 /// choices buy. Compares the paper's configuration against the naive
-/// flush-every-read placement and against disabling the read-only
-/// optimization, reporting throughput and pwb volume.
+/// flush-every-read placement, against disabling the read-only
+/// optimization and against the lean placement (the repository's default,
+/// DESIGN.md §7), reporting throughput and pwb volume.
 pub fn fig_ablation(cfg: &FigCfg, name: &str) -> Csv {
     fig_both_mixes(
         cfg,
         name,
         "variant",
         &[
-            AlgoKind::Tracking,
+            PAPER_TRACKING,
             AlgoKind::TrackingNaive,
             AlgoKind::TrackingNoReadOpt,
+            AlgoKind::Tracking,
             AlgoKind::CapsulesOpt,
         ],
     )
@@ -404,7 +424,7 @@ pub fn fig_range_sweep(cfg: &FigCfg, name: &str) -> Csv {
     let mut csv = Csv::new(name, &["algo", "range", "mops"]);
     let t = cfg.categorize_threads;
     for range in [100u64, 500, 2000] {
-        for kind in AlgoKind::paper_lineup() {
+        for kind in paper_lineup() {
             let mut rc = cfg.base(kind, t, Mix::UPDATE_INTENSIVE);
             rc.key_range = range;
             rc.prefill = range / 2;
@@ -425,7 +445,7 @@ pub fn fig_mix_sweep(cfg: &FigCfg, name: &str) -> Csv {
     let mut csv = Csv::new(name, &["algo", "find_pct", "mops", "pwb_per_op"]);
     let t = cfg.categorize_threads;
     for find_pct in [0, 30, 50, 70, 90, 100] {
-        for kind in [AlgoKind::Tracking, AlgoKind::CapsulesOpt] {
+        for kind in HEAD_TO_HEAD {
             let r = run(&cfg.base(kind, t, Mix::finds(find_pct)));
             csv.push(&[
                 kind.name().to_string(),
@@ -592,7 +612,7 @@ pub fn run_all(cfg: &FigCfg) -> Vec<PathBuf> {
     emit(fig_x_loss(
         cfg,
         Mix::UPDATE_INTENSIVE,
-        AlgoKind::Tracking,
+        PAPER_TRACKING,
         "fig5_x_loss_tracking",
     ));
     emit(fig_x_loss(
@@ -658,7 +678,7 @@ mod tests {
         let cfg = FigCfg::smoke();
         let csv = fig_throughput(&cfg, Mix::READ_INTENSIVE, "smoke_fig3a");
         let text = csv.to_text();
-        for kind in AlgoKind::paper_lineup() {
+        for kind in paper_lineup() {
             assert!(text.contains(kind.name()), "{} missing", kind.name());
         }
     }

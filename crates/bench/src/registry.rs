@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use pmem::PmemPool;
 use tracking::hashmap::HashMapConfig;
-use tracking::list::ListConfig;
+use tracking::list::{ListConfig, Placement};
 
 use crate::adapter::{AlgoKind, SetAlgo, StructureKind};
 use crate::subject::{
@@ -58,8 +58,9 @@ use StructureKind as S;
 
 /// Every registered pair, in report order.
 #[rustfmt::skip]
-static ENTRIES: [Entry; 15] = [
+static ENTRIES: [Entry; 16] = [
     entry(S::List, A::Tracking, "list/Tracking", VERIFY | BASELINE | COMPETITOR),
+    entry(S::List, A::TrackingPaper, "list/Tracking[paper]", 0),
     entry(S::List, A::TrackingNaive, "list/Tracking[naive-flush]", 0),
     entry(S::List, A::TrackingNoReadOpt, "list/Tracking[no-read-opt]", 0),
     entry(S::List, A::Capsules, "list/Capsules", VERIFY | BASELINE | COMPETITOR),
@@ -170,17 +171,28 @@ impl Entry {
 
     /// Builds the pair's subject for `e` and runs it.
     pub fn with<E: Engine>(&self, e: E) -> E::Out {
+        let paper = ListConfig {
+            traversal_flush: false,
+            placement: Placement::Paper,
+        };
         let naive = ListConfig {
             traversal_flush: true,
-            read_only_opt: true,
+            ..paper
         };
         let no_read_opt = ListConfig {
-            traversal_flush: false,
-            read_only_opt: false,
+            placement: Placement::PaperNoReadOpt,
+            ..paper
         };
         match (self.structure, self.algo) {
             (S::List, A::Tracking) => go(e, |p, d| {
                 set_subject(tracking::RecoverableList::new(p.clone(), d.root))
+            }),
+            (S::List, A::TrackingPaper) => go(e, move |p, d| {
+                set_subject(tracking::RecoverableList::with_config(
+                    p.clone(),
+                    d.root,
+                    paper,
+                ))
             }),
             (S::List, A::TrackingNaive) => go(e, move |p, d| {
                 set_subject(tracking::RecoverableList::with_config(

@@ -1577,9 +1577,10 @@ mod tests {
     #[test]
     fn masked_site_is_invisible_to_enumeration() {
         // Disabling a pwb site removes exactly its events from the crash
-        // point space. pwb(CP_q) fires twice per queue op — once in the
-        // prologue, once when the op persists its new checkpoint — so
-        // masking S_CP shrinks N by exactly two per scripted operation.
+        // point space. pwb(CP_q) fires once per queue op — in the system's
+        // CP_q := 0 step; the lean prologue stores CP_q := 1 without a
+        // flush of its own — so masking S_CP shrinks N by exactly one per
+        // scripted operation.
         let mut cfg = SweepCfg::new(StructureKind::Queue, AlgoKind::Tracking);
         cfg.pool_bytes = 4 << 20;
         cfg.sample = 0.0; // count only
@@ -1588,8 +1589,8 @@ mod tests {
         let masked = run_sweep(&cfg);
         assert_eq!(
             full.total_events - masked.total_events,
-            2 * cfg.script_len as u64,
-            "both pwb(CP_q) per op must vanish from the enumeration"
+            cfg.script_len as u64,
+            "the pwb(CP_q) of every op must vanish from the enumeration"
         );
     }
 

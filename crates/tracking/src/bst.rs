@@ -31,9 +31,9 @@
 //! 1. Algorithm 6 stores a non-empty WriteSet even on the key-absent path
 //!    and Algorithm 5 on the duplicate-key path. Since `Op.Recover` calls
 //!    `Help` unconditionally, replaying such a descriptor would apply an
-//!    update the operation never intended. We store `WriteSet = ∅` for
-//!    read-only outcomes — exactly what the list pseudocode (Algorithm 4
-//!    line 64) does.
+//!    update the operation never intended. Read-only outcomes here build
+//!    no descriptor at all: they record the immediate `RD_q := FALSE` of
+//!    the lean placement (DESIGN.md §7), and `find` records nothing.
 //! 2. Algorithm 5 line 24 omits the new key leaf from its `pbarrier`; we
 //!    flush all three new nodes before publication.
 
@@ -44,7 +44,7 @@ use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
 use crate::help::help;
 use crate::op;
-use crate::result::{dec_bool, enc_bool, BOTTOM, FALSE};
+use crate::result::{dec_bool, enc_bool, BOTTOM};
 use crate::sites::{S_CP, S_NEW};
 
 /// First sentinel key: larger than every user key, smaller than [`INF2`].
@@ -56,8 +56,6 @@ pub const INF2: u64 = u64::MAX;
 pub const OP_INSERT: u8 = 4;
 /// Descriptor op-type tag for BST deletes.
 pub const OP_DELETE: u8 = 5;
-/// Descriptor op-type tag for BST finds.
-pub const OP_FIND: u8 = 6;
 
 // Node layout (one cache line): w0 key, w1 left, w2 right, w3 info, w4 kind.
 const N_KEY: u64 = 0;
@@ -197,17 +195,17 @@ impl RecoverableBst {
                 help(pool, Desc::from_raw(s.p_info));
                 continue;
             }
-            let desc = Desc::alloc(pool);
             let l_key = pool.load(s.l.add(N_KEY));
             if l_key == key {
-                // Duplicate: read-only outcome (lines 22–23, 27); WriteSet
-                // and NewSet stay empty (see module docs, deviation 1).
-                op::read_only(ctx, desc, OP_INSERT, FALSE, s.p.add(N_INFO), s.p_info);
+                // Duplicate: read-only outcome (lines 22–23, 27), recorded
+                // without a descriptor (see module docs, deviation 1).
+                op::record_false(ctx);
                 // The pre-allocated key leaf was never published: retire it
                 // (no-op on a bump pool).
                 ctx.retire(new_leaf, 1);
                 return false;
             }
+            let desc = Desc::alloc(pool);
             // Lines 14–15: duplicate of l and the new internal node
             let new_sibling = ctx.palloc(1);
             Self::init_leaf(pool, new_sibling, l_key);
@@ -270,8 +268,8 @@ impl RecoverableBst {
     /// `Insert.Recover` (Algorithm 1 lines 27–31).
     pub fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
         match op::recover(ctx) {
-            None | Some((_, BOTTOM)) => self.insert(ctx, key),
-            Some((_, r)) => dec_bool(r),
+            BOTTOM => self.insert(ctx, key),
+            r => dec_bool(r),
         }
     }
 
@@ -302,13 +300,13 @@ impl RecoverableBst {
                 help(pool, Desc::from_raw(s.p_info));
                 continue;
             }
-            let desc = Desc::alloc(pool);
             if pool.load(s.l.add(N_KEY)) != key {
-                // Absent: read-only outcome (lines 60–61, 65); WriteSet
-                // stays empty (deviation 1).
-                op::read_only(ctx, desc, OP_DELETE, FALSE, s.p.add(N_INFO), s.p_info);
+                // Absent: read-only outcome (lines 60–61, 65), recorded
+                // without a descriptor (deviation 1).
+                op::record_false(ctx);
                 return false;
             }
+            let desc = Desc::alloc(pool);
             // A present user key is at depth >= 2 (depth-1 leaves are the
             // sentinels), so gp exists.
             assert!(!s.gp.is_null(), "present key must have a grandparent");
@@ -369,8 +367,8 @@ impl RecoverableBst {
     /// `Delete.Recover` (Algorithm 1 lines 27–31).
     pub fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
         match op::recover(ctx) {
-            None | Some((_, BOTTOM)) => self.delete(ctx, key),
-            Some((_, r)) => dec_bool(r),
+            BOTTOM => self.delete(ctx, key),
+            r => dec_bool(r),
         }
     }
 
@@ -378,27 +376,17 @@ impl RecoverableBst {
     // Find
     // ------------------------------------------------------------------
 
-    /// Is `key` present? Read-only; tags nothing.
-    pub fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
+    /// Is `key` present? Read-only; tags nothing and records nothing.
+    pub fn find(&self, _ctx: &ThreadCtx, key: u64) -> bool {
         Self::assert_user_key(key);
         let pool = &*self.pool;
-        let desc = Desc::alloc(pool);
         loop {
             let s = self.search(key);
             if is_tagged(s.p_info) {
                 help(pool, Desc::from_raw(s.p_info));
                 continue;
             }
-            let result = pool.load(s.l.add(N_KEY)) == key;
-            op::read_only(
-                ctx,
-                desc,
-                OP_FIND,
-                enc_bool(result),
-                s.p.add(N_INFO),
-                s.p_info,
-            );
-            return result;
+            return pool.load(s.l.add(N_KEY)) == key;
         }
     }
 
@@ -670,6 +658,25 @@ mod tests {
         assert!(bst.insert(&ctx, 9));
         assert!(bst.recover_insert(&ctx, 9));
         assert_eq!(bst.keys(), vec![9], "no double insert");
+    }
+
+    /// A completed read-only outcome recovers to its recorded `false` even
+    /// after another thread flipped the key (what a recovery after a clean
+    /// stop sees); a bare re-invocation would undo that thread's update.
+    #[test]
+    fn read_only_outcome_recovers_recorded_false_after_a_flip() {
+        let (p, bst, a) = setup();
+        let b = ThreadCtx::new(p, 1);
+        assert!(bst.insert(&a, 5));
+        assert!(!bst.insert(&a, 5));
+        assert!(bst.delete(&b, 5));
+        assert!(!bst.recover_insert(&a, 5));
+        assert!(bst.keys().is_empty(), "B's delete undone");
+
+        assert!(!bst.delete(&a, 7));
+        assert!(bst.insert(&b, 7));
+        assert!(!bst.recover_delete(&a, 7));
+        assert_eq!(bst.keys(), vec![7], "B's insert undone");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! list/BST update, the partner's gathered value for an exchange), so the
 //! generic help engine can write "the response of the operation described by
 //! opInfo" (Algorithm 2 line 52) without structure-specific callbacks.
-//! Read-only and failing paths write `result` directly, exactly like the
+//! Read-only outcomes build no descriptor in the default (lean) placement;
+//! in the paper's placement they write `result` directly, exactly like the
 //! pseudocode's red lines.
 //!
 //! Layout (24 words = 3 cache lines, line-aligned so descriptor flushes have
@@ -84,7 +85,9 @@ pub struct Desc {
 
 impl Desc {
     /// Allocates a fresh (zeroed) descriptor. `result` is ⊥ (= 0) by
-    /// construction.
+    /// construction. Only an update attempt (or a read-only outcome in the
+    /// paper's placement) allocates one: finds, gets and the read-only
+    /// outcomes of updates record no descriptor.
     ///
     /// Descriptors are deliberately bump-allocated — never recycled, even
     /// on a pool built with `pmem::PoolCfg::reclaim`. Cleanup leaves

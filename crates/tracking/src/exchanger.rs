@@ -292,7 +292,7 @@ impl RecoverableExchanger {
     /// descriptor type — see module docs).
     pub fn recover_exchange(&self, ctx: &ThreadCtx, value: u64, spin_budget: usize) -> Option<u64> {
         let pool = &*self.pool;
-        let Some((desc, r)) = op::recover(ctx) else {
+        let Some((desc, r)) = op::recover_attempt(ctx) else {
             return self.exchange(ctx, value, spin_budget);
         };
         match desc.op_type(pool) {

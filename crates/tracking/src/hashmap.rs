@@ -72,15 +72,13 @@ use crate::descriptor::{AffectEntry, Desc, WriteEntry};
 use crate::help::help;
 use crate::list::{KEY_MAX, KEY_MIN};
 use crate::op;
-use crate::result::{dec_val, enc_bool, enc_val, BOTTOM, FALSE, TRUE};
+use crate::result::{dec_val, enc_val, BOTTOM, FALSE, TRUE};
 use crate::sites::{S_CP, S_CURSOR, S_DESC, S_LEVEL, S_NEW};
 
 /// Descriptor op-type tag for map puts.
 pub const OP_PUT: u8 = 10;
 /// Descriptor op-type tag for map removes.
 pub const OP_REMOVE: u8 = 11;
-/// Descriptor op-type tag for map gets.
-pub const OP_GET: u8 = 12;
 /// Descriptor op-type tag for resize bucket-migration moves.
 pub const OP_MOVE: u8 = 13;
 /// Descriptor op-type tag for resize bucket seals.
@@ -352,10 +350,21 @@ impl RecoverableHashMap {
                 self.start_resize(ctx, lvl);
                 continue;
             }
+            let curr_key = pool.load(s.curr.add(N_KEY));
+            if curr_key == key {
+                // Read-only outcome (a presence answer: valid by curr's own
+                // untagged stamp, no resize validation needed), recorded
+                // without a descriptor. The pre-built nodes were never
+                // published.
+                op::record_false(ctx);
+                ctx.retire(newcurr, 1);
+                ctx.retire(newnd, 1);
+                return false;
+            }
             let desc = Desc::alloc(pool);
             // newcurr becomes a copy of curr (tagged with opInfo); the
             // gathered curr_info validates these reads at tagging time.
-            pool.store(newcurr.add(N_KEY), pool.load(s.curr.add(N_KEY)));
+            pool.store(newcurr.add(N_KEY), curr_key);
             pool.store(newcurr.add(N_NEXT), pool.load(s.curr.add(N_NEXT)));
             pool.store(newcurr.add(N_INFO), desc.tagged());
             pool.store(newcurr.add(N_VAL), pool.load(s.curr.add(N_VAL)));
@@ -363,59 +372,34 @@ impl RecoverableHashMap {
             pool.store(newnd.add(N_NEXT), newcurr.raw());
             pool.store(newnd.add(N_INFO), desc.tagged());
             pool.store(newnd.add(N_VAL), val);
-            let dup = pool.load(s.curr.add(N_KEY)) == key;
-            if dup {
-                // Read-only outcome (a presence answer: valid by curr's own
-                // untagged stamp, no resize validation needed).
-                desc.init(
-                    pool,
-                    OP_PUT,
-                    enc_bool(false),
-                    &[AffectEntry {
+            desc.init(
+                pool,
+                OP_PUT,
+                TRUE,
+                &[
+                    AffectEntry {
+                        info_addr: s.pred.add(N_INFO),
+                        observed: s.pred_info,
+                        untag_on_cleanup: true,
+                    },
+                    AffectEntry {
                         info_addr: s.curr.add(N_INFO),
                         observed: s.curr_info,
-                        untag_on_cleanup: true,
-                    }],
-                    &[],
-                    &[],
-                );
-                desc.set_result(pool, enc_bool(false));
-            } else {
-                desc.init(
-                    pool,
-                    OP_PUT,
-                    enc_bool(true),
-                    &[
-                        AffectEntry {
-                            info_addr: s.pred.add(N_INFO),
-                            observed: s.pred_info,
-                            untag_on_cleanup: true,
-                        },
-                        AffectEntry {
-                            info_addr: s.curr.add(N_INFO),
-                            observed: s.curr_info,
-                            // curr is replaced by its copy: tagged forever
-                            untag_on_cleanup: false,
-                        },
-                    ],
-                    &[WriteEntry {
-                        field: s.pred.add(N_NEXT),
-                        old: s.curr.raw(),
-                        new: newnd.raw(),
-                    }],
-                    &[newcurr.add(N_INFO), newnd.add(N_INFO)],
-                );
-            }
+                        // curr is replaced by its copy: tagged forever
+                        untag_on_cleanup: false,
+                    },
+                ],
+                &[WriteEntry {
+                    field: s.pred.add(N_NEXT),
+                    old: s.curr.raw(),
+                    new: newnd.raw(),
+                }],
+                &[newcurr.add(N_INFO), newnd.add(N_INFO)],
+            );
             op::publish(ctx, desc, &[newcurr, newnd]);
-            if dup {
-                ctx.retire(newcurr, 1);
-                ctx.retire(newnd, 1);
-                return false;
-            }
             help(pool, desc);
-            let r = desc.result(pool);
-            if r != BOTTOM {
-                // r can only be the success result here.
+            if desc.result(pool) != BOTTOM {
+                // The result can only be the success result here.
                 ctx.retire(s.curr, 1);
                 return true;
             }
@@ -426,8 +410,8 @@ impl RecoverableHashMap {
     /// demonstrably took effect, else re-invokes it.
     pub fn recover_put(&self, ctx: &ThreadCtx, key: u64, val: u64) -> bool {
         match op::recover(ctx) {
-            None | Some((_, BOTTOM)) => self.put(ctx, key, val),
-            Some((_, r)) => r == TRUE,
+            BOTTOM => self.put(ctx, key, val),
+            r => r == TRUE,
         }
     }
 
@@ -466,8 +450,7 @@ impl RecoverableHashMap {
                 if !self.absent_still_valid(head, s.head_info0) {
                     continue;
                 }
-                let desc = Desc::alloc(pool);
-                op::read_only(ctx, desc, OP_REMOVE, FALSE, s.curr.add(N_INFO), s.curr_info);
+                op::record_false(ctx);
                 return None;
             }
             // Present: unlink curr; its gathered value becomes the response
@@ -512,9 +495,9 @@ impl RecoverableHashMap {
     /// remove demonstrably took effect, else re-invokes it.
     pub fn recover_remove(&self, ctx: &ThreadCtx, key: u64) -> Option<u64> {
         match op::recover(ctx) {
-            None | Some((_, BOTTOM)) => self.remove(ctx, key),
-            Some((_, FALSE)) => None,
-            Some((_, r)) => Some(dec_val(r)),
+            BOTTOM => self.remove(ctx, key),
+            FALSE => None,
+            r => Some(dec_val(r)),
         }
     }
 
@@ -522,11 +505,10 @@ impl RecoverableHashMap {
     // Get
     // ------------------------------------------------------------------
 
-    /// Looks `key` up. Read-only; never tags a node.
+    /// Looks `key` up. Read-only; never tags a node and records nothing.
     pub fn get(&self, ctx: &ThreadCtx, key: u64) -> Option<u64> {
         Self::assert_user_kv(key, 0);
         let pool = &*self.pool;
-        let desc = Desc::alloc(pool);
         loop {
             let lvl = self.current_level(ctx);
             let head = self.bucket_head(lvl, key);
@@ -539,14 +521,12 @@ impl RecoverableHashMap {
                 help(pool, Desc::from_raw(s.curr_info));
                 continue;
             }
-            let found = pool.load(s.curr.add(N_KEY)) == key;
-            let val = pool.load(s.curr.add(N_VAL));
-            if !found && !self.absent_still_valid(head, s.head_info0) {
-                continue;
+            if pool.load(s.curr.add(N_KEY)) == key {
+                return Some(pool.load(s.curr.add(N_VAL)));
             }
-            let res = if found { enc_val(val) } else { FALSE };
-            op::read_only(ctx, desc, OP_GET, res, s.curr.add(N_INFO), s.curr_info);
-            return if found { Some(val) } else { None };
+            if self.absent_still_valid(head, s.head_info0) {
+                return None;
+            }
         }
     }
 
@@ -1020,7 +1000,7 @@ mod tests {
         map.put(&ctx, 7, 70);
         let d = Desc::from_raw(ctx.rd());
         assert_eq!(d.op_type(&p), OP_PUT);
-        assert_eq!(d.result(&p), enc_bool(true));
+        assert_eq!(d.result(&p), TRUE);
         assert_eq!(map.remove(&ctx, 7), Some(70));
         let d = Desc::from_raw(ctx.rd());
         assert_eq!(d.op_type(&p), OP_REMOVE);
@@ -1038,6 +1018,26 @@ mod tests {
         assert_eq!(map.remove(&ctx, 9), Some(90));
         assert_eq!(map.recover_remove(&ctx, 9), Some(90));
         assert!(map.is_empty());
+    }
+
+    /// A completed read-only outcome recovers to its recorded answer even
+    /// after another thread flipped the key — the unit-level twin of the
+    /// KV benchmark's last-request check after a clean stop. A bare
+    /// re-invocation would undo that thread's update.
+    #[test]
+    fn read_only_outcome_recovers_recorded_false_after_a_flip() {
+        let (p, map, a) = setup();
+        let b = ThreadCtx::new(p, 1);
+        assert!(map.put(&a, 5, 50));
+        assert!(!map.put(&a, 5, 51));
+        assert_eq!(map.remove(&b, 5), Some(50));
+        assert!(!map.recover_put(&a, 5, 51));
+        assert!(map.is_empty(), "B's remove undone");
+
+        assert_eq!(map.remove(&a, 7), None);
+        assert!(map.put(&b, 7, 70));
+        assert_eq!(map.recover_remove(&a, 7), None);
+        assert_eq!(map.entries(), vec![(7, 70)], "B's put undone");
     }
 
     fn crash_swept_put(cfg: HashMapConfig, prefill: u64, bound: u64) {

@@ -24,17 +24,21 @@
 //!
 //! Detectability comes from two persistent per-thread words (provided by
 //! [`pmem::ThreadCtx`]): the check-point `CP_q` and the recovery-data
-//! reference `RD_q`, persisted (lines 1–5 and 19–21 of Algorithm 1) so that
-//! after a crash the recovery function can fetch the descriptor of the
-//! interrupted operation, call `help` on it, and either return the recorded
-//! result or safely re-invoke the operation.
+//! reference `RD_q`, set by lines 1–5 and persisted by lines 19–21 of
+//! Algorithm 1 so that after a crash the recovery function can fetch the
+//! descriptor of the interrupted operation, call `help` on it, and either
+//! return the recorded result or safely re-invoke the operation.
 //!
 //! These steps of Algorithm 1 — the prologue, the publication of each
 //! attempt's descriptor through `RD_q`, the read-only outcome and
 //! `Op.Recover` — are written once, in the crate-private `op` module, with
-//! the persistence orders they rely on. Each structure supplies only its
-//! gather phase and its descriptor sets (the flat-combining variants run
-//! their own announce protocol instead).
+//! the persistence orders they rely on. By default they persist only what
+//! `Op.Recover` reads: the prologue is two unflushed stores, finds and gets
+//! record nothing, and the read-only outcome of an update is the immediate
+//! `RD_q := FALSE` (DESIGN.md §7). The list can still run the paper's own
+//! placement ([`list::Placement`]). Each structure supplies only its gather
+//! phase and its descriptor sets (the flat-combining variants run their own
+//! announce protocol instead).
 //!
 //! ## What is provided
 //!

@@ -28,9 +28,13 @@
 //!   never mutating a node that left the list.
 //! * **Read-only outcomes skip `help`** (the red lines of the pseudocode):
 //!   an insert of a present key, a delete of an absent key and every `find`
-//!   record their response directly in a descriptor, persist it together
-//!   with `RD_q`, and return — tagging nothing. Such operations linearize
-//!   at the point the single AffectSet node's `info` field was read.
+//!   return without tagging anything. Such operations linearize at the
+//!   point the `info` field of the node holding the answer was read. By
+//!   default ([`Placement::Lean`]) they allocate no descriptor and flush
+//!   nothing: a `find` records nothing, and an insert or delete stores the
+//!   immediate `RD_q := FALSE`. The paper's placement
+//!   ([`Placement::Paper`]) records each response in a descriptor and
+//!   persists it together with `RD_q`.
 
 use std::sync::Arc;
 
@@ -59,28 +63,37 @@ const N_KEY: u64 = 0;
 const N_NEXT: u64 = 1;
 const N_INFO: u64 = 2;
 
-/// Ablation knobs for the paper's design choices (both default to the
-/// paper's configuration). The benchmark harness measures what each choice
-/// buys (see DESIGN.md's ablation index).
-#[derive(Copy, Clone, Debug)]
+/// Where Algorithm 1 places its persistence instructions.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub enum Placement {
+    /// Persist only what `Op.Recover` reads, the placement of every other
+    /// Tracking structure: the prologue is two stores with no flush, a
+    /// `find` records nothing, and a duplicate insert or absent delete
+    /// stores the immediate `RD_q := FALSE` without a descriptor
+    /// (DESIGN.md §7).
+    #[default]
+    Lean,
+    /// The paper's Algorithm 1: a durable prologue (lines 1–5), and every
+    /// read-only outcome recorded in a published descriptor without `help`
+    /// (the pseudocode's red lines).
+    Paper,
+    /// The paper's placement without its read-only optimization: read-only
+    /// outcomes run the full tag–update–cleanup pipeline.
+    PaperNoReadOpt,
+}
+
+/// Ablation knobs for the design choices (both default to the lean
+/// configuration). The benchmark harness measures what each choice buys
+/// (see DESIGN.md's ablation index).
+#[derive(Copy, Clone, Debug, Default)]
 pub struct ListConfig {
     /// Flush-and-fence after every shared read of the gather phase — the
     /// naive Izraelevitz-style placement the paper's scheme avoids.
     /// Default `false`.
     pub traversal_flush: bool,
-    /// Apply the paper's read-only optimization (find / duplicate insert /
-    /// absent delete skip `help` entirely). Default `true`; when disabled,
-    /// those outcomes run the full tag–update–cleanup pipeline.
-    pub read_only_opt: bool,
-}
-
-impl Default for ListConfig {
-    fn default() -> Self {
-        ListConfig {
-            traversal_flush: false,
-            read_only_opt: true,
-        }
-    }
+    /// Where Algorithm 1's persistence instructions go. Default
+    /// [`Placement::Lean`].
+    pub placement: Placement,
 }
 
 /// The detectably recoverable sorted linked list.
@@ -151,6 +164,14 @@ impl RecoverableList {
         );
     }
 
+    /// The prologue (Algorithm 1 lines 1–5) in this list's placement.
+    fn begin(&self, ctx: &ThreadCtx) {
+        match self.cfg.placement {
+            Placement::Lean => op::begin(ctx),
+            Placement::Paper | Placement::PaperNoReadOpt => op::begin_durable(ctx),
+        }
+    }
+
     /// `Search(key)` — returns the last two nodes of the traversal and the
     /// `info` values gathered on first access (Algorithm 3 lines 35–44).
     /// `curr` is the first node with `key' >= key`; `pred` its predecessor.
@@ -207,7 +228,8 @@ impl RecoverableList {
         // attempts (they are only published by a successful tagging phase).
         let newcurr = ctx.palloc(1);
         let newnd = ctx.palloc(1);
-        op::begin(ctx);
+        let placement = self.cfg.placement;
+        self.begin(ctx);
         loop {
             // Gather phase (lines 9–13)
             let s = self.search(key);
@@ -219,6 +241,17 @@ impl RecoverableList {
             if is_tagged(s.curr_info) {
                 help(pool, Desc::from_raw(s.curr_info));
                 continue;
+            }
+            if placement == Placement::Lean && pool.load(s.curr.add(N_KEY)) == key {
+                // Lines 11–12, 21–23, lean: the duplicate is decided before
+                // any descriptor exists, and its answer is the immediate
+                // RD_q := FALSE. The pre-built nodes were never published.
+                // (The paper's placements decide it below, after building
+                // the nodes, as the pseudocode does.)
+                op::record_false(ctx);
+                ctx.retire(newcurr, 1);
+                ctx.retire(newnd, 1);
+                return false;
             }
             let desc = Desc::alloc(pool);
             // Line 19: newcurr becomes a copy of curr (tagged with opInfo);
@@ -245,7 +278,7 @@ impl RecoverableList {
                     &[],
                     &[],
                 );
-                if self.cfg.read_only_opt {
+                if placement == Placement::Paper {
                     desc.set_result(pool, enc_bool(false));
                 }
             } else {
@@ -279,7 +312,7 @@ impl RecoverableList {
             op::publish(ctx, desc, &[newcurr, newnd]);
             // Line 31: read-only outcome returns without Help (unless the
             // read-only optimization is ablated away)
-            if dup && self.cfg.read_only_opt {
+            if dup && placement == Placement::Paper {
                 // The pre-built nodes were never published: retire them
                 // (no-op on a bump pool).
                 ctx.retire(newcurr, 1);
@@ -311,8 +344,8 @@ impl RecoverableList {
     /// `Insert.Recover` (Algorithm 1 lines 27–31).
     pub fn recover_insert(&self, ctx: &ThreadCtx, key: u64) -> bool {
         match op::recover(ctx) {
-            None | Some((_, BOTTOM)) => self.insert(ctx, key),
-            Some((_, r)) => dec_bool(r),
+            BOTTOM => self.insert(ctx, key),
+            r => dec_bool(r),
         }
     }
 
@@ -330,7 +363,8 @@ impl RecoverableList {
     pub fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
         Self::assert_user_key(key);
         let pool = &*self.pool;
-        op::begin(ctx);
+        let placement = self.cfg.placement;
+        self.begin(ctx);
         loop {
             // Gather phase (lines 51–55)
             let s = self.search(key);
@@ -343,8 +377,13 @@ impl RecoverableList {
                 help(pool, Desc::from_raw(s.curr_info));
                 continue;
             }
-            let desc = Desc::alloc(pool);
             let absent = pool.load(s.curr.add(N_KEY)) != key;
+            if absent && placement == Placement::Lean {
+                // Lines 53–54, 63–65, lean: the immediate RD_q := FALSE.
+                op::record_false(ctx);
+                return false;
+            }
+            let desc = Desc::alloc(pool);
             if absent {
                 // Lines 53–54, 63–65
                 desc.init(
@@ -359,7 +398,7 @@ impl RecoverableList {
                     &[],
                     &[],
                 );
-                if self.cfg.read_only_opt {
+                if placement == Placement::Paper {
                     desc.set_result(pool, enc_bool(false));
                 }
             } else {
@@ -394,7 +433,7 @@ impl RecoverableList {
             // Lines 69–71
             op::publish(ctx, desc, &[]);
             // Line 72
-            if absent && self.cfg.read_only_opt {
+            if absent && placement == Placement::Paper {
                 return false;
             }
             // Lines 73–74
@@ -415,8 +454,8 @@ impl RecoverableList {
     /// `Delete.Recover` (Algorithm 1 lines 27–31).
     pub fn recover_delete(&self, ctx: &ThreadCtx, key: u64) -> bool {
         match op::recover(ctx) {
-            None | Some((_, BOTTOM)) => self.delete(ctx, key),
-            Some((_, r)) => dec_bool(r),
+            BOTTOM => self.delete(ctx, key),
+            r => dec_bool(r),
         }
     }
 
@@ -425,17 +464,18 @@ impl RecoverableList {
     // ------------------------------------------------------------------
 
     /// Is `key` present? Read-only; never tags a node (the paper's
-    /// optimization for read-only operations — unless ablated via
-    /// [`ListConfig::read_only_opt`], in which case the full tag–result–
-    /// cleanup pipeline runs).
+    /// optimization for read-only operations — unless ablated with
+    /// [`Placement::PaperNoReadOpt`], in which case the full tag–result–
+    /// cleanup pipeline runs). In the lean placement it records nothing.
     pub fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
         Self::assert_user_key(key);
-        if !self.cfg.read_only_opt {
-            return self.find_unoptimized(ctx, key);
-        }
         let pool = &*self.pool;
-        // Line 76: one descriptor for the whole operation.
-        let desc = Desc::alloc(pool);
+        let desc = match self.cfg.placement {
+            Placement::Lean => None,
+            // Line 76: one descriptor for the whole operation.
+            Placement::Paper => Some(Desc::alloc(pool)),
+            Placement::PaperNoReadOpt => return self.find_unoptimized(ctx, key),
+        };
         loop {
             // Gather phase (lines 78–80)
             let s = self.search(key);
@@ -447,14 +487,16 @@ impl RecoverableList {
             // Lines 85–90: the response depends only on the immutable key
             // of curr; linearizes at the read of curr's info field above.
             let result = pool.load(s.curr.add(N_KEY)) == key;
-            op::read_only(
-                ctx,
-                desc,
-                OP_FIND,
-                enc_bool(result),
-                s.curr.add(N_INFO),
-                s.curr_info,
-            );
+            if let Some(desc) = desc {
+                op::read_only(
+                    ctx,
+                    desc,
+                    OP_FIND,
+                    enc_bool(result),
+                    s.curr.add(N_INFO),
+                    s.curr_info,
+                );
+            }
             return result;
         }
     }
@@ -471,7 +513,7 @@ impl RecoverableList {
     /// result, clean up — exactly what the paper's red code lines avoid.
     fn find_unoptimized(&self, ctx: &ThreadCtx, key: u64) -> bool {
         let pool = &*self.pool;
-        op::begin(ctx);
+        op::begin_durable(ctx);
         loop {
             let s = self.search(key);
             if is_tagged(s.curr_info) {
@@ -850,22 +892,61 @@ mod tests {
         assert_eq!(list.keys(), vec![9], "no double insert");
     }
 
+    /// A completed read-only outcome recovers to its recorded `false` even
+    /// after another thread flipped the key, in every placement — what a
+    /// recovery after a clean stop sees. A bare re-invocation would insert
+    /// (or delete) the key instead and undo the other thread's update.
+    #[test]
+    fn read_only_outcome_recovers_recorded_false_after_a_flip() {
+        for placement in [Placement::Lean, Placement::Paper, Placement::PaperNoReadOpt] {
+            let pool = Arc::new(PmemPool::new(PoolCfg::model(8 << 20)));
+            let cfg = ListConfig {
+                placement,
+                ..ListConfig::default()
+            };
+            let list = RecoverableList::with_config(pool.clone(), 0, cfg);
+            let a = ThreadCtx::new(pool.clone(), 0);
+            let b = ThreadCtx::new(pool, 1);
+            assert!(list.insert(&a, 5));
+            assert!(!list.insert(&a, 5), "{placement:?}");
+            assert!(list.delete(&b, 5));
+            assert!(!list.recover_insert(&a, 5), "{placement:?}");
+            assert!(list.keys().is_empty(), "{placement:?}: B's delete undone");
+
+            assert!(!list.delete(&a, 7), "{placement:?}");
+            assert!(list.insert(&b, 7));
+            assert!(!list.recover_delete(&a, 7), "{placement:?}");
+            assert_eq!(list.keys(), vec![7], "{placement:?}: B's insert undone");
+        }
+    }
+
+    #[test]
+    fn lean_read_only_outcomes_persist_nothing() {
+        let (p, list, ctx) = setup();
+        assert!(list.insert(&ctx, 5));
+        p.stats_reset();
+        assert!(list.find(&ctx, 5));
+        assert!(!list.find(&ctx, 6));
+        let s = p.stats();
+        assert_eq!((s.pwb_total(), s.pfence, s.psync), (0, 0, 0), "find");
+        // An update's read-only outcome: only the system's CP_q := 0 step.
+        assert!(!list.insert(&ctx, 5));
+        assert!(!list.delete(&ctx, 6));
+        let s = p.stats();
+        assert_eq!((s.pwb_total(), s.pfence, s.psync), (2, 0, 2));
+        assert_eq!(s.pwb_at(S_CP), 2);
+        assert_eq!((ctx.cp(), ctx.rd()), (1, crate::result::FALSE));
+    }
+
     #[test]
     fn ablation_configs_match_reference_model() {
-        let configs = [
-            ListConfig {
-                traversal_flush: true,
-                read_only_opt: true,
-            },
-            ListConfig {
-                traversal_flush: false,
-                read_only_opt: false,
-            },
-            ListConfig {
-                traversal_flush: true,
-                read_only_opt: false,
-            },
-        ];
+        let placements = [Placement::Lean, Placement::Paper, Placement::PaperNoReadOpt];
+        let configs = placements.into_iter().flat_map(|placement| {
+            [false, true].map(|traversal_flush| ListConfig {
+                traversal_flush,
+                placement,
+            })
+        });
         for cfg in configs {
             let pool = Arc::new(PmemPool::new(PoolCfg::model(16 << 20)));
             let list = RecoverableList::with_config(pool.clone(), 0, cfg);
@@ -900,7 +981,7 @@ mod tests {
             0,
             ListConfig {
                 traversal_flush: true,
-                read_only_opt: true,
+                ..ListConfig::default()
             },
         );
         let ctx = ThreadCtx::new(pool.clone(), 0);
@@ -925,7 +1006,7 @@ mod tests {
             0,
             ListConfig {
                 traversal_flush: false,
-                read_only_opt: false,
+                placement: Placement::PaperNoReadOpt,
             },
         );
         let ctx = ThreadCtx::new(pool.clone(), 0);
@@ -948,7 +1029,7 @@ mod tests {
             0,
             ListConfig {
                 traversal_flush: false,
-                read_only_opt: false,
+                placement: Placement::PaperNoReadOpt,
             },
         );
         let ctx = ThreadCtx::new(pool.clone(), 0);

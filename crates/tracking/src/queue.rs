@@ -27,6 +27,7 @@
 //! * **Empty dequeue** is a read-only outcome: gather `H` (untagged),
 //!   observe `H.next = ⊥`, and re-validate that `H` is still the sentinel —
 //!   head only moves forward, so the queue was empty at the observation.
+//!   It builds no descriptor; it records the immediate `RD_q := FALSE`.
 //!
 //! Recovery is the standard Op-Recover skeleton over `CP_q`/`RD_q`.
 
@@ -163,7 +164,7 @@ impl RecoverableQueue {
 
     /// `Enqueue.Recover`.
     pub fn recover_enqueue(&self, ctx: &ThreadCtx, value: u64) {
-        if matches!(op::recover(ctx), None | Some((_, BOTTOM))) {
+        if op::recover(ctx) == BOTTOM {
             self.enqueue(ctx, value)
         }
     }
@@ -188,7 +189,6 @@ impl RecoverableQueue {
                 continue;
             }
             let next = pool.load(h.add(N_NEXT));
-            let desc = Desc::alloc(pool);
             if next == 0 {
                 // Read-only empty outcome; valid only if h is still the
                 // sentinel (head moves forward only, so the queue was empty
@@ -196,9 +196,10 @@ impl RecoverableQueue {
                 if pool.load(self.head_cell) != h.raw() {
                     continue;
                 }
-                op::read_only(ctx, desc, OP_DEQ, FALSE, h.add(N_INFO), h_info);
+                op::record_false(ctx);
                 return None;
             }
+            let desc = Desc::alloc(pool);
             let f = PAddr::from_raw(next);
             let value = pool.load(f.add(N_VALUE)); // immutable once published
             desc.init(
@@ -236,9 +237,9 @@ impl RecoverableQueue {
     /// `Dequeue.Recover`.
     pub fn recover_dequeue(&self, ctx: &ThreadCtx) -> Option<u64> {
         match op::recover(ctx) {
-            None | Some((_, BOTTOM)) => self.dequeue(ctx),
-            Some((_, FALSE)) => None,
-            Some((_, r)) => Some(dec_val(r)),
+            BOTTOM => self.dequeue(ctx),
+            FALSE => None,
+            r => Some(dec_val(r)),
         }
     }
 
@@ -280,6 +281,19 @@ mod tests {
         let q = RecoverableQueue::new(pool.clone(), 4);
         let ctx = ThreadCtx::new(pool.clone(), 0);
         (pool, q, ctx)
+    }
+
+    /// A completed empty dequeue recovers to its recorded `None` even after
+    /// another thread enqueued (what a recovery after a clean stop sees); a
+    /// bare re-invocation would consume that thread's value.
+    #[test]
+    fn read_only_outcome_recovers_recorded_false_after_a_flip() {
+        let (p, q, a) = setup();
+        let b = ThreadCtx::new(p, 1);
+        assert_eq!(q.dequeue(&a), None);
+        q.enqueue(&b, 9);
+        assert_eq!(q.recover_dequeue(&a), None);
+        assert_eq!(q.values(), vec![9], "B's enqueue consumed");
     }
 
     #[test]

@@ -12,9 +12,12 @@
 
 use pmem::SiteId;
 
-/// `pwb(CP_q)` in the operation prologue (Alg. 1 line 5; Alg. 3 line 7; …).
+/// `pwb(CP_q)` in the system's `CP_q := 0` step
+/// ([`pmem::ThreadCtx::begin_op`]) and, in the paper's placement, in the
+/// operation prologue (Alg. 1 line 5; Alg. 3 line 7; …).
 pub const S_CP: SiteId = SiteId(0);
-/// `pwb(RD_q)` after publishing the attempt's descriptor (Alg. 1 line 21).
+/// `pwb(RD_q)` after publishing the attempt's descriptor (Alg. 1 line 21)
+/// and, in the paper's placement, in the prologue (Alg. 1 line 3).
 pub const S_RD: SiteId = SiteId(1);
 /// `pbarrier(*opInfo)` — flush of the freshly written descriptor
 /// (Alg. 1 line 19; Alg. 3 line 28; Alg. 4 lines 69/87; Alg. 5 line 24).

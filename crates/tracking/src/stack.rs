@@ -12,7 +12,8 @@
 //!   NewSet = `{new}`.
 //! * **Pop**: AffectSet = `{top-node}` (leaves the structure ⇒ tagged
 //!   forever), WriteSet = `{top: node → node.next}`, response =
-//!   `node.value`. Popping the sentinel is the read-only empty case,
+//!   `node.value`. Popping the sentinel is the read-only empty case
+//!   (recorded as the immediate `RD_q := FALSE`, without a descriptor),
 //!   validated by re-reading `top` (which can ABA only through node
 //!   addresses not seen earlier in the same operation window — always
 //!   fresh on the default bump pool, and on a `pmem::PoolCfg::reclaim`
@@ -220,7 +221,7 @@ impl RecoverableStack {
 
     /// `Push.Recover`.
     pub fn recover_push(&self, ctx: &ThreadCtx, value: u64) {
-        if matches!(op::recover(ctx), None | Some((_, BOTTOM))) {
+        if op::recover(ctx) == BOTTOM {
             self.push(ctx, value)
         }
     }
@@ -252,7 +253,6 @@ impl RecoverableStack {
             if pool.load(self.top_cell) != top_word {
                 continue;
             }
-            let desc = Desc::alloc(pool);
             if pool.load(top.add(N_SENTINEL)) == 1 {
                 // Read-only empty outcome, validated against the stamped
                 // top word and the info version stamp still being in place
@@ -260,9 +260,10 @@ impl RecoverableStack {
                 if pool.load(self.top_cell) != top_word || pool.load(top.add(N_INFO)) != info {
                     continue;
                 }
-                op::read_only(ctx, desc, OP_POP, FALSE, top.add(N_INFO), info);
+                op::record_false(ctx);
                 return None;
             }
+            let desc = Desc::alloc(pool);
             let value = pool.load(top.add(N_VALUE)); // immutable once published
             let next = pool.load(top.add(N_NEXT));
             desc.init(
@@ -299,9 +300,9 @@ impl RecoverableStack {
     /// `Pop.Recover`.
     pub fn recover_pop(&self, ctx: &ThreadCtx) -> Option<u64> {
         match op::recover(ctx) {
-            None | Some((_, BOTTOM)) => self.pop(ctx),
-            Some((_, FALSE)) => None,
-            Some((_, r)) => Some(dec_val(r)),
+            BOTTOM => self.pop(ctx),
+            FALSE => None,
+            r => Some(dec_val(r)),
         }
     }
 
@@ -339,6 +340,19 @@ mod tests {
         let s = RecoverableStack::new(pool.clone(), 6);
         let ctx = ThreadCtx::new(pool.clone(), 0);
         (pool, s, ctx)
+    }
+
+    /// A completed empty pop recovers to its recorded `None` even after
+    /// another thread pushed (what a recovery after a clean stop sees); a
+    /// bare re-invocation would pop that thread's value.
+    #[test]
+    fn read_only_outcome_recovers_recorded_false_after_a_flip() {
+        let (p, st, a) = setup();
+        let b = ThreadCtx::new(p, 1);
+        assert_eq!(st.pop(&a), None);
+        st.push(&b, 9);
+        assert_eq!(st.recover_pop(&a), None);
+        assert_eq!(st.values(), vec![9], "B's push popped");
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! recoverable exchanger and swap work items — the paper's third data
 //! structure (Section 6).
 //!
-//! An even number of workers each contribute a value; the exchanger pairs
-//! them two at a time. The demo verifies the pairing is a perfect mutual
+//! An even number of workers each contribute a value per round; the
+//! exchanger pairs them two at a time. Every round starts at a barrier, so
+//! a round's exchanges pair up among themselves, and a worker whose wait
+//! runs out of spin budget (its cancelled exchange had no effect) simply
+//! tries again. The demo verifies the pairing is a perfect mutual
 //! matching, then shows the timeout path (a lone thread cancelling its
 //! slot capture cleanly).
 //!
@@ -11,7 +14,7 @@
 //! cargo run -p examples --bin exchanger_pairing
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use pmem::{PmemPool, PoolCfg, ThreadCtx};
 use tracking::RecoverableExchanger;
@@ -24,18 +27,25 @@ fn main() {
     let ex = RecoverableExchanger::new(pool.clone(), 0);
 
     println!("{WORKERS} workers × {ROUNDS} rounds of pairing…");
+    let barrier = Arc::new(Barrier::new(WORKERS));
     let mut handles = Vec::new();
     for w in 0..WORKERS {
         let ex = ex.clone();
         let ctx = ThreadCtx::new(pool.clone(), w);
+        let barrier = barrier.clone();
         handles.push(std::thread::spawn(move || {
             let mut partners = Vec::with_capacity(ROUNDS);
             for round in 0..ROUNDS {
+                // With an even worker count starting each round together,
+                // every exchange of the round eventually meets a partner.
+                barrier.wait();
                 // value encodes (worker, round) so pairings are auditable
                 let token = (w * ROUNDS + round) as u64;
-                let got = ex
-                    .exchange(&ctx, token, 200_000_000)
-                    .expect("with an even worker count every exchange pairs up");
+                let got = loop {
+                    if let Some(got) = ex.exchange(&ctx, token, 200_000_000) {
+                        break got;
+                    }
+                };
                 partners.push((token, got));
             }
             partners

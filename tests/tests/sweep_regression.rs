@@ -25,21 +25,26 @@ fn pinned_cfg(structure: StructureKind, algo: AlgoKind) -> SweepCfg {
     cfg
 }
 
-/// The Tracking list pin: 6 scripted ops produce exactly this many
-/// instrumented events (each one a distinct crash point).
+/// The Tracking list pins: 6 scripted ops produce exactly this many
+/// instrumented events (each one a distinct crash point), in the paper's
+/// persistence-instruction placement and in the lean one.
 #[test]
 fn tracking_list_event_count_is_pinned() {
-    let mut cfg = pinned_cfg(StructureKind::List, AlgoKind::Tracking);
-    // Counting alone needs no replays; skip them so the pin stays cheap.
-    cfg.sample = 0.0;
-    let report = run_sweep(&cfg);
-    assert_eq!(
-        report.total_events, 319,
-        "Tracking list persistence-event count changed: the paper's \
-         persistence-instruction placement moved (or the script generator \
-         changed). If intentional, update this pin."
-    );
-    assert_eq!(report.points_skipped, report.total_events);
+    for (algo, pinned) in [(AlgoKind::TrackingPaper, 319), (AlgoKind::Tracking, 264)] {
+        let mut cfg = pinned_cfg(StructureKind::List, algo);
+        // Counting alone needs no replays; skip them so the pin stays cheap.
+        cfg.sample = 0.0;
+        let report = run_sweep(&cfg);
+        assert_eq!(
+            report.total_events,
+            pinned,
+            "{} list persistence-event count changed: its \
+             persistence-instruction placement moved (or the script generator \
+             changed). If intentional, update this pin.",
+            algo.name()
+        );
+        assert_eq!(report.points_skipped, report.total_events);
+    }
 }
 
 /// The Tracking queue pin, plus a sampled end-to-end run: the sampled
@@ -49,7 +54,7 @@ fn tracking_queue_pin_and_sampled_sweep_is_clean() {
     let mut cfg = pinned_cfg(StructureKind::Queue, AlgoKind::Tracking);
     cfg.sample = 0.2;
     let report = run_sweep(&cfg);
-    assert_eq!(report.total_events, 300, "Tracking queue event count moved");
+    assert_eq!(report.total_events, 252, "Tracking queue event count moved");
     assert!(report.points_run > 0, "0.2 sample selected nothing");
     assert!(
         report.ok(),
@@ -73,7 +78,7 @@ fn tracking_hashmap_pin_and_sampled_sweep_is_clean() {
     cfg.sample = 0.05;
     let report = run_sweep(&cfg);
     assert_eq!(
-        report.total_events, 2078,
+        report.total_events, 1791,
         "Tracking hashmap persistence-event count changed: bucket-op or \
          resize instruction placement moved. If intentional, update this pin."
     );
@@ -117,21 +122,32 @@ fn seeded_adversary_sampled_sweep_is_clean() {
 /// from the crash-point space, and the resulting total is stable. The
 /// masked totals are pinned absolutely (not just as deltas) so that a
 /// placement change hiding behind a compensating change elsewhere still
-/// trips a pin.
+/// trips a pin. Both placements of the Tracking list are pinned: the
+/// paper's (`pwb(CP_q)` in the system step and the prologue) and the lean
+/// one (in the system step only).
 #[test]
 fn masked_site_event_totals_are_pinned() {
-    let mut cfg = pinned_cfg(StructureKind::List, AlgoKind::Tracking);
-    cfg.sample = 0.0; // count only
-    let full = run_sweep(&cfg);
-    assert_eq!(full.total_events, 319, "unmasked pin moved");
+    for (algo, [unmasked, no_cp, no_result]) in [
+        (AlgoKind::TrackingPaper, [319, 308, 316]),
+        (AlgoKind::Tracking, [264, 258, 261]),
+    ] {
+        let name = algo.name();
+        let mut cfg = pinned_cfg(StructureKind::List, algo);
+        cfg.sample = 0.0; // count only
+        let full = run_sweep(&cfg);
+        assert_eq!(full.total_events, unmasked, "{name}: unmasked pin moved");
 
-    cfg.site_mask = !(1 << tracking::sites::S_CP.0);
-    let masked = run_sweep(&cfg);
-    assert_eq!(masked.total_events, 308, "masked S_CP pin moved");
+        cfg.site_mask = !(1 << tracking::sites::S_CP.0);
+        let masked = run_sweep(&cfg);
+        assert_eq!(masked.total_events, no_cp, "{name}: masked S_CP pin moved");
 
-    cfg.site_mask = !(1 << tracking::sites::S_RESULT.0);
-    let masked = run_sweep(&cfg);
-    assert_eq!(masked.total_events, 316, "masked S_RESULT pin moved");
+        cfg.site_mask = !(1 << tracking::sites::S_RESULT.0);
+        let masked = run_sweep(&cfg);
+        assert_eq!(
+            masked.total_events, no_result,
+            "{name}: masked S_RESULT pin moved"
+        );
+    }
 }
 
 /// Hashes a trace stream's observable content (everything but the seq
@@ -206,25 +222,32 @@ fn pinned_stream(algo: AlgoKind, flushopt: bool) -> u64 {
 /// elision layer disabled (the default), every store/pwb/fence takes
 /// exactly the code path it took before `pmem::flushopt` existed, pinned
 /// here as a content hash over the full trace of a scripted Tracking run
-/// and a scripted Capsules (Full-persist) run. If either hash moves, the
-/// flushopt-off path is no longer a bystander — that is a regression, not
-/// a pin to update lightly.
+/// (in the paper's placement, which PR 8 ran) and a scripted Capsules
+/// (Full-persist) run. If either hash moves, the flushopt-off path is no
+/// longer a bystander — that is a regression, not a pin to update lightly.
+/// The lean Tracking placement's stream is pinned beside them.
 #[test]
 fn flushopt_off_streams_are_bit_identical_to_pr8() {
     assert_eq!(
-        pinned_stream(AlgoKind::Tracking, false),
+        pinned_stream(AlgoKind::TrackingPaper, false),
         TRACKING_PR8_STREAM_HASH,
-        "Tracking flushopt-off stream diverged from PR 8"
+        "Tracking[paper] flushopt-off stream diverged from PR 8"
     );
     assert_eq!(
         pinned_stream(AlgoKind::Capsules, false),
         CAPSULES_PR8_STREAM_HASH,
         "Capsules flushopt-off stream diverged from PR 8"
     );
+    assert_eq!(
+        pinned_stream(AlgoKind::Tracking, false),
+        TRACKING_LEAN_STREAM_HASH,
+        "lean Tracking flushopt-off stream moved"
+    );
 }
 
 const TRACKING_PR8_STREAM_HASH: u64 = 1931165606446196522;
 const CAPSULES_PR8_STREAM_HASH: u64 = 16994248641333252118;
+const TRACKING_LEAN_STREAM_HASH: u64 = 2419197221114425761;
 
 /// A masked site is invisible at the substrate level, not just in sweep
 /// accounting: its `pwb` neither ticks the crash countdown, nor records a
