@@ -125,9 +125,9 @@ fn eff_status(m: u64, epoch: u64) -> u64 {
 pub(crate) const BUF_CAP: usize = 8;
 
 /// Thread slots for the combining buffers, mirroring the trace's ring
-/// count. Slots are indexed by `trace_tid() % N_SLOTS`; a collision (more
-/// live threads than slots) merely shares a buffer, which is sound — any
-/// real fence drains every occupied slot — just less private.
+/// count. Slots are indexed by `thread_serial() % N_SLOTS`; a collision
+/// (more live threads than slots) merely shares a buffer, which is sound —
+/// any real fence drains every occupied slot — just less private.
 const N_SLOTS: usize = 64;
 
 /// One thread's combining buffer: a fixed array of deferred
@@ -292,7 +292,7 @@ impl FlushOpt {
             FO_FLUSHED | FO_CLEAN => FlushDecision::Elide,
             // Dirty or unknown: park it in the combining buffer.
             _ => {
-                let slot = &self.slots[crate::trace::trace_tid() % N_SLOTS];
+                let slot = &self.slots[crate::trace::thread_serial() % N_SLOTS];
                 let mut buf = lock(&slot.buf);
                 if buf.entries[..buf.len].iter().any(|&(l, _)| l == line) {
                     return FlushDecision::Coalesced;
@@ -309,7 +309,7 @@ impl FlushOpt {
                 // (which would transiently underflow `deferred`).
                 if n == 0 {
                     self.occupied.fetch_or(
-                        1 << (crate::trace::trace_tid() % N_SLOTS),
+                        1 << (crate::trace::thread_serial() % N_SLOTS),
                         Ordering::Relaxed,
                     );
                 }
@@ -502,7 +502,7 @@ impl FlushOpt {
         drop(journal);
         self.unfenced.store(snap.unfenced, Ordering::Relaxed);
         if !snap.deferred.is_empty() {
-            let tid = crate::trace::trace_tid() % N_SLOTS;
+            let tid = crate::trace::thread_serial() % N_SLOTS;
             let mut buf = lock(&self.slots[tid].buf);
             for (i, &e) in snap.deferred.iter().take(BUF_CAP).enumerate() {
                 buf.entries[i] = e;

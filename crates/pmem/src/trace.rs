@@ -58,8 +58,9 @@
 //! assert_eq!(snap.events.last().unwrap().kind, EventKind::Psync);
 //! ```
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use crate::persist::SiteId;
 
@@ -68,7 +69,8 @@ use crate::persist::SiteId;
 pub const NO_SITE: u8 = u8::MAX;
 
 /// Number of per-thread rings a trace multiplexes over. Threads claim a
-/// ring by CAS on first record (linear probe from `tid % N_RINGS`);
+/// ring by CAS on first record (linear probe from their
+/// [`thread_serial`] mod `N_RINGS`);
 /// [`Trace::clear`] — which only runs at quiescent points — releases every
 /// claim, so a long-lived pool serving many short-lived threads (the
 /// explore engine spawns fresh workers per schedule) cannot exhaust the
@@ -156,23 +158,87 @@ thread_local! {
     };
 }
 
+/// Never-used thread ids: the next one handed out when [`FREE_TIDS`] is
+/// empty.
+static NEXT_TID: AtomicUsize = AtomicUsize::new(0);
+
+/// Ids of exited threads, handed out again before fresh ones so that ids
+/// stay below the stats layer's exclusively owned shards however many
+/// threads a process starts over its lifetime. The mutex orders the exited
+/// holder's last single-writer stats increment (its release) before the
+/// next holder's first (its acquire).
+static FREE_TIDS: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+
+thread_local! {
+    static TID: Cell<usize> = const { Cell::new(usize::MAX) };
+    static TID_RELEASE: TidRelease = const { TidRelease };
+}
+
+/// Returns the thread's id to [`FREE_TIDS`] when the thread exits.
+struct TidRelease;
+
+impl Drop for TidRelease {
+    fn drop(&mut self) {
+        let tid = TID.replace(usize::MAX);
+        if tid != usize::MAX {
+            FREE_TIDS
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(tid);
+        }
+    }
+}
+
 /// Process-wide small integer identifying the calling thread in trace
-/// events. Assigned on first use, stable for the thread's lifetime.
+/// events, stats shards and lint findings. Assigned on first use, stable
+/// for the thread's lifetime, and recycled after the thread exits. A
+/// thread that first asks during its own teardown, after its release hook
+/// ran, gets a fresh id it never returns. Trace rings and flush-elision
+/// slots are keyed by [`thread_serial`] instead.
+#[inline]
 pub(crate) fn trace_tid() -> usize {
+    let v = TID.get();
+    if v != usize::MAX {
+        v
+    } else {
+        claim_tid()
+    }
+}
+
+/// [`trace_tid`]'s first call on a thread: a freed id if there is one,
+/// else a fresh one. It claims the thread's serial too, so serials number
+/// threads in the order they first touch an instrumented pool.
+#[cold]
+#[inline(never)]
+fn claim_tid() -> usize {
+    thread_serial();
+    let v = if TID_RELEASE.try_with(|_| ()).is_ok() {
+        let free = FREE_TIDS.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        free.unwrap_or_else(|| NEXT_TID.fetch_add(1, Ordering::Relaxed))
+    } else {
+        NEXT_TID.fetch_add(1, Ordering::Relaxed)
+    };
+    TID.set(v);
+    v
+}
+
+/// A never-recycled serial of the calling thread, assigned on first use.
+/// Trace rings are claimed by it rather than by the recyclable
+/// [`trace_tid`], so a thread that inherits an exited thread's id still
+/// writes a ring of its own, and a ring's capacity stays per thread. The
+/// flush-elision layer's combining slots are keyed by it too, so which
+/// threads share a slot, and with it what the layer elides, does not
+/// depend on which ids earlier threads gave back.
+#[inline]
+pub(crate) fn thread_serial() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
-        static TID: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
+        static SERIAL: Cell<usize> = const { Cell::new(usize::MAX) };
     }
-    TID.with(|t| {
-        let v = t.get();
-        if v != usize::MAX {
-            v
-        } else {
-            let v = NEXT.fetch_add(1, Ordering::Relaxed);
-            t.set(v);
-            v
-        }
-    })
+    if SERIAL.get() == usize::MAX {
+        SERIAL.set(NEXT.fetch_add(1, Ordering::Relaxed));
+    }
+    SERIAL.get()
 }
 
 /// The kind of instrumented event.
@@ -246,7 +312,8 @@ pub struct Event {
     pub seq: u64,
     /// What happened.
     pub kind: EventKind,
-    /// Process-wide trace index of the thread that issued the event.
+    /// Process-wide id of the thread that issued the event; an exited
+    /// thread's id is handed to a later thread.
     pub tid: usize,
     /// Attributed call site, or [`NO_SITE`].
     pub site: u8,
@@ -265,8 +332,8 @@ pub struct Event {
 /// = 512 GiB of pool — far above any configurable pool ([`crate::PoolCfg`]
 /// capacities are process-heap allocations).
 const PACK_ADDR_BITS: u32 = 36;
-/// Trace tids above this saturate in recorded events (the ring claim still
-/// uses the real tid). 65535 concurrently attributable threads is far
+/// Trace tids above this saturate in recorded events (the ring claim uses
+/// the thread's serial). 65535 concurrently attributable threads is far
 /// beyond any in-tree harness; saturation only blurs *labels*, never
 /// ordering or safety.
 const PACK_TID_MAX: usize = (1 << 16) - 1;
@@ -327,7 +394,7 @@ impl TraceSnapshot {
 /// One single-writer ring: claimed by a thread on first record, written
 /// only by that thread, read by snapshotters.
 struct Ring {
-    /// Claiming thread's trace tid, or [`FREE`].
+    /// Claiming thread's [`thread_serial`], or [`FREE`].
     owner: AtomicUsize,
     /// Entries ever pushed by the owner (monotone within a claim; reset
     /// only by a quiescent [`Trace::clear`]).
@@ -448,23 +515,24 @@ impl Trace {
         self.seq.load(Ordering::SeqCst)
     }
 
-    /// The calling thread's ring index: the slot it already owns, else the
-    /// first free slot from `tid % N_RINGS` claimed by CAS. With every
-    /// in-tree harness a pool sees at most a handful of live threads
-    /// between quiescent clears, so the probe hits on the first load.
+    /// The calling thread's ring index: the slot its [`thread_serial`]
+    /// already owns, else the first free slot from `serial % N_RINGS`
+    /// claimed by CAS. With every in-tree harness a pool sees at most a
+    /// handful of live threads between quiescent clears, so the probe hits
+    /// on the first load.
     #[inline]
-    fn ring_idx(&self, tid: usize) -> usize {
-        let start = tid % N_RINGS;
+    fn ring_idx(&self, serial: usize) -> usize {
+        let start = serial % N_RINGS;
         for i in 0..N_RINGS {
             let idx = (start + i) % N_RINGS;
             let owner = self.rings[idx].owner.load(Ordering::Relaxed);
-            if owner == tid {
+            if owner == serial {
                 return idx;
             }
             if owner == FREE
                 && self.rings[idx]
                     .owner
-                    .compare_exchange(FREE, tid, Ordering::AcqRel, Ordering::Relaxed)
+                    .compare_exchange(FREE, serial, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
             {
                 return idx;
@@ -515,7 +583,7 @@ impl Trace {
         let tid = trace_tid();
         let packed = pack_cell(addr, kind, site, dirty, tid);
         let id = self.id.load(Ordering::Relaxed);
-        let ring = &self.rings[self.ring_idx(tid)];
+        let ring = &self.rings[self.ring_idx(thread_serial())];
         let buf = ring.buf(self.ring_slots);
         RING_CACHE.set(RingCache {
             trace_id: id,

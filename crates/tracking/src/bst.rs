@@ -42,7 +42,7 @@ use std::sync::Arc;
 use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
-use crate::help::help;
+use crate::help::{help, help_tagged};
 use crate::op;
 use crate::result::{dec_bool, enc_bool, BOTTOM};
 use crate::sites::{S_CP, S_NEW};
@@ -191,8 +191,7 @@ impl RecoverableBst {
             // Gather phase (lines 8–10)
             let s = self.search(key);
             // Helping phase (lines 11–13)
-            if is_tagged(s.p_info) {
-                help(pool, Desc::from_raw(s.p_info));
+            if help_tagged(pool, &[s.p_info]) {
                 continue;
             }
             let l_key = pool.load(s.l.add(N_KEY));
@@ -291,13 +290,9 @@ impl RecoverableBst {
         loop {
             // Gather phase (lines 46–48)
             let s = self.search(key);
-            // Helping phase (lines 49–53)
-            if !s.gp.is_null() && is_tagged(s.gp_info) {
-                help(pool, Desc::from_raw(s.gp_info));
-                continue;
-            }
-            if is_tagged(s.p_info) {
-                help(pool, Desc::from_raw(s.p_info));
+            // Helping phase (lines 49–53); a null gp has `gp_info == 0`,
+            // which is untagged
+            if help_tagged(pool, &[s.gp_info, s.p_info]) {
                 continue;
             }
             if pool.load(s.l.add(N_KEY)) != key {
@@ -382,8 +377,7 @@ impl RecoverableBst {
         let pool = &*self.pool;
         loop {
             let s = self.search(key);
-            if is_tagged(s.p_info) {
-                help(pool, Desc::from_raw(s.p_info));
+            if help_tagged(pool, &[s.p_info]) {
                 continue;
             }
             return pool.load(s.l.add(N_KEY)) == key;

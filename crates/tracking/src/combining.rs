@@ -58,11 +58,8 @@
 //! `recover_*`:
 //!
 //! * `CP_q = 0` or `RD_q = 0`: the announcement line never became
-//!   durable, so no combiner can have seen a request (requests are set
-//!   only after the announcement `psync`... or the crash reset them) —
-//!   wait: a request *observed before the crash* implies the announcement
-//!   `psync` completed, hence `RD_q = s` would have survived. Either way
-//!   the operation is invisible; re-execute from scratch.
+//!   durable. A request is set only after the announcement's `psync`,
+//!   so no combiner saw this operation; re-execute it from scratch.
 //! * `RD_q = s` and the current round's `table[q].applied_seq ≥ s`: the
 //!   operation was applied in a durable round; return the recorded
 //!   result without re-executing.

@@ -38,10 +38,10 @@
 
 use std::sync::Arc;
 
-use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
+use pmem::{PAddr, PmemPool, ThreadCtx};
 
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
-use crate::help::help;
+use crate::help::{help, help_tagged};
 use crate::op;
 use crate::result::{dec_val, BOTTOM, TRUE};
 use crate::sites::{S_CP, S_NEW, S_PARTNER};
@@ -128,8 +128,7 @@ impl RecoverableExchanger {
             let nd_raw = pool.load(self.slot);
             let nd = PAddr::from_raw(nd_raw);
             let info = pool.load(nd.add(N_INFO));
-            if is_tagged(info) {
-                help(pool, Desc::from_raw(info));
+            if help_tagged(pool, &[info]) {
                 continue;
             }
             if pool.load(nd.add(N_FREE)) == 1 {
@@ -243,9 +242,8 @@ impl RecoverableExchanger {
                 return Some(partner - 1);
             }
             let info = pool.load(nd_p.add(N_INFO));
-            if is_tagged(info) {
-                // a collider is mid-flight on our node: help it finish
-                help(pool, Desc::from_raw(info));
+            // a collider is mid-flight on our node: help it finish
+            if help_tagged(pool, &[info]) {
                 continue;
             }
             let free2 = ctx.palloc(1);

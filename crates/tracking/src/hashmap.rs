@@ -2,12 +2,13 @@
 //! table** — the Tracking transformation applied to a structure class the
 //! paper did not cover.
 //!
-//! Each bucket is a sorted linked list in the style of [`crate::list`]
-//! (per-bucket `head`/`tail` sentinels, one-line nodes carrying an extra
-//! `value` word). The table grows by publishing a **new level** whose bucket
-//! directory is twice as large and migrating every old bucket into it; the
-//! resize protocol itself runs through the same descriptor/`help` machinery
-//! as user operations, so it is restartable from *any* crash point:
+//! Each bucket is a sorted linked list built on the shared chain, the one
+//! under the list too (per-bucket `head`/`tail` sentinels, one-line nodes
+//! carrying an extra `value` word). The table grows by publishing a **new
+//! level** whose bucket directory is twice as large and migrating every old
+//! bucket into it; the resize protocol itself runs through the same
+//! descriptor/`help` machinery as user operations, so it is restartable
+//! from *any* crash point:
 //!
 //! * **Publish**: the new level (directory + fresh sentinels) is built and
 //!   persisted, then installed with a CAS on the header's `next` word.
@@ -68,9 +69,10 @@ use std::sync::Arc;
 
 use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 
-use crate::descriptor::{AffectEntry, Desc, WriteEntry};
-use crate::help::help;
-use crate::list::{KEY_MAX, KEY_MIN};
+use crate::chain::{self, Pair};
+use crate::descriptor::{AffectEntry, Desc};
+use crate::help::{help, help_tagged};
+use crate::list::KEY_MAX;
 use crate::op;
 use crate::result::{dec_val, enc_val, BOTTOM, FALSE, TRUE};
 use crate::sites::{S_CP, S_CURSOR, S_DESC, S_LEVEL, S_NEW};
@@ -83,12 +85,6 @@ pub const OP_REMOVE: u8 = 11;
 pub const OP_MOVE: u8 = 13;
 /// Descriptor op-type tag for resize bucket seals.
 pub const OP_SEAL: u8 = 14;
-
-// Node layout (one cache line): w0 = key, w1 = next, w2 = info, w3 = value.
-const N_KEY: u64 = 0;
-const N_NEXT: u64 = 1;
-const N_INFO: u64 = 2;
-const N_VAL: u64 = 3;
 
 // Header line: w0 = current level, w1 = pending next level (0 = none).
 const H_CURR: u64 = 0;
@@ -132,20 +128,6 @@ pub struct RecoverableHashMap {
     pool: Arc<PmemPool>,
     header: PAddr,
     cfg: HashMapConfig,
-}
-
-/// Result of the bucket gather phase (the list `Search` plus the bucket
-/// head's stamp at traversal start and the traversal length).
-struct SearchRes {
-    pred: PAddr,
-    curr: PAddr,
-    pred_info: u64,
-    curr_info: u64,
-    /// `head.info` read before the first link was followed; an unchanged,
-    /// untagged re-read validates read-only *absent* answers.
-    head_info0: u64,
-    /// User nodes traversed (resize trigger input).
-    traversed: u64,
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -198,10 +180,7 @@ impl RecoverableHashMap {
     }
 
     fn assert_user_kv(key: u64, val: u64) {
-        assert!(
-            key > KEY_MIN && key < KEY_MAX,
-            "user keys must lie strictly between the sentinels"
-        );
+        chain::assert_user_key(key);
         assert!(val <= u64::MAX - 4, "value too large for result encoding");
     }
 
@@ -217,17 +196,7 @@ impl RecoverableHashMap {
         for i in 0..nbuckets {
             let head = alloc(1);
             let tail = alloc(1);
-            pool.store(head.add(N_KEY), KEY_MIN);
-            pool.store(head.add(N_NEXT), tail.raw());
-            pool.store(head.add(N_INFO), 0);
-            pool.store(head.add(N_VAL), 0);
-            pool.store(tail.add(N_KEY), KEY_MAX);
-            pool.store(tail.add(N_NEXT), 0);
-            pool.store(tail.add(N_INFO), 0);
-            pool.store(tail.add(N_VAL), 0);
-            pool.store(lvl.add(L_BUCKETS + i), head.raw());
-            pool.pwb(head, S_NEW);
-            pool.pwb(tail, S_NEW);
+            chain::sentinels(pool, head, tail, Some(lvl.add(L_BUCKETS + i)));
         }
         pool.pwb_range(lvl, nwords as usize, S_LEVEL);
         lvl
@@ -238,36 +207,6 @@ impl RecoverableHashMap {
         let nb = pool.load(lvl.add(L_NB));
         let idx = splitmix64(key) & (nb - 1);
         PAddr::from_raw(pool.load(lvl.add(L_BUCKETS + idx)))
-    }
-
-    /// The list `Search` scoped to one bucket chain.
-    fn search_from(&self, head: PAddr, key: u64) -> SearchRes {
-        let pool = &*self.pool;
-        // Fence-coalescing region over the bucket traversal (see
-        // `pmem::flushopt`): helper re-flushes of already-clean chain lines
-        // may elide here.
-        let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
-        let mut pred = PAddr::NULL;
-        let mut pred_info = 0;
-        let mut curr = head;
-        let mut curr_info = pool.load(curr.add(N_INFO));
-        let head_info0 = curr_info;
-        let mut traversed = 0u64;
-        while pool.load(curr.add(N_KEY)) < key {
-            pred = curr;
-            pred_info = curr_info;
-            curr = PAddr::from_raw(pool.load(curr.add(N_NEXT)));
-            curr_info = pool.load(curr.add(N_INFO));
-            traversed += 1;
-        }
-        SearchRes {
-            pred,
-            curr,
-            pred_info,
-            curr_info,
-            head_info0,
-            traversed: traversed.saturating_sub(1), // don't count the head
-        }
     }
 
     /// Returns the current level, first driving any pending resize to
@@ -297,12 +236,8 @@ impl RecoverableHashMap {
     /// when its tag is an orphan of a crashed operation.
     fn absent_still_valid(&self, head: PAddr, head_info0: u64) -> bool {
         let pool = &*self.pool;
-        let now = pool.load(head.add(N_INFO));
-        if is_tagged(now) {
-            help(pool, Desc::from_raw(now));
-            return false;
-        }
-        now == head_info0 && pool.load(self.header.add(H_NEXT)) == 0
+        let now = chain::info(pool, head);
+        !help_tagged(pool, &[now]) && now == head_info0 && pool.load(self.header.add(H_NEXT)) == 0
     }
 
     // ------------------------------------------------------------------
@@ -328,14 +263,9 @@ impl RecoverableHashMap {
         op::begin(ctx);
         loop {
             let lvl = self.current_level(ctx);
-            let head = self.bucket_head(lvl, key);
-            let s = self.search_from(head, key);
-            if is_tagged(s.pred_info) {
-                help(pool, Desc::from_raw(s.pred_info));
-                continue;
-            }
-            if is_tagged(s.curr_info) {
-                help(pool, Desc::from_raw(s.curr_info));
+            let g = chain::search(pool, self.bucket_head(lvl, key), key, false);
+            let s = g.pair;
+            if s.help(pool) {
                 continue;
             }
             // Stale-level guard: if a resize started before our gather, the
@@ -346,11 +276,11 @@ impl RecoverableHashMap {
             if pool.load(self.header.add(H_NEXT)) != 0 {
                 continue;
             }
-            if s.traversed > self.cfg.max_chain {
+            if g.traversed > self.cfg.max_chain {
                 self.start_resize(ctx, lvl);
                 continue;
             }
-            let curr_key = pool.load(s.curr.add(N_KEY));
+            let curr_key = chain::key(pool, s.curr);
             if curr_key == key {
                 // Read-only outcome (a presence answer: valid by curr's own
                 // untagged stamp, no resize validation needed), recorded
@@ -362,40 +292,8 @@ impl RecoverableHashMap {
                 return false;
             }
             let desc = Desc::alloc(pool);
-            // newcurr becomes a copy of curr (tagged with opInfo); the
-            // gathered curr_info validates these reads at tagging time.
-            pool.store(newcurr.add(N_KEY), curr_key);
-            pool.store(newcurr.add(N_NEXT), pool.load(s.curr.add(N_NEXT)));
-            pool.store(newcurr.add(N_INFO), desc.tagged());
-            pool.store(newcurr.add(N_VAL), pool.load(s.curr.add(N_VAL)));
-            pool.store(newnd.add(N_KEY), key);
-            pool.store(newnd.add(N_NEXT), newcurr.raw());
-            pool.store(newnd.add(N_INFO), desc.tagged());
-            pool.store(newnd.add(N_VAL), val);
-            desc.init(
-                pool,
-                OP_PUT,
-                TRUE,
-                &[
-                    AffectEntry {
-                        info_addr: s.pred.add(N_INFO),
-                        observed: s.pred_info,
-                        untag_on_cleanup: true,
-                    },
-                    AffectEntry {
-                        info_addr: s.curr.add(N_INFO),
-                        observed: s.curr_info,
-                        // curr is replaced by its copy: tagged forever
-                        untag_on_cleanup: false,
-                    },
-                ],
-                &[WriteEntry {
-                    field: s.pred.add(N_NEXT),
-                    old: s.curr.raw(),
-                    new: newnd.raw(),
-                }],
-                &[newcurr.add(N_INFO), newnd.add(N_INFO)],
-            );
+            s.fill_copy(pool, desc, curr_key, newcurr, newnd, key, Some(val));
+            s.init_insert(pool, desc, OP_PUT, TRUE, newcurr, newnd);
             op::publish(ctx, desc, &[newcurr, newnd]);
             help(pool, desc);
             if desc.result(pool) != BOTTOM {
@@ -432,22 +330,17 @@ impl RecoverableHashMap {
         let pool = &*self.pool;
         op::begin(ctx);
         loop {
-            let lvl = self.current_level(ctx);
-            let head = self.bucket_head(lvl, key);
-            let s = self.search_from(head, key);
-            if is_tagged(s.pred_info) {
-                help(pool, Desc::from_raw(s.pred_info));
+            let head = self.bucket_head(self.current_level(ctx), key);
+            let g = chain::search(pool, head, key, false);
+            let s = g.pair;
+            if s.help(pool) {
                 continue;
             }
-            if is_tagged(s.curr_info) {
-                help(pool, Desc::from_raw(s.curr_info));
-                continue;
-            }
-            let absent = pool.load(s.curr.add(N_KEY)) != key;
+            let absent = chain::key(pool, s.curr) != key;
             if absent {
                 // An absent answer over a bucket that may have been drained
                 // into another level is void: validate *before* publishing.
-                if !self.absent_still_valid(head, s.head_info0) {
+                if !self.absent_still_valid(head, g.head_info0) {
                     continue;
                 }
                 op::record_false(ctx);
@@ -455,32 +348,10 @@ impl RecoverableHashMap {
             }
             // Present: unlink curr; its gathered value becomes the response
             // (immutable while bound, so the stamp CAS validates it too).
-            let succ = pool.load(s.curr.add(N_NEXT));
-            let val = pool.load(s.curr.add(N_VAL));
+            let succ = chain::next(pool, s.curr);
+            let val = chain::value(pool, s.curr);
             let desc = Desc::alloc(pool);
-            desc.init(
-                pool,
-                OP_REMOVE,
-                enc_val(val),
-                &[
-                    AffectEntry {
-                        info_addr: s.pred.add(N_INFO),
-                        observed: s.pred_info,
-                        untag_on_cleanup: true,
-                    },
-                    AffectEntry {
-                        info_addr: s.curr.add(N_INFO),
-                        observed: s.curr_info,
-                        untag_on_cleanup: false, // removed: tagged forever
-                    },
-                ],
-                &[WriteEntry {
-                    field: s.pred.add(N_NEXT),
-                    old: s.curr.raw(),
-                    new: succ,
-                }],
-                &[],
-            );
+            s.init_unlink(pool, desc, OP_REMOVE, enc_val(val), succ);
             op::publish(ctx, desc, &[]);
             help(pool, desc);
             let r = desc.result(pool);
@@ -510,21 +381,16 @@ impl RecoverableHashMap {
         Self::assert_user_kv(key, 0);
         let pool = &*self.pool;
         loop {
-            let lvl = self.current_level(ctx);
-            let head = self.bucket_head(lvl, key);
-            let s = self.search_from(head, key);
-            if is_tagged(s.pred_info) {
-                help(pool, Desc::from_raw(s.pred_info));
+            let head = self.bucket_head(self.current_level(ctx), key);
+            let g = chain::search(pool, head, key, false);
+            let s = g.pair;
+            if s.help(pool) {
                 continue;
             }
-            if is_tagged(s.curr_info) {
-                help(pool, Desc::from_raw(s.curr_info));
-                continue;
+            if chain::key(pool, s.curr) == key {
+                return Some(chain::value(pool, s.curr));
             }
-            if pool.load(s.curr.add(N_KEY)) == key {
-                return Some(pool.load(s.curr.add(N_VAL)));
-            }
-            if self.absent_still_valid(head, s.head_info0) {
+            if self.absent_still_valid(head, g.head_info0) {
                 return None;
             }
         }
@@ -562,7 +428,7 @@ impl RecoverableHashMap {
             // final directory), the sentinels recycle.
             for i in 0..nb {
                 let head = PAddr::from_raw(pool.load(newl.add(L_BUCKETS + i)));
-                let tail = PAddr::from_raw(pool.load(head.add(N_NEXT)));
+                let tail = PAddr::from_raw(chain::next(pool, head));
                 ctx.retire(head, 1);
                 ctx.retire(tail, 1);
             }
@@ -620,7 +486,7 @@ impl RecoverableHashMap {
         let pool = &*self.pool;
         let head = PAddr::from_raw(pool.load(oldl.add(L_BUCKETS + i)));
         loop {
-            let hinfo = pool.load(head.add(N_INFO));
+            let hinfo = chain::info(pool, head);
             if is_tagged(hinfo) {
                 let d = Desc::from_raw(hinfo);
                 help(pool, d);
@@ -629,8 +495,8 @@ impl RecoverableHashMap {
                 }
                 continue;
             }
-            let first = PAddr::from_raw(pool.load(head.add(N_NEXT)));
-            if pool.load(first.add(N_KEY)) == KEY_MAX {
+            let first = PAddr::from_raw(chain::next(pool, head));
+            if chain::key(pool, first) == KEY_MAX {
                 // Empty chain: seal. The tag CAS succeeds only if the head
                 // stamp is still `hinfo`, i.e. the bucket stayed empty.
                 let d = Desc::alloc(pool);
@@ -639,7 +505,7 @@ impl RecoverableHashMap {
                     OP_SEAL,
                     TRUE,
                     &[AffectEntry {
-                        info_addr: head.add(N_INFO),
+                        info_addr: chain::info_addr(head),
                         observed: hinfo,
                         untag_on_cleanup: false, // sealed forever
                     }],
@@ -659,107 +525,52 @@ impl RecoverableHashMap {
             }
             // Move `first`. Gather its fields *after* its stamp: the tag
             // CAS expecting `finfo` validates them all.
-            let finfo = pool.load(first.add(N_INFO));
-            if is_tagged(finfo) {
-                help(pool, Desc::from_raw(finfo));
+            let finfo = chain::info(pool, first);
+            if help_tagged(pool, &[finfo]) {
                 continue;
             }
-            let key = pool.load(first.add(N_KEY));
-            let val = pool.load(first.add(N_VAL));
-            let succ = pool.load(first.add(N_NEXT));
-            let nhead = self.bucket_head(newl, key);
-            let s = self.search_from(nhead, key);
-            if is_tagged(s.pred_info) {
-                help(pool, Desc::from_raw(s.pred_info));
-                continue;
-            }
-            if is_tagged(s.curr_info) {
-                help(pool, Desc::from_raw(s.curr_info));
+            let key = chain::key(pool, first);
+            let val = chain::value(pool, first);
+            let succ = chain::next(pool, first);
+            // The link the move drains: `first` keeps its tag forever.
+            let out = Pair {
+                pred: head,
+                curr: first,
+                pred_info: hinfo,
+                curr_info: finfo,
+            };
+            let s = chain::search(pool, self.bucket_head(newl, key), key, false).pair;
+            if s.help(pool) {
                 continue;
             }
             let d = Desc::alloc(pool);
-            if pool.load(s.curr.add(N_KEY)) == key {
+            let copy = if chain::key(pool, s.curr) == key {
                 // Defensive: the key is already in the new level (a remnant
                 // of an interrupted move of this very node). Unlink only.
+                out.init_unlink(pool, d, OP_MOVE, TRUE, succ);
+                None
+            } else {
+                // The WriteSet links the copy into the new level *before*
+                // unlinking the original: the key is transiently in both
+                // levels (benign for presence answers) but never in neither.
+                let newnd = ctx.palloc(1);
+                chain::fill(pool, newnd, key, s.curr.raw(), d.tagged(), Some(val));
                 d.init(
                     pool,
                     OP_MOVE,
                     TRUE,
-                    &[
-                        AffectEntry {
-                            info_addr: head.add(N_INFO),
-                            observed: hinfo,
-                            untag_on_cleanup: true,
-                        },
-                        AffectEntry {
-                            info_addr: first.add(N_INFO),
-                            observed: finfo,
-                            untag_on_cleanup: false, // drained: tagged forever
-                        },
-                    ],
-                    &[WriteEntry {
-                        field: head.add(N_NEXT),
-                        old: first.raw(),
-                        new: succ,
-                    }],
-                    &[],
+                    &[out.pred_entry(), out.curr_entry(false), s.pred_entry()],
+                    &[s.swing(newnd.raw()), out.swing(succ)],
+                    &[chain::info_addr(newnd)],
                 );
-                d.pbarrier(pool, S_DESC);
-                help(pool, d);
-                if d.result(pool) != BOTTOM {
-                    ctx.retire(first, 1);
-                }
-                continue;
-            }
-            // The WriteSet links the copy into the new level *before*
-            // unlinking the original: the key is transiently in both levels
-            // (benign for presence answers) but never in neither.
-            let newnd = ctx.palloc(1);
-            pool.store(newnd.add(N_KEY), key);
-            pool.store(newnd.add(N_NEXT), s.curr.raw());
-            pool.store(newnd.add(N_INFO), d.tagged());
-            pool.store(newnd.add(N_VAL), val);
-            d.init(
-                pool,
-                OP_MOVE,
-                TRUE,
-                &[
-                    AffectEntry {
-                        info_addr: head.add(N_INFO),
-                        observed: hinfo,
-                        untag_on_cleanup: true,
-                    },
-                    AffectEntry {
-                        info_addr: first.add(N_INFO),
-                        observed: finfo,
-                        untag_on_cleanup: false, // drained: tagged forever
-                    },
-                    AffectEntry {
-                        info_addr: s.pred.add(N_INFO),
-                        observed: s.pred_info,
-                        untag_on_cleanup: true,
-                    },
-                ],
-                &[
-                    WriteEntry {
-                        field: s.pred.add(N_NEXT),
-                        old: s.curr.raw(),
-                        new: newnd.raw(),
-                    },
-                    WriteEntry {
-                        field: head.add(N_NEXT),
-                        old: first.raw(),
-                        new: succ,
-                    },
-                ],
-                &[newnd.add(N_INFO)],
-            );
-            pool.pwb(newnd, S_NEW);
+                pool.pwb(newnd, S_NEW);
+                Some(newnd)
+            };
             d.pbarrier(pool, S_DESC);
             help(pool, d);
             if d.result(pool) != BOTTOM {
                 ctx.retire(first, 1);
-            } else {
+            } else if let Some(newnd) = copy {
                 ctx.retire(newnd, 1); // never published
             }
         }
@@ -788,15 +599,11 @@ impl RecoverableHashMap {
         let mut out = Vec::new();
         for i in 0..nb {
             let head = PAddr::from_raw(pool.load(lvl.add(L_BUCKETS + i)));
-            let mut curr = PAddr::from_raw(pool.load(head.add(N_NEXT)));
-            loop {
-                let k = pool.load(curr.add(N_KEY));
-                if k == KEY_MAX {
-                    break;
+            chain::walk(pool, head, |n, k| {
+                if k != KEY_MAX {
+                    out.push((k, chain::value(pool, n)));
                 }
-                out.push((k, pool.load(curr.add(N_VAL))));
-                curr = PAddr::from_raw(pool.load(curr.add(N_NEXT)));
-            }
+            });
         }
         out.sort_unstable();
         out
@@ -819,30 +626,13 @@ impl RecoverableHashMap {
         for i in 0..nb {
             let head = PAddr::from_raw(pool.load(lvl.add(L_BUCKETS + i)));
             assert!(
-                !is_tagged(pool.load(head.add(N_INFO))),
+                !is_tagged(chain::info(pool, head)),
                 "current-level bucket {i} head must not be sealed/tagged"
             );
-            let mut prev_key = KEY_MIN;
-            let mut curr = PAddr::from_raw(pool.load(head.add(N_NEXT)));
-            loop {
-                let k = pool.load(curr.add(N_KEY));
-                assert!(k > prev_key, "bucket {i}: keys strictly increasing");
-                assert!(
-                    !is_tagged(pool.load(curr.add(N_INFO))),
-                    "quiescent chain must hold no tagged node (bucket {i}, key {k})"
-                );
-                if k == KEY_MAX {
-                    break;
-                }
-                assert_eq!(
-                    splitmix64(k) & (nb - 1),
-                    i,
-                    "key {k} hashed to the wrong bucket"
-                );
-                prev_key = k;
-                count += 1;
-                curr = PAddr::from_raw(pool.load(curr.add(N_NEXT)));
-            }
+            count += chain::check(pool, head, |k| {
+                let b = splitmix64(k) & (nb - 1);
+                assert_eq!(b, i, "key {k} of bucket {i} hashed to bucket {b}");
+            });
         }
         count
     }

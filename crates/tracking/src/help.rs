@@ -28,7 +28,7 @@
 //! tagging/backtrack/update/cleanup CAS and the `result` store, and a
 //! `psync` at the end of every phase.
 
-use pmem::{PAddr, PmemPool};
+use pmem::{is_tagged, PAddr, PmemPool};
 
 use crate::descriptor::Desc;
 use crate::sites::{S_BACKTRACK, S_CLEANUP, S_RESULT, S_TAG, S_UPDATE};
@@ -122,6 +122,17 @@ pub fn help(pool: &PmemPool, desc: Desc) {
 
     // ---- Cleanup phase (lines 54–58) ----
     cleanup(pool, desc, alen, tag, untag);
+}
+
+/// The helping phase of Algorithm 1 (lines 14–18): if any of the gathered
+/// `info` values is tagged, helps the operation of the first tagged one and
+/// returns `true` (the caller gathers again); returns `false` otherwise.
+pub(crate) fn help_tagged(pool: &PmemPool, infos: &[u64]) -> bool {
+    let tagged = infos.iter().find(|&&info| is_tagged(info));
+    if let Some(&info) = tagged {
+        help(pool, Desc::from_raw(info));
+    }
+    tagged.is_some()
 }
 
 /// The cleanup phase (Algorithm 2 lines 54–58): untags every AffectSet

@@ -37,7 +37,8 @@
 //! record nothing, and the read-only outcome of an update is the immediate
 //! `RD_q := FALSE` (DESIGN.md §7). The list can still run the paper's own
 //! placement ([`list::Placement`]). Each structure supplies only its gather
-//! phase and its descriptor sets (the flat-combining variants run their own
+//! phase and its descriptor sets, the list and the hash map through the
+//! sorted chain they share (the flat-combining variants run their own
 //! announce protocol instead).
 //!
 //! ## What is provided
@@ -56,7 +57,8 @@
 //! * [`stack::RecoverableStack`] — a detectably recoverable Treiber-style
 //!   LIFO stack (same engine, fourth shape).
 //! * [`hashmap::RecoverableHashMap`] — a detectably recoverable,
-//!   Clevel-style *resizable* hash table: bucket operations **and the
+//!   Clevel-style *resizable* hash table, its buckets built on the shared
+//!   chain: bucket operations **and the
 //!   resize protocol itself** (level publish, helped bucket migration,
 //!   seal/finish) run through the Tracking machinery, so a resize is
 //!   restartable from any crash point with no lost or duplicated keys.
@@ -81,6 +83,7 @@
 #![warn(missing_docs)]
 
 pub mod bst;
+mod chain;
 pub mod combining;
 pub mod descriptor;
 pub mod exchanger;

@@ -1,9 +1,12 @@
 //! The detectably recoverable sorted linked list — Section 4 of the paper
 //! (Algorithms 3 and 4, types and initialization of Figure 2).
 //!
-//! The list is sorted by strictly increasing key with two sentinels, `head`
-//! (key [`KEY_MIN`]) and `tail` (key [`KEY_MAX`]); user keys lie strictly
-//! between. A node is one cache line: `⟨key, next, info⟩`.
+//! The list is one sorted chain, the same chain the hash map's buckets are
+//! built on: strictly increasing keys between two sentinels, `head` (key
+//! [`KEY_MIN`]) and `tail` (key [`KEY_MAX`]); user keys lie strictly
+//! between. A node is one cache line: `⟨key, next, info⟩`. The chain owns
+//! the node words, the gather phase and the descriptor sets; this module
+//! owns Algorithm 1's placements and the ablations.
 //!
 //! Characteristic details faithfully carried over from the pseudocode:
 //!
@@ -38,13 +41,14 @@
 
 use std::sync::Arc;
 
-use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
+use pmem::{PAddr, PmemPool, ThreadCtx};
 
-use crate::descriptor::{AffectEntry, Desc, WriteEntry};
-use crate::help::help;
+use crate::chain::{self, Pair};
+use crate::descriptor::Desc;
+use crate::help::{help, help_tagged};
 use crate::op;
 use crate::result::{dec_bool, enc_bool, BOTTOM};
-use crate::sites::{S_CP, S_NEW, S_TRAVERSE};
+use crate::sites::{S_CP, S_NEW};
 
 /// Sentinel key of `head` (smaller than every user key).
 pub const KEY_MIN: u64 = 0;
@@ -57,11 +61,6 @@ pub const OP_INSERT: u8 = 1;
 pub const OP_DELETE: u8 = 2;
 /// Descriptor op-type tag for list finds.
 pub const OP_FIND: u8 = 3;
-
-// Node layout (one cache line): w0 = key, w1 = next, w2 = info.
-const N_KEY: u64 = 0;
-const N_NEXT: u64 = 1;
-const N_INFO: u64 = 2;
 
 /// Where Algorithm 1 places its persistence instructions.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -108,14 +107,6 @@ pub struct RecoverableList {
     cfg: ListConfig,
 }
 
-/// Result of the gather-phase `Search` (Algorithm 3 lines 35–44).
-struct SearchRes {
-    pred: PAddr,
-    curr: PAddr,
-    pred_info: u64,
-    curr_info: u64,
-}
-
 impl RecoverableList {
     /// Creates a new empty list whose head pointer is stored in root cell
     /// `root_idx`, or re-attaches to the list already rooted there (e.g.
@@ -138,14 +129,7 @@ impl RecoverableList {
         }
         let head = pool.alloc_lines(1);
         let tail = pool.alloc_lines(1);
-        pool.store(head.add(N_KEY), KEY_MIN);
-        pool.store(head.add(N_NEXT), tail.raw());
-        pool.store(head.add(N_INFO), 0);
-        pool.store(tail.add(N_KEY), KEY_MAX);
-        pool.store(tail.add(N_NEXT), 0);
-        pool.store(tail.add(N_INFO), 0);
-        pool.pwb(head, S_NEW);
-        pool.pwb(tail, S_NEW);
+        chain::sentinels(&pool, head, tail, None);
         pool.pfence();
         pool.store(root, head.raw());
         pool.pbarrier(root, 1, S_NEW);
@@ -157,13 +141,6 @@ impl RecoverableList {
         &self.pool
     }
 
-    fn assert_user_key(key: u64) {
-        assert!(
-            key > KEY_MIN && key < KEY_MAX,
-            "user keys must lie strictly between the sentinels"
-        );
-    }
-
     /// The prologue (Algorithm 1 lines 1–5) in this list's placement.
     fn begin(&self, ctx: &ThreadCtx) {
         match self.cfg.placement {
@@ -172,40 +149,21 @@ impl RecoverableList {
         }
     }
 
-    /// `Search(key)` — returns the last two nodes of the traversal and the
-    /// `info` values gathered on first access (Algorithm 3 lines 35–44).
-    /// `curr` is the first node with `key' >= key`; `pred` its predecessor.
-    fn search(&self, key: u64) -> SearchRes {
-        let pool = &*self.pool;
-        // Fence-coalescing region for the `traversal_flush` ablation: on a
-        // `pmem::PoolCfg::flushopt` pool the per-node `pwb; pfence` pairs
-        // elide once the traversed lines are clean. Pure permission — a
-        // fence with pending flush work still executes (see `pmem::flushopt`).
-        let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
-        let mut pred = PAddr::NULL;
-        let mut pred_info = 0;
-        let mut curr = self.head;
-        let mut curr_info = pool.load(curr.add(N_INFO));
-        while pool.load(curr.add(N_KEY)) < key {
-            if self.cfg.traversal_flush {
-                // ablation: naive durability-transformation placement
-                pool.pwb(curr, S_TRAVERSE);
-                pool.pfence();
-            }
-            pred = curr;
-            pred_info = curr_info;
-            curr = PAddr::from_raw(pool.load(curr.add(N_NEXT)));
-            curr_info = pool.load(curr.add(N_INFO));
-        }
-        if self.cfg.traversal_flush {
-            pool.pwb(curr, S_TRAVERSE);
-            pool.pfence();
-        }
-        SearchRes {
-            pred,
-            curr,
-            pred_info,
-            curr_info,
+    /// `Search(key)` (Algorithm 3 lines 35–44) over the list's chain, with
+    /// the `traversal_flush` ablation if configured.
+    fn search(&self, key: u64) -> Pair {
+        chain::search(&self.pool, self.head, key, self.cfg.traversal_flush).pair
+    }
+
+    /// A read-only outcome's descriptor in the paper's placements
+    /// (Algorithm 3 lines 21–23, Algorithm 4 lines 63–65): AffectSet
+    /// `{curr}` and response `result`, recorded from the start in
+    /// [`Placement::Paper`] and left to `help` in
+    /// [`Placement::PaperNoReadOpt`].
+    fn init_read_only(&self, s: &Pair, desc: Desc, op_type: u8, result: u64) {
+        s.init_read_only(&self.pool, desc, op_type, result);
+        if self.cfg.placement == Placement::Paper {
+            desc.set_result(&self.pool, result);
         }
     }
 
@@ -222,7 +180,7 @@ impl RecoverableList {
     /// [`Self::insert`] without the system's `CP_q := 0` pre-step (for
     /// harnesses that call [`ThreadCtx::begin_op`] themselves).
     pub fn insert_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        Self::assert_user_key(key);
+        chain::assert_user_key(key);
         let pool = &*self.pool;
         // Lines 1–2: the new nodes are allocated once and reused across
         // attempts (they are only published by a successful tagging phase).
@@ -231,18 +189,12 @@ impl RecoverableList {
         let placement = self.cfg.placement;
         self.begin(ctx);
         loop {
-            // Gather phase (lines 9–13)
+            // Gather phase (lines 9–13), helping phase (lines 14–18)
             let s = self.search(key);
-            // Helping phase (lines 14–18)
-            if is_tagged(s.pred_info) {
-                help(pool, Desc::from_raw(s.pred_info));
+            if s.help(pool) {
                 continue;
             }
-            if is_tagged(s.curr_info) {
-                help(pool, Desc::from_raw(s.curr_info));
-                continue;
-            }
-            if placement == Placement::Lean && pool.load(s.curr.add(N_KEY)) == key {
+            if placement == Placement::Lean && chain::key(pool, s.curr) == key {
                 // Lines 11–12, 21–23, lean: the duplicate is decided before
                 // any descriptor exists, and its answer is the immediate
                 // RD_q := FALSE. The pre-built nodes were never published.
@@ -254,59 +206,16 @@ impl RecoverableList {
                 return false;
             }
             let desc = Desc::alloc(pool);
-            // Line 19: newcurr becomes a copy of curr (tagged with opInfo);
-            // the gathered curr_info validates these reads at tagging time.
-            pool.store(newcurr.add(N_KEY), pool.load(s.curr.add(N_KEY)));
-            pool.store(newcurr.add(N_NEXT), pool.load(s.curr.add(N_NEXT)));
-            pool.store(newcurr.add(N_INFO), desc.tagged());
-            // Line 20 + newnd body
-            pool.store(newnd.add(N_KEY), key);
-            pool.store(newnd.add(N_NEXT), newcurr.raw());
-            pool.store(newnd.add(N_INFO), desc.tagged());
-            let dup = pool.load(s.curr.add(N_KEY)) == key;
+            // Lines 19–20: newcurr becomes a copy of curr, newnd links to it
+            let curr_key = chain::key(pool, s.curr);
+            s.fill_copy(pool, desc, curr_key, newcurr, newnd, key, None);
+            let dup = chain::key(pool, s.curr) == key;
             if dup {
-                // Lines 11–12, 21–23: read-only outcome; AffectSet = {curr}
-                desc.init(
-                    pool,
-                    OP_INSERT,
-                    enc_bool(false),
-                    &[AffectEntry {
-                        info_addr: s.curr.add(N_INFO),
-                        observed: s.curr_info,
-                        untag_on_cleanup: true,
-                    }],
-                    &[],
-                    &[],
-                );
-                if placement == Placement::Paper {
-                    desc.set_result(pool, enc_bool(false));
-                }
+                // Lines 11–12, 21–23: read-only outcome
+                self.init_read_only(&s, desc, OP_INSERT, enc_bool(false));
             } else {
                 // Lines 13, 25–27
-                desc.init(
-                    pool,
-                    OP_INSERT,
-                    enc_bool(true),
-                    &[
-                        AffectEntry {
-                            info_addr: s.pred.add(N_INFO),
-                            observed: s.pred_info,
-                            untag_on_cleanup: true,
-                        },
-                        AffectEntry {
-                            info_addr: s.curr.add(N_INFO),
-                            observed: s.curr_info,
-                            // curr is replaced by its copy: tagged forever
-                            untag_on_cleanup: false,
-                        },
-                    ],
-                    &[WriteEntry {
-                        field: s.pred.add(N_NEXT),
-                        old: s.curr.raw(),
-                        new: newnd.raw(),
-                    }],
-                    &[newcurr.add(N_INFO), newnd.add(N_INFO)],
-                );
+                s.init_insert(pool, desc, OP_INSERT, enc_bool(true), newcurr, newnd);
             }
             // Lines 28–30: pbarrier(newcurr, newnd, *opInfo), then RD_q
             op::publish(ctx, desc, &[newcurr, newnd]);
@@ -361,23 +270,17 @@ impl RecoverableList {
 
     /// [`Self::delete`] without the system's `CP_q := 0` pre-step.
     pub fn delete_started(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        Self::assert_user_key(key);
+        chain::assert_user_key(key);
         let pool = &*self.pool;
         let placement = self.cfg.placement;
         self.begin(ctx);
         loop {
-            // Gather phase (lines 51–55)
+            // Gather phase (lines 51–55), helping phase (lines 56–62)
             let s = self.search(key);
-            // Helping phase (lines 56–62)
-            if is_tagged(s.pred_info) {
-                help(pool, Desc::from_raw(s.pred_info));
+            if s.help(pool) {
                 continue;
             }
-            if is_tagged(s.curr_info) {
-                help(pool, Desc::from_raw(s.curr_info));
-                continue;
-            }
-            let absent = pool.load(s.curr.add(N_KEY)) != key;
+            let absent = chain::key(pool, s.curr) != key;
             if absent && placement == Placement::Lean {
                 // Lines 53–54, 63–65, lean: the immediate RD_q := FALSE.
                 op::record_false(ctx);
@@ -386,48 +289,15 @@ impl RecoverableList {
             let desc = Desc::alloc(pool);
             if absent {
                 // Lines 53–54, 63–65
-                desc.init(
-                    pool,
-                    OP_DELETE,
-                    enc_bool(false),
-                    &[AffectEntry {
-                        info_addr: s.curr.add(N_INFO),
-                        observed: s.curr_info,
-                        untag_on_cleanup: true,
-                    }],
-                    &[],
-                    &[],
-                );
-                if placement == Placement::Paper {
-                    desc.set_result(pool, enc_bool(false));
-                }
+                self.init_read_only(&s, desc, OP_DELETE, enc_bool(false));
             } else {
-                // Lines 55, 66–68: unlink curr (its gathered successor
-                // becomes pred's next; the value is ABA-free because next
-                // fields never repeat — see module docs).
-                let succ = pool.load(s.curr.add(N_NEXT));
-                desc.init(
+                // Lines 55, 66–68: unlink curr
+                s.init_unlink(
                     pool,
+                    desc,
                     OP_DELETE,
                     enc_bool(true),
-                    &[
-                        AffectEntry {
-                            info_addr: s.pred.add(N_INFO),
-                            observed: s.pred_info,
-                            untag_on_cleanup: true,
-                        },
-                        AffectEntry {
-                            info_addr: s.curr.add(N_INFO),
-                            observed: s.curr_info,
-                            untag_on_cleanup: false, // deleted: tagged forever
-                        },
-                    ],
-                    &[WriteEntry {
-                        field: s.pred.add(N_NEXT),
-                        old: s.curr.raw(),
-                        new: succ,
-                    }],
-                    &[],
+                    chain::next(pool, s.curr),
                 );
             }
             // Lines 69–71
@@ -466,38 +336,41 @@ impl RecoverableList {
     /// Is `key` present? Read-only; never tags a node (the paper's
     /// optimization for read-only operations — unless ablated with
     /// [`Placement::PaperNoReadOpt`], in which case the full tag–result–
-    /// cleanup pipeline runs). In the lean placement it records nothing.
+    /// cleanup pipeline produces the response). In the lean placement it
+    /// records nothing.
     pub fn find(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        Self::assert_user_key(key);
+        chain::assert_user_key(key);
         let pool = &*self.pool;
-        let desc = match self.cfg.placement {
-            Placement::Lean => None,
-            // Line 76: one descriptor for the whole operation.
-            Placement::Paper => Some(Desc::alloc(pool)),
-            Placement::PaperNoReadOpt => return self.find_unoptimized(ctx, key),
-        };
+        let placement = self.cfg.placement;
+        // Line 76: the paper's one descriptor for the whole operation.
+        let desc = (placement == Placement::Paper).then(|| Desc::alloc(pool));
+        if placement == Placement::PaperNoReadOpt {
+            op::begin_durable(ctx);
+        }
         loop {
-            // Gather phase (lines 78–80)
+            // Gather phase (lines 78–80), helping phase (lines 81–84)
             let s = self.search(key);
-            // Helping phase (lines 81–84)
-            if is_tagged(s.curr_info) {
-                help(pool, Desc::from_raw(s.curr_info));
+            if help_tagged(pool, &[s.curr_info]) {
                 continue;
             }
             // Lines 85–90: the response depends only on the immutable key
             // of curr; linearizes at the read of curr's info field above.
-            let result = pool.load(s.curr.add(N_KEY)) == key;
+            let found = chain::key(pool, s.curr) == key;
             if let Some(desc) = desc {
-                op::read_only(
-                    ctx,
-                    desc,
-                    OP_FIND,
-                    enc_bool(result),
-                    s.curr.add(N_INFO),
-                    s.curr_info,
-                );
+                op::read_only(ctx, desc, OP_FIND, enc_bool(found), s.curr_entry(true));
+            } else if placement == Placement::PaperNoReadOpt {
+                // A fresh descriptor per attempt: a backtracked descriptor
+                // must never be re-initialized (helpers may still hold
+                // references).
+                let desc = Desc::alloc(pool);
+                self.init_read_only(&s, desc, OP_FIND, enc_bool(found));
+                op::publish(ctx, desc, &[]);
+                help(pool, desc);
+                if desc.result(pool) == BOTTOM {
+                    continue;
+                }
             }
-            return result;
+            return found;
         }
     }
 
@@ -508,43 +381,6 @@ impl RecoverableList {
         self.find(ctx, key)
     }
 
-    /// Find without the read-only optimization (ablation): the response is
-    /// produced by the full `help` pipeline — tag `curr`, write the
-    /// result, clean up — exactly what the paper's red code lines avoid.
-    fn find_unoptimized(&self, ctx: &ThreadCtx, key: u64) -> bool {
-        let pool = &*self.pool;
-        op::begin_durable(ctx);
-        loop {
-            let s = self.search(key);
-            if is_tagged(s.curr_info) {
-                help(pool, Desc::from_raw(s.curr_info));
-                continue;
-            }
-            let found = pool.load(s.curr.add(N_KEY)) == key;
-            // fresh descriptor per attempt: a backtracked descriptor must
-            // never be re-initialized (helpers may still hold references)
-            let desc = Desc::alloc(pool);
-            desc.init(
-                pool,
-                OP_FIND,
-                enc_bool(found),
-                &[AffectEntry {
-                    info_addr: s.curr.add(N_INFO),
-                    observed: s.curr_info,
-                    untag_on_cleanup: true,
-                }],
-                &[],
-                &[],
-            );
-            op::publish(ctx, desc, &[]);
-            help(pool, desc);
-            let r = desc.result(pool);
-            if r != BOTTOM {
-                return dec_bool(r);
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Quiescent inspection helpers (tests, examples, validation)
     // ------------------------------------------------------------------
@@ -552,45 +388,20 @@ impl RecoverableList {
     /// Collects the user keys in list order. Only meaningful while no
     /// operation is in flight.
     pub fn keys(&self) -> Vec<u64> {
-        let pool = &*self.pool;
         let mut out = Vec::new();
-        let mut curr = PAddr::from_raw(pool.load(self.head.add(N_NEXT)));
-        loop {
-            let k = pool.load(curr.add(N_KEY));
-            if k == KEY_MAX {
-                return out;
+        chain::walk(&self.pool, self.head, |_, k| {
+            if k != KEY_MAX {
+                out.push(k);
             }
-            out.push(k);
-            curr = PAddr::from_raw(pool.load(curr.add(N_NEXT)));
-        }
+        });
+        out
     }
 
     /// Checks structural invariants (quiescent): strictly sorted keys,
     /// reachable tail, and no node left tagged. Returns the number of user
     /// keys. Panics on violation.
     pub fn check_invariants(&self) -> usize {
-        let pool = &*self.pool;
-        let mut count = 0;
-        let mut prev_key = KEY_MIN;
-        let mut curr = PAddr::from_raw(pool.load(self.head.add(N_NEXT)));
-        loop {
-            let k = pool.load(curr.add(N_KEY));
-            assert!(
-                k > prev_key,
-                "keys must be strictly increasing: {prev_key} !< {k}"
-            );
-            let info = pool.load(curr.add(N_INFO));
-            assert!(
-                !is_tagged(info),
-                "quiescent list must hold no tagged node (key {k})"
-            );
-            if k == KEY_MAX {
-                return count;
-            }
-            prev_key = k;
-            count += 1;
-            curr = PAddr::from_raw(pool.load(curr.add(N_NEXT)));
-        }
+        chain::check(&self.pool, self.head, |_| {})
     }
 }
 

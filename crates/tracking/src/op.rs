@@ -78,24 +78,11 @@ pub(crate) fn record_false(ctx: &ThreadCtx) {
 }
 
 /// The paper's read-only outcome (its pseudocode's red lines): `desc`'s
-/// AffectSet is the node whose `info` word at `info_addr` held `observed`
-/// when the answer was read (untagged on cleanup, should the descriptor
-/// ever be helped), and its result is `result` from the start. Such an
-/// operation linearizes at that read.
-pub(crate) fn read_only(
-    ctx: &ThreadCtx,
-    desc: Desc,
-    op_type: u8,
-    result: u64,
-    info_addr: PAddr,
-    observed: u64,
-) {
+/// AffectSet is `node`, the entry of the node whose `info` word held the
+/// observed value when the answer was read, and its result is `result`
+/// from the start. Such an operation linearizes at that read.
+pub(crate) fn read_only(ctx: &ThreadCtx, desc: Desc, op_type: u8, result: u64, node: AffectEntry) {
     let pool = ctx.pool();
-    let node = AffectEntry {
-        info_addr,
-        observed,
-        untag_on_cleanup: true,
-    };
     desc.init(pool, op_type, result, &[node], &[], &[]);
     desc.set_result(pool, result);
     publish(ctx, desc, &[]);
@@ -181,7 +168,12 @@ mod tests {
         }
         if out == Outcome::ReadOnly {
             if paper {
-                read_only(ctx, a.desc, OP_LINK, FALSE, a.target.add(INFO), 0);
+                let node = AffectEntry {
+                    info_addr: a.target.add(INFO),
+                    observed: 0,
+                    untag_on_cleanup: true,
+                };
+                read_only(ctx, a.desc, OP_LINK, FALSE, node);
             } else {
                 record_false(ctx);
             }

@@ -33,10 +33,10 @@
 
 use std::sync::Arc;
 
-use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
+use pmem::{PAddr, PmemPool, ThreadCtx};
 
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
-use crate::help::help;
+use crate::help::{help, help_tagged};
 use crate::op;
 use crate::result::{dec_val, enc_val, BOTTOM, FALSE};
 use crate::sites::{S_CP, S_NEW};
@@ -130,8 +130,7 @@ impl RecoverableQueue {
             // Gather
             let (last, last_info) = self.find_last();
             // Helping
-            if is_tagged(last_info) {
-                help(pool, Desc::from_raw(last_info));
+            if help_tagged(pool, &[last_info]) {
                 continue;
             }
             let desc = Desc::alloc(pool);
@@ -184,8 +183,7 @@ impl RecoverableQueue {
             let h = PAddr::from_raw(pool.load(self.head_cell));
             let h_info = pool.load(h.add(N_INFO));
             // Helping
-            if is_tagged(h_info) {
-                help(pool, Desc::from_raw(h_info));
+            if help_tagged(pool, &[h_info]) {
                 continue;
             }
             let next = pool.load(h.add(N_NEXT));

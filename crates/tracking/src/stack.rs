@@ -84,10 +84,10 @@
 
 use std::sync::Arc;
 
-use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
+use pmem::{PAddr, PmemPool, ThreadCtx};
 
 use crate::descriptor::{AffectEntry, Desc, WriteEntry};
-use crate::help::help;
+use crate::help::{help, help_tagged};
 use crate::op;
 use crate::result::{dec_val, enc_val, BOTTOM, FALSE};
 use crate::sites::{S_CP, S_NEW};
@@ -176,8 +176,7 @@ impl RecoverableStack {
             let top_word = pool.load(self.top_cell);
             let top = node_of(top_word);
             let info = pool.load(top.add(N_INFO));
-            if is_tagged(info) {
-                help(pool, Desc::from_raw(info));
+            if help_tagged(pool, &[info]) {
                 continue;
             }
             // Validate that `top` is still the top *after* the info read.
@@ -240,8 +239,7 @@ impl RecoverableStack {
             let top_word = pool.load(self.top_cell);
             let top = node_of(top_word);
             let info = pool.load(top.add(N_INFO));
-            if is_tagged(info) {
-                help(pool, Desc::from_raw(info));
+            if help_tagged(pool, &[info]) {
                 continue;
             }
             // Same stale-gather window as in `push_started`: without this

@@ -8,6 +8,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
+use bench::subject::PushPop;
 use integration_tests::Rng;
 use pmem::{PmemPool, PoolCfg, SeededAdversary, SiteId, ThreadCtx};
 use tracking::{RecoverableQueue, RecoverableStack};
@@ -18,105 +19,22 @@ const ROUNDS: usize = 6;
 #[derive(Copy, Clone)]
 enum Pending {
     None,
-    Enq(u64),
-    Deq,
+    Push(u64),
+    Pop,
 }
 
-fn queue_storm() {
-    let pool = Arc::new(PmemPool::new(PoolCfg::model(512 << 20)));
-    let q = RecoverableQueue::new(pool.clone(), 0);
-    let produced: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-    let consumed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-
-    for round in 0..ROUNDS {
-        let barrier = Arc::new(Barrier::new(THREADS + 1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for t in 0..THREADS {
-            let pool = pool.clone();
-            let q = q.clone();
-            let produced = produced.clone();
-            let consumed = consumed.clone();
-            let barrier = barrier.clone();
-            let stop = stop.clone();
-            handles.push(std::thread::spawn(move || {
-                let ctx = ThreadCtx::new(pool.clone(), t);
-                let mut rng = Rng(((round * THREADS + t) as u64 + 1) * 0x9E37_79B9);
-                let mut counter = 0u64;
-                barrier.wait();
-                loop {
-                    if stop.load(Ordering::Relaxed) && !pool.crash_ctl().raised() {
-                        return (ctx, Pending::None);
-                    }
-                    let r = rng.next();
-                    if pmem::run_crashable(|| ctx.begin_op(SiteId(0))).is_none() {
-                        return (ctx, Pending::None);
-                    }
-                    if r & 1 == 0 {
-                        counter += 1;
-                        let v = (round as u64) << 32 | (t as u64) << 24 | counter;
-                        produced.lock().unwrap().insert(v);
-                        // The value is committed to the oracle before the
-                        // attempt: a crashed enqueue must be recovered and
-                        // land exactly once.
-                        match pmem::run_crashable(|| q.enqueue_started(&ctx, v)) {
-                            Some(()) => {}
-                            None => return (ctx, Pending::Enq(v)),
-                        }
-                    } else {
-                        match pmem::run_crashable(|| q.dequeue_started(&ctx)) {
-                            Some(Some(v)) => consumed.lock().unwrap().push(v),
-                            Some(None) => {}
-                            None => return (ctx, Pending::Deq),
-                        }
-                    }
-                }
-            }));
-        }
-        barrier.wait();
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        pool.crash_ctl().raise();
-        stop.store(true, Ordering::Relaxed);
-        let outcomes: Vec<(ThreadCtx, Pending)> = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker died"))
-            .collect();
-        pool.crash(&mut SeededAdversary::new(((round as u64 + 1) * 7919) | 1));
-        for (ctx, pending) in &outcomes {
-            match *pending {
-                Pending::None => {}
-                Pending::Enq(v) => q.recover_enqueue(ctx, v),
-                Pending::Deq => {
-                    if let Some(v) = q.recover_dequeue(ctx) {
-                        consumed.lock().unwrap().push(v);
-                    }
-                }
-            }
-        }
-        // exactly-once oracle at quiescence
-        let inside: Vec<u64> = q.values();
-        let consumed_now = consumed.lock().unwrap().clone();
-        let produced_now = produced.lock().unwrap().clone();
-        let mut seen: HashSet<u64> = HashSet::new();
-        for v in consumed_now.iter().chain(inside.iter()) {
-            assert!(seen.insert(*v), "round {round}: value {v:#x} duplicated");
-        }
-        assert_eq!(
-            seen, produced_now,
-            "round {round}: consumed+inside must equal produced exactly"
-        );
-    }
-}
-
-#[test]
-fn queue_survives_crash_storms_exactly_once() {
-    queue_storm();
-}
-
-#[test]
-fn stack_survives_crash_storms_exactly_once() {
-    let pool = Arc::new(PmemPool::new(PoolCfg::model(512 << 20)));
-    let s = RecoverableStack::new(pool.clone(), 0);
+/// `ROUNDS` crash storms over one structure: `THREADS` workers push and pop
+/// (rng salt `salt`) until a crash is raised, the pool crashes under a
+/// seeded adversary (`adversary_seed` times the round), every interrupted
+/// operation recovers, and the exactly-once oracle must hold. `values`
+/// lists what is still inside at quiescence.
+fn storm<P: PushPop + Clone>(
+    pool: Arc<PmemPool>,
+    s: P,
+    values: fn(&P) -> Vec<u64>,
+    salt: u64,
+    adversary_seed: u64,
+) {
     let produced: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
     let consumed: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
 
@@ -133,7 +51,7 @@ fn stack_survives_crash_storms_exactly_once() {
             let stop = stop.clone();
             handles.push(std::thread::spawn(move || {
                 let ctx = ThreadCtx::new(pool.clone(), t);
-                let mut rng = Rng(((round * THREADS + t) as u64 + 1) * 0xABCD_1234);
+                let mut rng = Rng(((round * THREADS + t) as u64 + 1) * salt);
                 let mut counter = 0u64;
                 barrier.wait();
                 loop {
@@ -148,15 +66,18 @@ fn stack_survives_crash_storms_exactly_once() {
                         counter += 1;
                         let v = (round as u64) << 32 | (t as u64) << 24 | counter;
                         produced.lock().unwrap().insert(v);
+                        // The value is committed to the oracle before the
+                        // attempt: a crashed push must be recovered and
+                        // land exactly once.
                         match pmem::run_crashable(|| s.push_started(&ctx, v)) {
                             Some(()) => {}
-                            None => return (ctx, Pending::Enq(v)),
+                            None => return (ctx, Pending::Push(v)),
                         }
                     } else {
                         match pmem::run_crashable(|| s.pop_started(&ctx)) {
                             Some(Some(v)) => consumed.lock().unwrap().push(v),
                             Some(None) => {}
-                            None => return (ctx, Pending::Deq),
+                            None => return (ctx, Pending::Pop),
                         }
                     }
                 }
@@ -170,20 +91,23 @@ fn stack_survives_crash_storms_exactly_once() {
             .into_iter()
             .map(|h| h.join().expect("worker died"))
             .collect();
-        pool.crash_ctl().disarm();
-        pool.crash(&mut SeededAdversary::new(((round as u64 + 1) * 104729) | 1));
+        // `pool.crash` disarms the raised crash before resolving the image.
+        pool.crash(&mut SeededAdversary::new(
+            ((round as u64 + 1) * adversary_seed) | 1,
+        ));
         for (ctx, pending) in &outcomes {
             match *pending {
                 Pending::None => {}
-                Pending::Enq(v) => s.recover_push(ctx, v),
-                Pending::Deq => {
+                Pending::Push(v) => s.recover_push(ctx, v),
+                Pending::Pop => {
                     if let Some(v) = s.recover_pop(ctx) {
                         consumed.lock().unwrap().push(v);
                     }
                 }
             }
         }
-        let inside: Vec<u64> = s.values();
+        // exactly-once oracle at quiescence
+        let inside: Vec<u64> = values(&s);
         let consumed_now = consumed.lock().unwrap().clone();
         let produced_now = produced.lock().unwrap().clone();
         let mut seen: HashSet<u64> = HashSet::new();
@@ -192,9 +116,23 @@ fn stack_survives_crash_storms_exactly_once() {
         }
         assert_eq!(
             seen, produced_now,
-            "round {round}: consumed+inside != produced"
+            "round {round}: consumed+inside must equal produced exactly"
         );
     }
+}
+
+#[test]
+fn queue_survives_crash_storms_exactly_once() {
+    let pool = Arc::new(PmemPool::new(PoolCfg::model(512 << 20)));
+    let q = RecoverableQueue::new(pool.clone(), 0);
+    storm(pool, q, RecoverableQueue::values, 0x9E37_79B9, 7919);
+}
+
+#[test]
+fn stack_survives_crash_storms_exactly_once() {
+    let pool = Arc::new(PmemPool::new(PoolCfg::model(512 << 20)));
+    let s = RecoverableStack::new(pool.clone(), 0);
+    storm(pool, s, RecoverableStack::values, 0xABCD_1234, 104729);
 }
 
 /// FIFO order across a crash: values enqueued before a crash come out in
