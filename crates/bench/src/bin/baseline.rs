@@ -7,7 +7,8 @@
 //!   --out PATH         output JSON path (default BENCH_<label>.json)
 //!   --prev PATH        earlier BENCH_*.json to compare against: trend
 //!                      lines for off-cost, the thread sweep, and per-row
-//!                      pwb/op + psync/op densities (all warn only), plus
+//!                      pwb/op + psync/op densities of rows run at the
+//!                      same op count (all warn only), plus
 //!                      a hard gate on the observers-on/off ratio (exit 1
 //!                      if it worsens by more than 15%)
 //!   --ops N            operations per micro-workload (overrides tier)
@@ -83,10 +84,10 @@ fn main() {
     }
 
     // Persistence-density trend: executed pwb/op and psync/op per row vs
-    // the previous report. These are deterministic functions of the fixed
-    // scripts, so any growth is a real placement change — or a flushopt row
-    // whose elision stopped biting. Warns only (rows come and go as the
-    // schema grows; the hard gate below stays the overhead ratio).
+    // the previous report's rows of the same op count. These are
+    // deterministic functions of the fixed scripts, so any growth is a real
+    // placement change. Warns only (rows come and go as the schema grows;
+    // the hard gate below stays the overhead ratio).
     if let Some(doc) = &prev_doc {
         let prev_rows = bench_rows_from_json(doc);
         if prev_rows.is_empty() {
@@ -107,8 +108,9 @@ fn main() {
     // Overhead-ratio regression gate. Unlike wall-clock throughput (which
     // only warns above — shared hosts are noisy), the observers-on/off
     // ratio divides two runs of the same loop on the same host in the same
-    // process, so host speed cancels out. A >15% worsening is a genuine
-    // fast-path regression, not noise: fail the run.
+    // process, so host speed cancels out, and it is the median of several
+    // interleaved trial pairs, so one preempted trial does not move it. A
+    // >15% worsening is a genuine fast-path regression: fail the run.
     if let Some(doc) = &prev_doc {
         match extract_number(doc, "ratio") {
             Some(prev_ratio) if prev_ratio > 0.0 => {

@@ -28,10 +28,6 @@
 //!                          verdict audits the free lists), plus the allocator's
 //!                          own crash sweep; CSVs gain a churn_ prefix
 //!   --palloc               sweep only the allocator itself (implies reclaim)
-//!   --flushopt             arm the flush-elision layer on every replay pool:
-//!                          the event space shrinks to the non-elided
-//!                          instructions and the sweep proves the survivors
-//!                          still recover at every crash point
 //!
 //!   --smoke                CI tier: the churn matrix over the retiring pairs
 //!                          with a short script and sampled points (fast,
@@ -95,7 +91,6 @@ fn main() {
             "--multi-crash" => base.multi_crash = args.value(&flag),
             "--churn" => churn = true,
             "--palloc" => palloc_only = true,
-            "--flushopt" => base.flushopt = true,
             "--smoke" => smoke = true,
             "--out" => out = args.value::<String>(&flag).into(),
             flag => cli::usage(format!("unknown flag {flag}")),
@@ -140,7 +135,7 @@ fn main() {
     };
 
     println!(
-        "crash sweep: {} pair(s), engine={}, adversary={}, shard {}/{}, sample {}, paranoia {}, seed {:#x}{}",
+        "crash sweep: {} pair(s), engine={}, adversary={}, shard {}/{}, sample {}, paranoia {}, seed {:#x}",
         pairs.len(),
         if base.checkpoint { "checkpoint" } else { "scratch" },
         base.adversary.name(),
@@ -149,7 +144,6 @@ fn main() {
         base.sample,
         base.paranoia,
         base.seed,
-        if base.flushopt { ", flushopt" } else { "" },
     );
 
     let mut failed = false;

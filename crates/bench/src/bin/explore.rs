@@ -19,9 +19,6 @@
 //!   --shard I/N            run only (strategy, schedule) cells with index % N == I
 //!   --pool-mb M            pool size (default 64)
 //!   --out DIR              CSV directory (default results/explore)
-//!   --flushopt             arm the flush-elision layer on the shared pool:
-//!                          elided events vanish from the yield-point stream
-//!                          and every injected crash must still recover
 //!   --smoke                quick CI tier: 1 schedule per strategy, 1 crash sample
 //! ```
 //!
@@ -72,7 +69,6 @@ fn main() {
             }
             "--pool-mb" => base.pool_bytes = args.value::<usize>(&flag) << 20,
             "--out" => out = args.value::<String>(&flag).into(),
-            "--flushopt" => base.flushopt = true,
             "--smoke" => {
                 base.schedules = 1;
                 crash_samples = 1;

@@ -131,15 +131,9 @@ impl Engine for Latency {
         };
         let sub = make(&pool, &dims);
         let ctx = ThreadCtx::new(pool.clone(), 0);
-        let mut rng = 0x5EEDu64;
-        let mut next = || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
+        let mut rng = pmem::Rng(0x5EED);
         for _ in 0..self.range / 2 {
-            sub.call(&ctx, &Sub::draw(next(), &Mix::ADD, self.range));
+            sub.call(&ctx, &Sub::draw(rng.next(), &Mix::ADD, self.range));
         }
         let mix = Mix {
             of: 3,
@@ -151,7 +145,7 @@ impl Engine for Latency {
             if pool.remaining_lines() < 4096 {
                 break;
             }
-            let op = Sub::draw(next(), &mix, self.range);
+            let op = Sub::draw(rng.next(), &mix, self.range);
             let kind = format!("{op:?}");
             let kind = kind.split('(').next().unwrap_or_default().to_string();
             let t = Instant::now();

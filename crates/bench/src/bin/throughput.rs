@@ -13,9 +13,6 @@
 //!   --label L          report label (default pr7)
 //!   --out PATH         output JSON path (default BENCH_throughput_<label>.json)
 //!   --prev PATH        earlier report to compare aggregate ops/sec against
-//!   --flushopt         arm the flush-elision layer on every point's pool
-//!                      (elision densities land in pwb_elided_per_op /
-//!                      psync_coalesced_per_op, committed in the JSON)
 //! ```
 //!
 //! Every point runs its threads as real concurrent OS threads — no turn
@@ -43,12 +40,10 @@ fn main() {
     let mut label = "pr7".to_string();
     let mut out: Option<std::path::PathBuf> = None;
     let mut prev: Option<std::path::PathBuf> = None;
-    let mut flushopt = false;
     let mut args = Args::from_env();
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--smoke" => smoke = true,
-            "--flushopt" => flushopt = true,
             "--threads" => threads_list = Some(cli::list(&args.value::<String>(&flag))),
             "--shards" => shards = args.value(&flag),
             "--duration-ms" => duration_ms = Some(args.value(&flag)),
@@ -99,7 +94,6 @@ fn main() {
             let cfg = RunCfg {
                 shards: if shards == 0 { threads } else { shards },
                 duration,
-                flushopt,
                 ..RunCfg::contended(subject, threads)
             };
             let r = run(&cfg);

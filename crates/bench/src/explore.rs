@@ -520,13 +520,6 @@ pub struct ExploreCfg {
     /// point), and every verdict additionally audits the allocator's lists.
     /// Default `false`.
     pub reclaim: bool,
-    /// Build the pool with the flush-elision layer armed
-    /// ([`pmem::PoolCfg::flushopt`]). Under the cooperative scheduler this
-    /// exercises the layer's concurrency story: elided `pwb`s and coalesced
-    /// fences vanish from the yield-point stream (schedules get shorter),
-    /// deferred flushes drain at another virtual thread's fence, and every
-    /// injected crash must still recover detectably. Default `false`.
-    pub flushopt: bool,
 }
 
 impl ExploreCfg {
@@ -548,7 +541,6 @@ impl ExploreCfg {
             pool_bytes: 64 << 20,
             fuel: 5_000_000,
             reclaim: false,
-            flushopt: false,
         }
     }
 }
@@ -944,7 +936,6 @@ impl<'a> Engine for ExploreEngine<'a> {
         let cfg = self.0;
         let pool = Arc::new(PmemPool::new(PoolCfg {
             reclaim: cfg.reclaim,
-            flushopt: cfg.flushopt,
             ..PoolCfg::model(cfg.pool_bytes)
         }));
         let n = cfg.threads;

@@ -472,7 +472,9 @@ pub fn fig_uc_compare(cfg: &FigCfg, name: &str) -> Csv {
 /// reports, per `pwb` call site, the executed flush count, flushes per
 /// operation, the fraction of flushes that wrote back a genuinely dirty
 /// line (`dirty_ratio` — low values mean the site mostly re-flushes clean
-/// lines), and the absolute number of redundant flushes. `unflushed` counts
+/// lines), and the absolute number of redundant flushes — what a runtime
+/// flush-elision layer could remove at the site (DESIGN.md §8 records why
+/// the repo keeps this count instead of such a layer). `unflushed` counts
 /// lint findings whose lost store originated at the site (non-zero only
 /// for lines legitimately in flight when the run stopped, or for real
 /// durability gaps).
@@ -489,62 +491,43 @@ pub fn fig_attribution(cfg: &FigCfg, name: &str) -> Csv {
             "dirty_ratio",
             "redundant",
             "unflushed",
-            "pwb_per_op_flushopt",
-            "elided_per_op_flushopt",
         ],
     );
     const OPS: u64 = 4_000;
     let kinds = crate::registry::with_role(crate::registry::COMPETITOR).map(|e| e.algo);
     for kind in kinds {
-        // Each algorithm runs the identical script twice: once plain (the
-        // lint's redundancy attribution — the "before" columns) and once
-        // with the flush-elision layer armed (the "after" columns: what of
-        // that redundancy the layer actually removes, per site). The lint
-        // stays on in the second run so its elided-dirty-pwb cross-check
-        // guards every elision the report counts.
-        let measure = |flushopt: bool| {
-            let pool = std::sync::Arc::new(pmem::PmemPool::new(pmem::PoolCfg {
-                capacity: 256 << 20,
-                backend: Backend::Noop,
-                shadow: false,
-                max_threads: 8,
-                lint: true,
-                flushopt,
-                ..Default::default()
-            }));
-            let algo = crate::registry::build(kind, pool.clone(), 1, cfg.key_range);
-            let ctx = pmem::ThreadCtx::new(pool.clone(), 0);
-            // Attribute only steady-state operations, not construction.
-            pool.stats_reset();
-            pool.lint_clear();
-            let mut rng = 0x5EED_D1CEu64;
-            for i in 0..OPS {
-                rng = rng
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let key = (rng >> 33) % cfg.key_range + 1;
-                match i % 4 {
-                    0 => {
-                        algo.insert(&ctx, key);
-                    }
-                    2 => {
-                        algo.delete(&ctx, key);
-                    }
-                    _ => {
-                        algo.find(&ctx, key);
-                    }
+        let pool = std::sync::Arc::new(pmem::PmemPool::new(pmem::PoolCfg {
+            capacity: 256 << 20,
+            backend: Backend::Noop,
+            shadow: false,
+            max_threads: 8,
+            lint: true,
+            ..Default::default()
+        }));
+        let algo = crate::registry::build(kind, pool.clone(), 1, cfg.key_range);
+        let ctx = pmem::ThreadCtx::new(pool.clone(), 0);
+        // Attribute only steady-state operations, not construction.
+        pool.stats_reset();
+        pool.lint_clear();
+        let mut rng = 0x5EED_D1CEu64;
+        for i in 0..OPS {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (rng >> 33) % cfg.key_range + 1;
+            match i % 4 {
+                0 => {
+                    algo.insert(&ctx, key);
+                }
+                2 => {
+                    algo.delete(&ctx, key);
+                }
+                _ => {
+                    algo.find(&ctx, key);
                 }
             }
-            (pool.stats(), pool.lint_report(), pool)
-        };
-        let (stats, report, pool) = measure(false);
-        let (fo_stats, fo_report, _fo_pool) = measure(true);
-        assert_eq!(
-            fo_report.count(LintKind::ElidedDirtyPwb),
-            0,
-            "{}: flushopt elided a pwb the lint believes was of a dirty line",
-            kind.name()
-        );
+        }
+        let (stats, report) = (pool.stats(), pool.lint_report());
         for (site, pwbs) in stats.site_rows() {
             let unflushed = report
                 .of_kind(LintKind::UnflushedDirty)
@@ -559,11 +542,6 @@ pub fn fig_attribution(cfg: &FigCfg, name: &str) -> Csv {
                 format!("{:.3}", report.dirty_ratio(site)),
                 report.pwb_redundant[site.0 as usize].to_string(),
                 unflushed.to_string(),
-                format!("{:.3}", fo_stats.pwb_at(site) as f64 / OPS as f64),
-                format!(
-                    "{:.3}",
-                    fo_stats.pwb_elided_per_site[site.0 as usize] as f64 / OPS as f64
-                ),
             ]);
         }
     }

@@ -30,11 +30,6 @@ pub struct SweepPoint {
     pub pwb_per_op: f64,
     /// `psync`s per operation.
     pub psync_per_op: f64,
-    /// Elided/coalesced `pwb`s per operation (additive since PR 9; 0 on
-    /// layer-off pools).
-    pub pwb_elided_per_op: f64,
-    /// Coalesced fences per operation.
-    pub psync_coalesced_per_op: f64,
 }
 
 impl SweepPoint {
@@ -49,8 +44,6 @@ impl SweepPoint {
             per_thread_ops_per_sec: r.per_thread_ops_per_sec(),
             pwb_per_op: r.pwb_per_op(),
             psync_per_op: r.psync_per_op(),
-            pwb_elided_per_op: r.pwb_elided_per_op(),
-            psync_coalesced_per_op: r.psync_coalesced_per_op(),
         }
     }
 
@@ -60,8 +53,7 @@ impl SweepPoint {
         format!(
             "{{\"subject\": \"{}\", \"threads\": {}, \"shards\": {}, \"ops\": {}, \
              \"ops_per_sec\": {}, \"per_thread_ops_per_sec\": {}, \
-             \"pwb_per_op\": {}, \"psync_per_op\": {}, \
-             \"pwb_elided_per_op\": {}, \"psync_coalesced_per_op\": {}}}",
+             \"pwb_per_op\": {}, \"psync_per_op\": {}}}",
             self.subject,
             self.threads,
             self.shards,
@@ -70,8 +62,6 @@ impl SweepPoint {
             f(self.per_thread_ops_per_sec),
             f(self.pwb_per_op),
             f(self.psync_per_op),
-            f(self.pwb_elided_per_op),
-            f(self.psync_coalesced_per_op),
         )
     }
 }

@@ -23,7 +23,7 @@ use crate::subject::{
 
 /// In the default crash-sweep and explore lineup of its structure.
 pub const VERIFY: u8 = 1 << 0;
-/// A row of the perf baseline (the list rows also get a `+flushopt` twin).
+/// A row of the perf baseline.
 pub const BASELINE: u8 = 1 << 1;
 /// A subject of the real-thread throughput sweep (`bin/throughput` and the
 /// baseline's `thread_sweep`).
@@ -387,7 +387,7 @@ pub(crate) fn file_slug(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::{row_name, row_plan, PALLOC_PHASES};
+    use crate::baseline::PALLOC_PHASES;
     use crate::explore::{run_explore, CrashMode, ExploreCfg, StrategyKind};
     use crate::sweep::{run_sweep, AdversaryKind, SweepCfg};
 
@@ -453,20 +453,15 @@ mod tests {
             assert_eq!(parse_subject(token).map(|e| e.name), Some(name), "{token}");
         }
 
-        let rows: Vec<String> = row_plan()
-            .into_iter()
-            .map(|(e, flushopt)| row_name(e, flushopt))
+        let rows: Vec<String> = with_role(BASELINE)
+            .map(|e| e.name.to_string())
             .chain(PALLOC_PHASES.iter().map(|p| format!("palloc/{p}")))
             .collect();
-        let lists = "list/Tracking list/Capsules list/Capsules-Opt list/Romulus list/RedoOpt \
-                     list/OneFile";
-        let lists_flushopt = lists.replace(' ', "+flushopt ") + "+flushopt";
         assert_eq!(
             rows.join(" "),
-            format!(
-                "{lists} {lists_flushopt} queue/Tracking stack/Tracking exchanger/Tracking \
-                 hashmap/Tracking palloc/alloc palloc/retire palloc/drain"
-            )
+            "list/Tracking list/Capsules list/Capsules-Opt list/Romulus list/RedoOpt \
+             list/OneFile queue/Tracking stack/Tracking exchanger/Tracking hashmap/Tracking \
+             palloc/alloc palloc/retire palloc/drain"
         );
     }
 }

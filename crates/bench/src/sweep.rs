@@ -170,16 +170,6 @@ pub struct SweepCfg {
     /// ([`PmemPool::palloc_check`]). Default `false` (bump arena; event
     /// streams bit-identical to before this knob existed).
     pub reclaim: bool,
-    /// Build pools with the flush-elision layer armed
-    /// ([`pmem::PoolCfg::flushopt`]): `pwb`s of clean lines elide, dirty
-    /// ones defer into the per-thread combining buffer, and fences inside
-    /// the algorithms' coalescible regions elide when nothing is pending.
-    /// Elided events are invisible to crash-point enumeration (like masked
-    /// sites), so the event space shrinks — the sweep then proves the
-    /// *remaining* points all recover, i.e. that the layer elided only
-    /// genuinely redundant instructions. Default `false` (event streams
-    /// bit-identical to before this knob existed).
-    pub flushopt: bool,
     /// Multi-crash tier: number of *second* crash points injected per
     /// first crash point (`0` = off, the classic single-crash sweep,
     /// bit-identical to before this knob existed). When `> 0`, each
@@ -216,7 +206,6 @@ impl SweepCfg {
             site_mask: u64::MAX,
             reclaim: false,
             multi_crash: 0,
-            flushopt: false,
         }
     }
 }
@@ -594,7 +583,6 @@ fn palloc_case(cfg: &SweepCfg) -> CaseRunner<PallocSubject, impl Fn(bool) -> Bui
 fn pool_for(cfg: &SweepCfg, traced: bool) -> Arc<PmemPool> {
     let base = PoolCfg {
         reclaim: cfg.reclaim,
-        flushopt: cfg.flushopt,
         ..PoolCfg::model(cfg.pool_bytes)
     };
     let pool = Arc::new(PmemPool::new(if traced {

@@ -26,7 +26,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use pmem::{install_thread_arena, uninstall_thread_arena, SubArena};
-use pmem::{Backend, PmemPool, PoolCfg, ThreadCtx};
+use pmem::{Backend, PmemPool, PoolCfg, Rng, ThreadCtx};
 
 use crate::adapter::AlgoKind;
 use crate::registry::{self, Dims, Engine, Entry};
@@ -104,17 +104,6 @@ impl Mix {
     }
 }
 
-/// xorshift64* (12/25/27) — the timed workloads' generator.
-#[inline]
-pub(crate) fn next_rng(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    x.wrapping_mul(0x2545F4914F6CDD1D)
-}
-
 /// Free lines a worker keeps in reserve: it stops before allocation could
 /// abort the run.
 const HEADROOM_LINES: usize = 8192;
@@ -175,14 +164,6 @@ pub struct RunCfg {
     pub site_mask: u64,
     /// Sub-arena chunk size in lines (0 = no per-thread arena).
     pub chunk_lines: usize,
-    /// Arm the flush-elision layer ([`pmem::PoolCfg::flushopt`]): redundant
-    /// `pwb`s elide against the per-line flush-state table and fences inside
-    /// the algorithms' coalescible regions elide when nothing is pending.
-    /// Not meaningful combined with `psync_enabled: false` (a masked fence
-    /// returns before draining the combining buffer, so up to its capacity
-    /// in flushes would linger unexecuted — the `[no psyncs]` variants are
-    /// measured without the layer). Default `false`.
-    pub flushopt: bool,
 }
 
 impl RunCfg {
@@ -203,7 +184,6 @@ impl RunCfg {
             psync_enabled: true,
             site_mask: u64::MAX,
             chunk_lines: 0,
-            flushopt: false,
         }
     }
 
@@ -224,7 +204,6 @@ impl RunCfg {
             psync_enabled: true,
             site_mask: u64::MAX,
             chunk_lines: pmem::DEFAULT_CHUNK_LINES,
-            flushopt: false,
         }
     }
 }
@@ -248,11 +227,6 @@ pub struct RunResult {
     pub pwb_per_site: [u64; pmem::MAX_SITES],
     /// `psync` + `pfence` executions during the window.
     pub psync: u64,
-    /// `pwb`s elided/coalesced by the flush-elision layer in the window
-    /// (0 unless the pool was built with [`pmem::PoolCfg::flushopt`]).
-    pub pwb_elided: u64,
-    /// Fences elided inside coalescible regions in the window.
-    pub psync_coalesced: u64,
     /// Sub-arena chunk refills across all workers (global-cursor touches).
     pub arena_refills: u64,
     /// Lines stranded in abandoned sub-arena chunks.
@@ -289,16 +263,6 @@ impl RunResult {
     pub fn psync_per_op(&self) -> f64 {
         self.psync as f64 / self.ops.max(1) as f64
     }
-
-    /// Elided/coalesced `pwb`s per completed operation.
-    pub fn pwb_elided_per_op(&self) -> f64 {
-        self.pwb_elided as f64 / self.ops.max(1) as f64
-    }
-
-    /// Coalesced fences per completed operation.
-    pub fn psync_coalesced_per_op(&self) -> f64 {
-        self.psync_coalesced as f64 / self.ops.max(1) as f64
-    }
 }
 
 /// Runs one timed measurement per `cfg`.
@@ -323,17 +287,16 @@ impl Engine for Timed<'_> {
             backend: cfg.backend,
             shadow: false,
             max_threads: threads.next_power_of_two().max(8),
-            flushopt: cfg.flushopt,
             ..Default::default()
         }));
         let subs = build_shards(make, &pool, shards, threads, cfg.key_range);
         // Prefill every shard from thread slot 0, with persistence on.
         {
             let ctx = ThreadCtx::new(pool.clone(), 0);
-            let mut rng = cfg.seed ^ 0xABCDEF;
+            let mut rng = Rng(cfg.seed ^ 0xABCDEF);
             for sub in &subs {
                 for _ in 0..cfg.prefill {
-                    let op = Sub::draw(next_rng(&mut rng), &Mix::ADD, cfg.key_range);
+                    let op = Sub::draw(rng.next(), &Mix::ADD, cfg.key_range);
                     sub.call(&ctx, &op);
                 }
             }
@@ -354,14 +317,15 @@ impl Engine for Timed<'_> {
                             install_thread_arena(SubArena::new(pool.clone(), cfg.chunk_lines));
                         }
                         let ctx = ThreadCtx::new(pool.clone(), t);
-                        let mut rng = cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
+                        let mut rng =
+                            Rng(cfg.seed ^ (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
                         barrier.wait();
                         let mut ops = 0u64;
                         while !stop.load(Ordering::Relaxed) {
                             if pool.remaining_lines() < HEADROOM_LINES {
                                 break;
                             }
-                            let op = Sub::draw(next_rng(&mut rng), &cfg.mix, cfg.key_range);
+                            let op = Sub::draw(rng.next(), &cfg.mix, cfg.key_range);
                             std::hint::black_box(sub.call(&ctx, &op));
                             ops += 1;
                         }
@@ -393,8 +357,6 @@ impl Engine for Timed<'_> {
             elapsed,
             pwb_per_site: d.pwb_per_site,
             psync: d.psync + d.pfence,
-            pwb_elided: d.pwb_elided_total(),
-            psync_coalesced: d.psync_coalesced,
             arena_refills: outs.iter().map(|o| o.1).sum(),
             arena_waste_lines: outs.iter().map(|o| o.2).sum(),
         }

@@ -101,14 +101,6 @@ pub fn search(
     key: u64,
     persist: SearchPersist,
 ) -> HarrisSearch {
-    // Fence-coalescing region: on a `pmem::PoolCfg::flushopt` pool the
-    // `pwb; pfence` pair the Full policy issues after every shared read
-    // becomes elidable once the traversed lines are clean. The region only
-    // grants *permission* — any fence with an outstanding flush obligation
-    // (e.g. after the unlink `pwb` below, or a traverse `pwb` of a line
-    // dirtied by a concurrent insert) still executes in place. Costs
-    // nothing when flushopt is off: no guard, no thread-local touch.
-    let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
     'retry: loop {
         let mut pred = head;
         let mut pred_next = pool.load(pred.add(N_NEXT));

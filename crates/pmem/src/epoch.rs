@@ -13,8 +13,7 @@
 //! arm/disarm/auto-disarm transitions; [`crate::PmemPool`] maintains
 //! [`EP_TRACE`]/[`EP_LINT`] from the observer toggles,
 //! [`EP_SHADOW`] from construction plus the dormant-model toggle,
-//! [`EP_SCHED`] from the schedule explorer's enable toggle, and
-//! [`EP_FLUSHOPT`] from [`crate::PmemPool::set_flushopt_enabled`].
+//! and [`EP_SCHED`] from the schedule explorer's enable toggle.
 //!
 //! Ordering: *setting* bits uses SeqCst (arming a crash or enabling an
 //! observer is a rare control action that must not reorder with the
@@ -54,12 +53,6 @@ pub(crate) const EP_MASK: u64 = 1 << 5;
 /// deterministically. Set by [`crate::PmemPool::set_sched_enabled`]; like
 /// every other bit, costs nothing when clear.
 pub(crate) const EP_SCHED: u64 = 1 << 6;
-/// Flush-elision layer armed ([`crate::flushopt`], [`crate::PoolCfg::flushopt`]):
-/// stores feed the per-line flush-state table and `pwb`/`pfence`/`psync`
-/// consult it for elide/defer/coalesce decisions. Execution-affecting (not
-/// a pure observer like trace/lint), which is why the data *and* persist
-/// slow paths both carry it.
-pub(crate) const EP_FLUSHOPT: u64 = 1 << 7;
 
 /// The shared epoch word. An `Arc` because the pool and its [`CrashCtl`]
 /// both write it ([`CrashCtl`] must clear [`EP_CRASH`] when a fired

@@ -79,13 +79,6 @@ pub enum LintKind {
     /// A successful CAS published a pointer to a line whose latest store
     /// was not flushed and fenced first.
     UnfencedPublish,
-    /// The flush-elision layer ([`crate::flushopt`]) elided a `pwb` of a
-    /// line this lint believes is **dirty**. The layer may only elide
-    /// provably-redundant flushes, so the two per-line state machines
-    /// disagree — either the elision was unsound or a tracking bug let the
-    /// tables diverge. Every flushopt-enabled verification run treats this
-    /// as a violation.
-    ElidedDirtyPwb,
 }
 
 impl LintKind {
@@ -95,7 +88,6 @@ impl LintKind {
             LintKind::RedundantPwb => "redundant-pwb",
             LintKind::UnflushedDirty => "unflushed-dirty",
             LintKind::UnfencedPublish => "unfenced-publish",
-            LintKind::ElidedDirtyPwb => "elided-dirty-pwb",
         }
     }
 }
@@ -491,33 +483,6 @@ impl FlushLint {
         }
     }
 
-    /// The flush-elision layer elided a `pwb` of `line` issued at `site`:
-    /// cross-check the claim. The layer promises it only elides flushes of
-    /// lines already flushed since their last store; if *this* table holds
-    /// the line dirty, the promise broke and the elision may have lost a
-    /// write-back the algorithm needed. The line state is left untouched —
-    /// nothing executed — so a later crash still reports the dirty line as
-    /// [`LintKind::UnflushedDirty`] too.
-    pub(crate) fn on_elided_pwb(&self, line: usize, site: SiteId) {
-        if !self.enabled() {
-            return;
-        }
-        let Some(m) = self.meta.get(line) else {
-            return;
-        };
-        let cur = m.load(Ordering::Relaxed);
-        if eff_status(cur, self.fence_epoch.load(Ordering::Relaxed)) == ST_DIRTY {
-            lock(&self.diags).push(Diagnostic {
-                kind: LintKind::ElidedDirtyPwb,
-                line,
-                site: site.0,
-                tid: crate::trace::trace_tid(),
-                seq: self.store_seq[line].load(Ordering::Relaxed),
-            });
-            self.touch();
-        }
-    }
-
     /// A `pfence`/`psync` completed: every flushed line is now committed.
     /// O(1) — bumping the fence epoch retires every recorded `Flushed`
     /// epoch at once (see [`eff_status`]).
@@ -815,42 +780,6 @@ mod tests {
         l.on_pwb(20, SiteId(3), 1);
         l.on_publish(20, 0, 2); // pwb'd but no fence yet
         assert_eq!(l.report().count(LintKind::UnfencedPublish), 1);
-    }
-
-    #[test]
-    fn elided_pwb_of_dirty_line_trips() {
-        // The flush-elision layer's soundness tripwire: if the layer ever
-        // claims it elided a flush of a line *this* table still holds
-        // dirty, the elision dropped a write-back the algorithm needed.
-        let l = lint();
-        l.on_write(13, 6, 2, 7);
-        l.on_elided_pwb(13, SiteId(9));
-        let r = l.report();
-        assert_eq!(r.count(LintKind::ElidedDirtyPwb), 1);
-        let d = r.of_kind(LintKind::ElidedDirtyPwb).next().unwrap();
-        assert_eq!((d.line, d.site, d.seq), (13, 9, 7));
-        // Nothing executed, so the line stays dirty: a later crash still
-        // reports the loss itself.
-        assert!(l.line_dirty(13));
-        l.on_crash(99);
-        assert_eq!(l.report().count(LintKind::UnflushedDirty), 1);
-    }
-
-    #[test]
-    fn elided_pwb_of_clean_line_is_silent() {
-        let l = lint();
-        l.on_write(13, 6, 0, 0);
-        l.on_pwb(13, SiteId(6), 1);
-        l.on_fence();
-        l.on_elided_pwb(13, SiteId(9)); // genuinely redundant: fine
-        l.on_elided_pwb(13, SiteId(9));
-        assert!(l.report().is_clean());
-        // Flushed-but-unfenced also passes: the flush is in flight, a
-        // repeat pwb would add nothing.
-        l.on_write(14, 2, 0, 2);
-        l.on_pwb(14, SiteId(2), 3);
-        l.on_elided_pwb(14, SiteId(9));
-        assert_eq!(l.report().count(LintKind::ElidedDirtyPwb), 0);
     }
 
     #[test]

@@ -7,10 +7,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 use crate::addr::{PAddr, WORDS_PER_LINE};
 use crate::crash::CrashCtl;
 use crate::epoch::{
-    new_epoch, Epoch, EP_CRASH, EP_FLUSHOPT, EP_FOOT, EP_LINT, EP_MASK, EP_SCHED, EP_SHADOW,
-    EP_TRACE,
+    new_epoch, Epoch, EP_CRASH, EP_FOOT, EP_LINT, EP_MASK, EP_SCHED, EP_SHADOW, EP_TRACE,
 };
-use crate::flushopt::{FlushDecision, FlushOpt, FlushOptSnap};
 use crate::lint::{FlushLint, LineState, LintReport};
 use crate::persist::{self, Backend, SiteId, SiteMask, MAX_SITES};
 use crate::shadow::{CrashAdversary, LineSnap, ShadowMem};
@@ -21,14 +19,11 @@ use crate::trace::{trace_tid, EventKind, Trace, TraceSnapshot, NO_SITE};
 /// only crash injection, the trace and the scheduler are relevant.
 const EP_LOAD_SLOW: u64 = EP_CRASH | EP_TRACE | EP_SCHED;
 /// Epoch bits that force `store`/`cas` off their fast paths (the lint
-/// tracks writes, the replay footprint tracks written lines, the
-/// flush-elision layer must see every store re-dirty its line).
-const EP_DATA_SLOW: u64 = EP_CRASH | EP_TRACE | EP_LINT | EP_FOOT | EP_SCHED | EP_FLUSHOPT;
+/// tracks writes, the replay footprint tracks written lines).
+const EP_DATA_SLOW: u64 = EP_CRASH | EP_TRACE | EP_LINT | EP_FOOT | EP_SCHED;
 /// Epoch bits that force `pwb`/`pfence`/`psync` off their fast paths (the
-/// shadow crash model additionally hooks persistence instructions, and the
-/// flush-elision layer decides each instruction's fate).
-const EP_PERSIST_SLOW: u64 =
-    EP_CRASH | EP_TRACE | EP_LINT | EP_SHADOW | EP_FOOT | EP_SCHED | EP_FLUSHOPT;
+/// shadow crash model additionally hooks persistence instructions).
+const EP_PERSIST_SLOW: u64 = EP_CRASH | EP_TRACE | EP_LINT | EP_SHADOW | EP_FOOT | EP_SCHED;
 
 /// Number of root-directory cells (each on its own cache line).
 pub const NUM_ROOTS: usize = 16;
@@ -83,13 +78,9 @@ pub struct PoolCfg {
     /// is the paper's pure bump arena and allocation stays free of
     /// instrumented events.
     pub reclaim: bool,
-    /// Enable the flush-elision and coalescing layer (see
-    /// [`crate::flushopt`]): a `pwb` of a line already flushed since its
-    /// last store becomes a no-op, same-line `pwb`s between two fences are
-    /// write-combined, and fences inside [`PmemPool::coalesce_fences`]
-    /// regions elide when nothing is pending. Off by default — the
-    /// optimization is itself under test, so every harness runs both ways.
-    /// Can be toggled later with [`PmemPool::set_flushopt_enabled`].
+    /// Ignored. It armed the retired flush-elision layer and is kept only
+    /// because the KV benchmark still builds a flushopt twin; that twin now
+    /// measures the plain pool. Remove it once the benchmark drops the twin.
     pub flushopt: bool,
 }
 
@@ -184,10 +175,6 @@ pub struct PmemPool {
     max_threads: usize,
     trace: Trace,
     lint: FlushLint,
-    /// The flush-elision layer (see [`crate::flushopt`]); allocated
-    /// unconditionally (its tables are lazily zero-mapped like the
-    /// lint's), consulted only under [`EP_FLUSHOPT`].
-    flushopt: FlushOpt,
     /// The fused instrumentation epoch (see [`crate::epoch`]): one relaxed
     /// load of this word answers every "do I need the slow path?" question
     /// a primitive has — crash injection armed, trace on, lint on, shadow
@@ -252,8 +239,7 @@ impl PmemPool {
         let epoch = new_epoch(
             if cfg.trace { EP_TRACE } else { 0 }
                 | if cfg.lint { EP_LINT } else { 0 }
-                | if cfg.shadow { EP_SHADOW } else { 0 }
-                | if cfg.flushopt { EP_FLUSHOPT } else { 0 },
+                | if cfg.shadow { EP_SHADOW } else { 0 },
         );
         let pool = PmemPool {
             words,
@@ -277,7 +263,6 @@ impl PmemPool {
             max_threads: cfg.max_threads,
             trace: Trace::new(cfg.trace_capacity, cfg.trace),
             lint: FlushLint::new(cfg.lint, nwords / WORDS_PER_LINE),
-            flushopt: FlushOpt::new(nwords / WORDS_PER_LINE),
             epoch,
             site_names: RwLock::new([None; MAX_SITES]),
             foot: Mutex::new(Footprint::default()),
@@ -423,20 +408,11 @@ impl PmemPool {
         for w in start..start + n {
             self.words[w].store(0, Ordering::Release);
         }
-        let bits = self.epoch_bits(EP_FOOT | EP_FLUSHOPT);
-        if bits != 0 {
+        if self.epoch_bits(EP_FOOT) != 0 {
             let first = start / WORDS_PER_LINE;
             let last = (start + n - 1) / WORDS_PER_LINE;
             for line in first..=last {
-                if bits & EP_FOOT != 0 {
-                    self.note_line(line);
-                }
-                // The zeros dirtied the lines like any store would; the
-                // elision layer must not treat a stale flush as covering
-                // them.
-                if bits & EP_FLUSHOPT != 0 {
-                    self.flushopt.on_store(line);
-                }
+                self.note_line(line);
             }
         }
     }
@@ -529,9 +505,6 @@ impl PmemPool {
             self.crash_ctl.tick();
         }
         self.words[a.word()].store(v, Ordering::Release);
-        if bits & EP_FLUSHOPT != 0 {
-            self.flushopt.on_store(a.line());
-        }
         if bits & EP_FOOT != 0 {
             self.note_line(a.line());
         }
@@ -590,9 +563,6 @@ impl PmemPool {
             self.crash_ctl.tick();
         }
         let r = self.words[a.word()].compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst);
-        if r.is_ok() && bits & EP_FLUSHOPT != 0 {
-            self.flushopt.on_store(a.line());
-        }
         if r.is_ok() && bits & EP_FOOT != 0 {
             self.note_line(a.line());
         }
@@ -635,65 +605,14 @@ impl PmemPool {
         if bits & EP_MASK != 0 && !self.mask.site_enabled(site) {
             return;
         }
-        // The elision layer rules next, still before the yield and the
-        // tick: an elided/deferred/coalesced pwb executes nothing, so —
-        // exactly like a masked site — it is no yield point and no crash
-        // point, and it neither counts, traces, nor touches the shadow.
-        if bits & EP_FLUSHOPT != 0 {
-            match self.flushopt.pwb_decision(a.line(), site.0) {
-                FlushDecision::Execute { pre } => {
-                    self.pwb_execute(a, site, bits, Some(pre));
-                }
-                FlushDecision::Elide => {
-                    self.stats.count_pwb_elided(site);
-                    // Cross-check: the layer claims this line was flushed
-                    // since its last store. If the lint's independent
-                    // table says dirty, record the violation.
-                    if bits & EP_LINT != 0 {
-                        self.lint.on_elided_pwb(a.line(), site);
-                    }
-                }
-                FlushDecision::Coalesced => {
-                    // Folded into an already-buffered flush of the same
-                    // line: redundant by construction (no lint check —
-                    // the line is genuinely dirty, and the queued entry
-                    // covers it at the next fence).
-                    self.stats.count_pwb_elided(site);
-                }
-                FlushDecision::Deferred => {
-                    // Parked: the draining fence executes it (and counts
-                    // it) later. Nothing is recorded now.
-                }
-            }
-            return;
-        }
-        self.pwb_execute(a, site, bits, None);
-    }
-
-    /// The committed tail of a `pwb`: yield, crash tick, count, backend
-    /// flush, shadow snapshot, footprint, observers. Shared by the direct
-    /// path and the combining buffer's drain, so a drained flush is
-    /// indistinguishable — to the crash model, the trace and the lint —
-    /// from one executed in place. `fo_pre` carries the elision layer's
-    /// pre-read line word when that layer is live (`None` when flushopt is
-    /// off).
-    fn pwb_execute(&self, a: PAddr, site: SiteId, bits: u64, fo_pre: Option<u64>) {
-        // After the mask/elision checks — an invisible pwb is no yield
-        // point, exactly as it is no crash point — and before the tick, so
-        // the scheduler decides who runs the event an armed crash would
-        // land on. A crash here unwinds before `obligate`, leaving the
-        // layer's accounting consistent (the pwb never executed).
+        // After the mask check — a masked pwb is no yield point, exactly as
+        // it is no crash point — and before the tick, so the scheduler
+        // decides who runs the event an armed crash would land on.
         if bits & EP_SCHED != 0 {
             crate::sched::yield_now();
         }
         if bits & EP_CRASH != 0 {
             self.crash_ctl.tick();
-        }
-        // The commit obligation becomes visible *before* the shadow takes
-        // the pending snapshot, so a concurrently-elided fence in another
-        // thread can never slip between the two.
-        if fo_pre.is_some() {
-            self.flushopt.obligate();
         }
         self.stats.count_pwb(site);
         self.pwb_backend(a);
@@ -709,9 +628,6 @@ impl PmemPool {
         }
         if bits & (EP_TRACE | EP_LINT) != 0 {
             self.observe_pwb(a, site);
-        }
-        if let Some(pre) = fo_pre {
-            self.flushopt.note_real_pwb(a.line(), pre);
         }
     }
 
@@ -773,27 +689,6 @@ impl PmemPool {
         if bits & EP_MASK != 0 && !self.mask.psync_enabled() {
             return;
         }
-        if bits & EP_FLUSHOPT != 0 {
-            // Inside a coalescible region with globally nothing to commit
-            // — no buffered pwbs, no executed-but-unfenced ones — the
-            // fence is the identity and elides: no yield, no tick, no
-            // trace, only the coalesce counter. (Checked before the drain:
-            // a drain would create the very obligations that forbid
-            // elision.)
-            if self.flushopt.fence_elidable() {
-                self.stats.count_psync_coalesced();
-                return;
-            }
-            // A real fence first drains the combining buffer, executing
-            // every deferred pwb with full instrumentation, so the
-            // committed event stream keeps the store → pwb → fence shape
-            // every observer assumes.
-            for (line, site) in self.flushopt.take_deferred() {
-                let a = PAddr((line * WORDS_PER_LINE) as u64);
-                let pre = self.flushopt.line_word(line);
-                self.pwb_execute(a, SiteId(site), bits, Some(pre));
-            }
-        }
         if bits & EP_SCHED != 0 {
             crate::sched::yield_now();
         }
@@ -809,9 +704,6 @@ impl PmemPool {
             if let Some(sh) = &self.shadow {
                 sh.psync();
             }
-        }
-        if bits & EP_FLUSHOPT != 0 {
-            self.flushopt.on_fence();
         }
         if bits & (EP_TRACE | EP_LINT) != 0 {
             self.observe_fence(kind);
@@ -858,15 +750,8 @@ impl PmemPool {
     }
 
     /// Enables/disables `psync`/`pfence` (the paper's "no psyncs" variants,
-    /// Figures 3c/4c). Incompatible with the flush-elision layer: a masked
-    /// fence returns before draining the per-thread combining buffers, so
-    /// deferred flushes could linger forever.
+    /// Figures 3c/4c).
     pub fn set_psync_enabled(&self, on: bool) {
-        assert!(
-            on || !self.flushopt_enabled(),
-            "cannot mask psync while the flush-elision layer is armed: \
-             masked fences would never drain deferred pwbs"
-        );
         self.mask.set_psync(on);
         self.refresh_mask_epoch();
     }
@@ -901,44 +786,6 @@ impl PmemPool {
     /// explorer arms it once per pool and rewinds freely between schedules.
     pub fn set_sched_enabled(&self, on: bool) {
         self.set_epoch_bit(EP_SCHED, on);
-    }
-
-    /// Arms or disarms the flush-elision layer (see [`crate::flushopt`]
-    /// and [`PoolCfg::flushopt`]). Arming **resets** the layer's state
-    /// first: stores made while it was off never reached its per-line
-    /// table, so any surviving "flushed" credential could elide a flush
-    /// the algorithm still needs. Disarming leaves buffered pwbs behind —
-    /// only toggle at a quiescent point where nothing is deferred (or
-    /// follow with a `psync` first). Refuses to arm while `psync` is
-    /// masked (see [`Self::set_psync_enabled`]).
-    pub fn set_flushopt_enabled(&self, on: bool) {
-        if on {
-            assert!(
-                self.mask.psync_enabled(),
-                "cannot arm the flush-elision layer while psync is masked: \
-                 masked fences would never drain deferred pwbs"
-            );
-            self.flushopt.reset();
-        }
-        self.set_epoch_bit(EP_FLUSHOPT, on);
-    }
-
-    /// Is the flush-elision layer currently armed?
-    pub fn flushopt_enabled(&self) -> bool {
-        self.epoch_bits(EP_FLUSHOPT) != 0
-    }
-
-    /// Marks the calling thread as inside a *fence-coalescible region*
-    /// until the returned guard drops: a `pfence`/`psync` issued while the
-    /// region is open **and** nothing is pending anywhere (no buffered
-    /// pwbs, no executed-but-unfenced ones) elides as
-    /// [`StatsSnapshot::psync_coalesced`]. Algorithms wrap fence-heavy
-    /// read phases — Capsules' traverse, Tracking's help-engine scans —
-    /// whose fences only re-commit already-durable lines. A no-op unless
-    /// the pool has flushopt armed; nesting is allowed.
-    pub fn coalesce_fences(&self) -> FenceRegionGuard<'_> {
-        self.flushopt.region_enter();
-        FenceRegionGuard { fo: &self.flushopt }
     }
 
     // ------------------------------------------------------------------
@@ -1181,11 +1028,6 @@ impl PmemPool {
         if self.trace.enabled() || self.lint.enabled() {
             self.lint.on_crash(self.trace.next_seq());
         }
-        // Forget every elision credential and buffered flush: after
-        // resolution, volatile and persisted images agree, but recovery
-        // must re-earn its elisions and no pre-crash deferral survives
-        // (those pwbs are exactly the losses the adversary already chose).
-        self.flushopt.reset();
         // Crash resolution may have rewound free-list pushes/pops; rebuild
         // the volatile allocator accounting from the surviving lists.
         if self.reclaim {
@@ -1280,7 +1122,6 @@ impl PmemPool {
             trace_seq: self.trace.seq_checkpoint(),
             sites_mask: self.mask.mask(),
             psync_on: self.mask.psync_enabled(),
-            flushopt: self.flushopt.export_state(),
         }
     }
 
@@ -1364,11 +1205,6 @@ impl PmemPool {
         }
         self.trace.clear();
         self.trace.set_seq(snap.trace_seq);
-        // The elision layer is execution-affecting (unlike the lint, a
-        // pure observer), so its state is re-imported unconditionally: a
-        // replay from this checkpoint must make the same elide/defer
-        // decisions the original timeline did.
-        self.flushopt.import_state(&snap.flushopt);
         // Arm footprint tracking for the replay that follows. Seeding with
         // the snapshot's pending lines covers the one mutation a replay can
         // make without a recording slow path firing for that line: a psync
@@ -1389,20 +1225,6 @@ impl PmemPool {
         if self.reclaim {
             self.refresh_palloc_accounting();
         }
-    }
-}
-
-/// RAII guard of a fence-coalescible region (see
-/// [`PmemPool::coalesce_fences`]). Dropping it closes the region — also on
-/// unwind, so an injected [`crate::CrashPoint`] panic mid-region never
-/// leaves the thread marked coalescible into its recovery code.
-pub struct FenceRegionGuard<'a> {
-    fo: &'a FlushOpt,
-}
-
-impl Drop for FenceRegionGuard<'_> {
-    fn drop(&mut self) {
-        self.fo.region_exit();
     }
 }
 
@@ -1458,9 +1280,6 @@ pub struct PoolSnapshot {
     sites_mask: u64,
     /// `psync`/`pfence` enable flag at capture time.
     psync_on: bool,
-    /// Flush-elision layer state at capture time (line states, commit
-    /// obligations, buffered pwbs).
-    flushopt: FlushOptSnap,
 }
 
 impl PoolSnapshot {

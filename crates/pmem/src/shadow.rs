@@ -91,10 +91,10 @@ impl CrashAdversary for OptimistAdversary {
     }
 }
 
-/// Deterministic pseudo-random adversary (xorshift64*), for randomized crash
-/// sweeps that must be reproducible from a seed.
+/// Deterministic pseudo-random adversary ([`crate::Rng`]), for randomized
+/// crash sweeps that must be reproducible from a seed.
 pub struct SeededAdversary {
-    state: u64,
+    rng: crate::Rng,
 }
 
 impl SeededAdversary {
@@ -102,24 +102,14 @@ impl SeededAdversary {
     /// constant).
     pub fn new(seed: u64) -> Self {
         SeededAdversary {
-            state: if seed == 0 { 0x9E3779B97F4A7C15 } else { seed },
+            rng: crate::Rng(if seed == 0 { 0x9E3779B97F4A7C15 } else { seed }),
         }
-    }
-
-    fn next(&mut self) -> u64 {
-        // xorshift64* — small, deterministic, dependency-free
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 }
 
 impl CrashAdversary for SeededAdversary {
     fn choose(&mut self, _line: usize, has_pending: bool) -> CrashChoice {
-        match self.next() % if has_pending { 3 } else { 2 } {
+        match self.rng.next() % if has_pending { 3 } else { 2 } {
             0 => CrashChoice::Persisted,
             1 => CrashChoice::Volatile,
             _ => CrashChoice::Pending,

@@ -36,24 +36,16 @@ const N_SHARDS: usize = 16;
 #[repr(align(64))]
 struct Shard {
     pwb_per_site: [AtomicU64; MAX_SITES],
-    /// `pwb`s the flush-elision layer turned into no-ops, per site (an
-    /// elided pwb is *not* counted in `pwb_per_site` — that array keeps
-    /// meaning "executed").
-    pwb_elided_per_site: [AtomicU64; MAX_SITES],
     psync: AtomicU64,
     pfence: AtomicU64,
-    /// Fences elided inside a coalescible region ([`crate::flushopt`]).
-    psync_coalesced: AtomicU64,
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
             pwb_per_site: std::array::from_fn(|_| AtomicU64::new(0)),
-            pwb_elided_per_site: std::array::from_fn(|_| AtomicU64::new(0)),
             psync: AtomicU64::new(0),
             pfence: AtomicU64::new(0),
-            psync_coalesced: AtomicU64::new(0),
         }
     }
 }
@@ -93,28 +85,6 @@ impl Stats {
     }
 
     #[inline]
-    pub(crate) fn count_pwb_elided(&self, s: SiteId) {
-        match self.shards.get(trace_tid()) {
-            Some(sh) => bump(&sh.pwb_elided_per_site[s.idx()]),
-            None => {
-                self.overflow.pwb_elided_per_site[s.idx()].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    #[inline]
-    pub(crate) fn count_psync_coalesced(&self) {
-        match self.shards.get(trace_tid()) {
-            Some(sh) => bump(&sh.psync_coalesced),
-            None => {
-                self.overflow
-                    .psync_coalesced
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    #[inline]
     pub(crate) fn count_psync(&self) {
         match self.shards.get(trace_tid()) {
             Some(sh) => bump(&sh.psync),
@@ -146,12 +116,8 @@ impl Stats {
             for (i, c) in sh.pwb_per_site.iter().enumerate() {
                 snap.pwb_per_site[i] += c.load(Ordering::Relaxed);
             }
-            for (i, c) in sh.pwb_elided_per_site.iter().enumerate() {
-                snap.pwb_elided_per_site[i] += c.load(Ordering::Relaxed);
-            }
             snap.psync += sh.psync.load(Ordering::Relaxed);
             snap.pfence += sh.pfence.load(Ordering::Relaxed);
-            snap.psync_coalesced += sh.psync_coalesced.load(Ordering::Relaxed);
         }
         snap
     }
@@ -161,12 +127,8 @@ impl Stats {
             for c in &sh.pwb_per_site {
                 c.store(0, Ordering::Relaxed);
             }
-            for c in &sh.pwb_elided_per_site {
-                c.store(0, Ordering::Relaxed);
-            }
             sh.psync.store(0, Ordering::Relaxed);
             sh.pfence.store(0, Ordering::Relaxed);
-            sh.psync_coalesced.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -176,14 +138,15 @@ impl Stats {
 pub struct StatsSnapshot {
     /// Executed `pwb`s per call site.
     pub pwb_per_site: [u64; MAX_SITES],
-    /// `pwb`s elided by the flush-elision layer, per call site (issued by
-    /// the algorithm but proven redundant — see [`crate::flushopt`]).
+    /// Always 0: the flush-elision layer that filled it is retired. Kept
+    /// only while the KV benchmark builds this struct with a literal and
+    /// reports the layer's elisions; remove it once that report is gone.
     pub pwb_elided_per_site: [u64; MAX_SITES],
     /// Executed `psync`s.
     pub psync: u64,
     /// Executed `pfence`s.
     pub pfence: u64,
-    /// `psync`/`pfence` calls elided inside fence-coalescible regions.
+    /// Always 0, kept for the KV benchmark like `pwb_elided_per_site`.
     pub psync_coalesced: u64,
 }
 
@@ -193,7 +156,8 @@ impl StatsSnapshot {
         self.pwb_per_site.iter().sum()
     }
 
-    /// Total elided `pwb`s across all sites.
+    /// Always 0 (see `pwb_elided_per_site`). Kept only until the KV
+    /// benchmark drops its flushopt twin.
     pub fn pwb_elided_total(&self) -> u64 {
         self.pwb_elided_per_site.iter().sum()
     }
@@ -204,12 +168,10 @@ impl StatsSnapshot {
             pwb_per_site: std::array::from_fn(|i| {
                 self.pwb_per_site[i].saturating_sub(earlier.pwb_per_site[i])
             }),
-            pwb_elided_per_site: std::array::from_fn(|i| {
-                self.pwb_elided_per_site[i].saturating_sub(earlier.pwb_elided_per_site[i])
-            }),
+            pwb_elided_per_site: [0; MAX_SITES],
             psync: self.psync.saturating_sub(earlier.psync),
             pfence: self.pfence.saturating_sub(earlier.pfence),
-            psync_coalesced: self.psync_coalesced.saturating_sub(earlier.psync_coalesced),
+            psync_coalesced: 0,
         }
     }
 

@@ -193,8 +193,8 @@ impl Drop for TidRelease {
 /// events, stats shards and lint findings. Assigned on first use, stable
 /// for the thread's lifetime, and recycled after the thread exits. A
 /// thread that first asks during its own teardown, after its release hook
-/// ran, gets a fresh id it never returns. Trace rings and flush-elision
-/// slots are keyed by [`thread_serial`] instead.
+/// ran, gets a fresh id it never returns. Trace rings are keyed by
+/// [`thread_serial`] instead.
 #[inline]
 pub(crate) fn trace_tid() -> usize {
     let v = TID.get();
@@ -225,10 +225,7 @@ fn claim_tid() -> usize {
 /// A never-recycled serial of the calling thread, assigned on first use.
 /// Trace rings are claimed by it rather than by the recyclable
 /// [`trace_tid`], so a thread that inherits an exited thread's id still
-/// writes a ring of its own, and a ring's capacity stays per thread. The
-/// flush-elision layer's combining slots are keyed by it too, so which
-/// threads share a slot, and with it what the layer elides, does not
-/// depend on which ids earlier threads gave back.
+/// writes a ring of its own, and a ring's capacity stays per thread.
 #[inline]
 pub(crate) fn thread_serial() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);

@@ -21,7 +21,7 @@
 //! builds offline, so no proptest): every case is reproducible from the
 //! printed seed.
 
-use pmem::{PAddr, PessimistAdversary, PmemPool, PoolCfg, SeededAdversary, SiteId};
+use pmem::{PAddr, PessimistAdversary, PmemPool, PoolCfg, Rng, SeededAdversary, SiteId};
 
 #[derive(Copy, Clone, Debug)]
 enum Step {
@@ -29,19 +29,6 @@ enum Step {
     Pwb { word: u8 },
     Psync,
     Pfence,
-}
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
 }
 
 /// Draws a random step sequence of length `0..60` (mirrors the old

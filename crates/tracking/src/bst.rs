@@ -565,13 +565,11 @@ mod tests {
             let bst = bst.clone();
             let ctx = ThreadCtx::new(p.clone(), t);
             handles.push(std::thread::spawn(move || {
-                let mut rng = (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
+                let mut rng = pmem::Rng((t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
                 for _ in 0..500 {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    let key = rng % 40 + 1;
-                    match (rng >> 32) % 3 {
+                    let r = rng.next();
+                    let key = r % 40 + 1;
+                    match (r >> 32) % 3 {
                         0 => {
                             bst.insert(&ctx, key);
                         }

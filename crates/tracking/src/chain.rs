@@ -115,11 +115,6 @@ pub(crate) struct Gather {
 /// list's naive-placement ablation) every visited node is flushed and
 /// fenced.
 pub(crate) fn search(pool: &PmemPool, head: PAddr, key: u64, traversal_flush: bool) -> Gather {
-    // Fence-coalescing region (see `pmem::flushopt`): on a flushopt pool the
-    // ablation's per-node `pwb; pfence` pairs and helpers' re-flushes of
-    // already-clean chain lines may elide here. Pure permission — a fence
-    // with pending flush work still executes.
-    let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
     let mut pred = PAddr::NULL;
     let mut pred_info = 0;
     let mut curr = head;

@@ -45,15 +45,6 @@ pub fn help(pool: &PmemPool, desc: Desc) {
     let untag = desc.untagged();
 
     // ---- Tagging phase (lines 32–47) ----
-    // Fence-coalescing region scoped to this phase only. A helper racing
-    // behind another sees tag CASes fail with `seen == tag` on lines the
-    // winner already flushed and fenced; its redundant `pwb`s (and, if all
-    // of them elide, the phase psync) then become identities a
-    // `pmem::PoolCfg::flushopt` pool may skip. The region deliberately ends
-    // before the update phase: the update psync → result-store ordering is
-    // load-bearing (see the comment below) and is kept outside any
-    // coalescible scope so it can never even be *considered* for elision.
-    let region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
     for i in 0..alen {
         let entry = desc.affect(pool, i);
         let res = pool.cas(entry.info_addr, entry.observed, tag);
@@ -92,7 +83,6 @@ pub fn help(pool: &PmemPool, desc: Desc) {
         return;
     }
     pool.psync(); // line 47: tagging persisted before any update
-    drop(region); // update/result fences run outside any coalescible scope
 
     // ---- Update phase (lines 48–51) ----
     let wlen = desc.write_len(pool);
@@ -140,9 +130,6 @@ pub(crate) fn help_tagged(pool: &PmemPool, infos: &[u64]) -> bool {
 /// also invoked when a helper detects a completed operation whose cleanup
 /// was interrupted by a crash.
 fn cleanup(pool: &PmemPool, desc: Desc, alen: usize, tag: u64, untag: u64) {
-    // Coalescible like the tagging phase: duplicate cleanup (a helper
-    // re-untagging a completed operation's nodes) re-flushes clean lines.
-    let _region = pool.flushopt_enabled().then(|| pool.coalesce_fences());
     for i in 0..alen {
         let entry = desc.affect(pool, i);
         if entry.untag_on_cleanup {

@@ -72,17 +72,15 @@ fn run<S>(
     let s = build(pool.clone());
     let ctx = ThreadCtx::new(pool.clone(), 0);
     let mut model = BTreeSet::new();
-    let mut rng = 0xC0FFEEu64;
+    let mut rng = pmem::Rng(0xC0FFEE);
     let mut crashes = 0usize;
     let mut completions = 0usize;
 
     for round in 0..ROUNDS {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        let key = rng % RANGE + 1;
-        let is_insert = rng & 1 == 0;
-        let crash_after = (rng >> 33) % 600; // random instrumented step
+        let r = rng.next();
+        let key = r % RANGE + 1;
+        let is_insert = r & 1 == 0;
+        let crash_after = (r >> 33) % 600; // random instrumented step
 
         // The "system" persists CP_q := 0, then invokes the op with a crash
         // armed at a random point.
@@ -106,7 +104,7 @@ fn run<S>(
                 // Crash: an adversary decides the fate of every un-synced
                 // cache line, then the thread recovers.
                 crashes += 1;
-                pool.crash(&mut SeededAdversary::new(rng | 1));
+                pool.crash(&mut SeededAdversary::new(r | 1));
                 if is_insert {
                     rec_ins(&s, &ctx, key)
                 } else {

@@ -39,14 +39,12 @@ fn main() {
         let list = list.clone();
         let ctx = ThreadCtx::new(pool.clone(), t);
         handles.push(std::thread::spawn(move || {
-            let mut rng = (t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15);
+            let mut rng = pmem::Rng((t as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15));
             let mut done = 0u64;
             for _ in 0..10_000 {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                let key = rng % 100 + 1;
-                match (rng >> 32) % 3 {
+                let r = rng.next();
+                let key = r % 100 + 1;
+                match (r >> 32) % 3 {
                     0 => drop(list.insert(&ctx, key)),
                     1 => drop(list.delete(&ctx, key)),
                     _ => drop(list.find(&ctx, key)),

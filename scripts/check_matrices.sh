@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Regenerates every committed CSV under results/{crashsweep,crashsweep-flushopt,
-# explore,explore-flushopt} and diffs each one against the committed file.
+# Regenerates every committed CSV under results/{crashsweep,explore} and diffs
+# each one against the committed file.
 #
 #   scripts/check_matrices.sh [BIN_DIR]
 #
@@ -60,15 +60,6 @@ done
 gen crashsweep crashsweep --structure list --algo tracking --churn --multi-crash 2 \
     --adversary seeded --sample 0.5 --ops 10
 
-# crashsweep-flushopt
-gen crashsweep-flushopt crashsweep --flushopt
-gen crashsweep-flushopt crashsweep --flushopt --churn
-gen crashsweep-flushopt crashsweep --flushopt --structure hashmap --ops 24
-for pair in list:tracking queue:tracking list:capsules; do
-    gen crashsweep-flushopt crashsweep --flushopt --structure "${pair%:*}" --algo "${pair#*:}" \
-        --multi-crash 2 --adversary seeded
-done
-
 # explore
 gen explore explore
 gen explore explore --threads 3 --ops 3 --schedules 3
@@ -78,17 +69,9 @@ done
 gen explore explore --structure hashmap --ops 12
 gen explore explore --structure hashmap --threads 3 --ops 8 --schedules 3
 
-# explore-flushopt
-gen explore-flushopt explore --flushopt
-gen explore-flushopt explore --flushopt --threads 3 --ops 3 --schedules 3
-gen explore-flushopt explore --flushopt --structure hashmap --ops 12
-for algo in capsules tracking; do
-    gen explore-flushopt explore --flushopt --threads 4 --structure list --algo $algo
-done
-
 failed=0
 checked=0
-for dir in crashsweep crashsweep-flushopt explore explore-flushopt; do
+for dir in crashsweep explore; do
     for want in "$root/results/$dir"/*.csv; do
         name=$(basename "$want")
         got=$tmp/got/$dir/$name

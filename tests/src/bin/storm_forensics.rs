@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use integration_tests::Rng;
+use pmem::Rng;
 use pmem::{is_tagged, PAddr, PmemPool, PoolCfg, PoolSnapshot, SeededAdversary, SiteId, ThreadCtx};
 use tracking::descriptor::Desc;
 use tracking::stack::node_of;

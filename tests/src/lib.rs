@@ -94,19 +94,3 @@ impl KeyTally {
         );
     }
 }
-
-/// Deterministic xorshift64* for test workloads.
-pub struct Rng(pub u64);
-
-impl Rng {
-    /// Next pseudo-random u64.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-}

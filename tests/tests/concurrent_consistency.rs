@@ -4,7 +4,8 @@
 use std::sync::{Arc, Barrier};
 
 use bench::AlgoKind;
-use integration_tests::{all_algos, mk, KeyTally, Rng};
+use integration_tests::{all_algos, mk, KeyTally};
+use pmem::Rng;
 use pmem::ThreadCtx;
 
 const THREADS: usize = 4;

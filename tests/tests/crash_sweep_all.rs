@@ -11,7 +11,8 @@
 //! exhaustively.
 
 use bench::AlgoKind;
-use integration_tests::{all_algos, mk, Rng};
+use integration_tests::{all_algos, mk};
+use pmem::Rng;
 use pmem::{CrashAdversary, PessimistAdversary, SeededAdversary, SiteId, ThreadCtx};
 
 const POOL: usize = 64 << 20;

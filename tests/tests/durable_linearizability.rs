@@ -7,7 +7,8 @@
 //! forgot to flush can hide behind a lucky eviction.
 
 use bench::AlgoKind;
-use integration_tests::{all_algos, mk, Rng};
+use integration_tests::{all_algos, mk};
+use pmem::Rng;
 use pmem::{PessimistAdversary, ThreadCtx};
 
 /// Every completed update survives a maximal-loss crash struck immediately

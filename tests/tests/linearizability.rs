@@ -10,8 +10,9 @@
 use std::sync::{Arc, Barrier, Mutex};
 
 use bench::AlgoKind;
-use integration_tests::{all_algos, mk, Rng};
+use integration_tests::{all_algos, mk};
 use linearize::{Clock, History, QueueOp, QueueRet, QueueSpec, SetOp, SetSpec};
+use pmem::Rng;
 use pmem::{PmemPool, PoolCfg, ThreadCtx};
 
 type EventLog<Op, Ret> = Arc<Mutex<Vec<(Op, Ret, u64, u64)>>>;

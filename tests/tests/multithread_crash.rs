@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use bench::AlgoKind;
-use integration_tests::{mk, KeyTally, Rng};
+use integration_tests::{mk, KeyTally};
+use pmem::Rng;
 use pmem::{SeededAdversary, SiteId, ThreadCtx};
 
 const THREADS: usize = 4;

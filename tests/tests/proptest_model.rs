@@ -5,7 +5,8 @@
 //! reproducible from the printed case index and seed.
 
 use bench::AlgoKind;
-use integration_tests::{all_algos, mk, Rng};
+use integration_tests::{all_algos, mk};
+use pmem::Rng;
 use pmem::{SeededAdversary, SiteId, ThreadCtx};
 
 #[derive(Copy, Clone, Debug)]

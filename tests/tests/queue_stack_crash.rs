@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use bench::subject::PushPop;
-use integration_tests::Rng;
+use pmem::Rng;
 use pmem::{PmemPool, PoolCfg, SeededAdversary, SiteId, ThreadCtx};
 use tracking::{RecoverableQueue, RecoverableStack};
 

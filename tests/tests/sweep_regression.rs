@@ -198,8 +198,8 @@ fn stream_hash(snap: &pmem::TraceSnapshot) -> u64 {
 }
 
 /// Runs the pinned deterministic single-thread scripted workload against a
-/// traced Model pool and returns the stream hash. `flushopt` selects the
-/// elision layer; `false` must reproduce the PR 8 streams bit-for-bit.
+/// traced Model pool and returns the stream hash. `flushopt` only sets the
+/// ignored `PoolCfg::flushopt` field, which must change nothing.
 fn pinned_stream(algo: AlgoKind, flushopt: bool) -> u64 {
     use pmem::{PmemPool, PoolCfg, ThreadCtx};
     let pool = std::sync::Arc::new(PmemPool::new(PoolCfg {
@@ -267,15 +267,19 @@ fn pinned_hashmap_stream() -> (u64, u64, u64) {
     (stream_hash(&snap), before, map.bucket_count())
 }
 
-/// The flushopt-off event streams are bit-identical to PR 8: with the
-/// elision layer disabled (the default), every store/pwb/fence takes
-/// exactly the code path it took before `pmem::flushopt` existed, pinned
-/// here as a content hash over the full trace of a scripted Tracking run
-/// (in the paper's placement, which PR 8 ran) and a scripted Capsules
-/// (Full-persist) run. If either hash moves, the flushopt-off path is no
-/// longer a bystander — that is a regression, not a pin to update lightly.
-/// The lean Tracking placement's stream and the Tracking BST's are pinned
-/// beside them.
+/// The event streams are bit-identical to those pinned before the
+/// flush-elision layer existed: every store/pwb/fence takes exactly the
+/// code path it took then, pinned here as a content hash over the full
+/// trace of a scripted Tracking run (in the paper's placement, which the
+/// pin was taken on) and a scripted Capsules (Full-persist) run. If either
+/// hash moves, that is a regression, not a pin to update lightly. The lean
+/// Tracking placement's stream and the Tracking BST's are pinned beside
+/// them.
+///
+/// The retired layer's `PoolCfg::flushopt` field survives only for the KV
+/// benchmark's flushopt twin, so the same two streams built with it set
+/// must hash to the same constants: the field is inert, and the twin
+/// measures the plain pool.
 #[test]
 fn flushopt_off_streams_are_bit_identical_to_pr8() {
     assert_eq!(
@@ -297,6 +301,16 @@ fn flushopt_off_streams_are_bit_identical_to_pr8() {
         pinned_stream(AlgoKind::TrackingBst, false),
         TRACKING_BST_STREAM_HASH,
         "Tracking-BST flushopt-off stream moved"
+    );
+    assert_eq!(
+        pinned_stream(AlgoKind::TrackingPaper, true),
+        TRACKING_PR8_STREAM_HASH,
+        "PoolCfg::flushopt changed the Tracking[paper] stream"
+    );
+    assert_eq!(
+        pinned_stream(AlgoKind::Capsules, true),
+        CAPSULES_PR8_STREAM_HASH,
+        "PoolCfg::flushopt changed the Capsules stream"
     );
 }
 
