@@ -61,6 +61,7 @@
 //! pair under `results/crashsweep/`.
 
 use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use linearize::{History, Spec};
@@ -412,9 +413,18 @@ impl Spec for PallocSpec {
 /// [`PallocSubject::observe`] audits the heap: every owned block's payload
 /// stamp must be intact (a block issued twice is zeroed by the second
 /// allocation) and no owned block may overlap a free-list or limbo block —
-/// the no-double-allocate obligation at every possible crash point.
+/// the no-double-allocate obligation at every possible crash point. It
+/// also checks the leak bound: the lines the bump arena issued that are
+/// neither owned nor listed are at most the blocks the crashed steps had
+/// in flight.
 pub(crate) struct PallocSubject {
     owned: PAddr,
+    /// Lines the crashes since the last `observe` may have leaked. Each
+    /// `recover` of an alloc or retire adds one block's worth
+    /// ([`pmem::MAX_CLASS`] lines); a crash inside a drain or before the
+    /// prologue adds nothing, because none of its steps allocates or
+    /// retires.
+    leak_budget: AtomicUsize,
 }
 
 impl PallocSubject {
@@ -498,6 +508,10 @@ impl Subject for PallocSubject {
         // system simply re-invokes them. A crashed step leaks at most its
         // one in-flight block (the paper's bounded-leak budget), which the
         // audit tolerates; what it must never do is double-issue.
+        if *op != PallocOp::Drain {
+            self.leak_budget
+                .fetch_add(pmem::MAX_CLASS, Ordering::Relaxed);
+        }
         self.exec(ctx, op)
     }
 
@@ -509,15 +523,25 @@ impl Subject for PallocSubject {
         // No owned block may overlap any block the allocator considers
         // re-issuable (free list or limbo), and owned blocks must not
         // overlap each other.
+        let listed: Vec<(u64, usize)> = pool
+            .palloc_free_blocks()
+            .into_iter()
+            .chain(pool.palloc_limbo_blocks())
+            .collect();
+        let held: usize = owned.iter().chain(&listed).map(|&(_, c)| c).sum();
+        let leaked = pool.issued_lines().saturating_sub(held);
+        let budget = self.leak_budget.swap(0, Ordering::Relaxed);
+        if leaked > budget {
+            return Err(format!(
+                "leak bound: {leaked} issued lines are neither owned nor listed, \
+                 but the crashed steps had at most {budget} in flight"
+            ));
+        }
         let mut spans: Vec<(u64, u64, &'static str)> = owned
             .iter()
             .map(|&(a, c)| (a, a + (c * pmem::WORDS_PER_LINE) as u64, "owned"))
             .collect();
-        for (a, c) in pool
-            .palloc_free_blocks()
-            .into_iter()
-            .chain(pool.palloc_limbo_blocks())
-        {
+        for &(a, c) in &listed {
             spans.push((a, a + (c * pmem::WORDS_PER_LINE) as u64, "recyclable"));
         }
         spans.sort_unstable();
@@ -573,7 +597,11 @@ fn palloc_case(cfg: &SweepCfg) -> CaseRunner<PallocSubject, impl Fn(bool) -> Bui
             let pool = pool_for(&c, traced);
             let ctx = ThreadCtx::new(pool.clone(), 0);
             let owned = pool.root(0);
-            (pool, PallocSubject { owned }, ctx)
+            let sub = PallocSubject {
+                owned,
+                leak_budget: AtomicUsize::new(0),
+            };
+            (pool, sub, ctx)
         },
     )
 }

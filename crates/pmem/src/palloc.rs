@@ -12,67 +12,71 @@
 //!
 //! ## Metadata layout
 //!
-//! Thread `q`'s metadata line (words, off the line base):
+//! Thread `q`'s metadata line holds eight *counted heads* (words, off the
+//! line base):
 //!
 //! | word | contents |
 //! |------|----------|
-//! | 0..4 | free-list heads for size classes 1–4 (lines per block)       |
-//! | 4    | limbo-list head (retired, awaiting quiescence)               |
-//! | 5    | *alloc cursor*: announcement of the in-flight allocation     |
-//! | 6    | *free cursor*: announcement of the in-flight retire/move     |
-//! | 7    | spare                                                        |
+//! | 0..4 | free-list heads for size classes 1–4 (lines per block)     |
+//! | 4..8 | limbo-list heads for size classes 1–4 (retired, not yet free) |
 //!
-//! A listed block links through its **last word** (`addr + 8·class − 1`),
-//! deliberately leaving the rest of the block untouched: a retired block
-//! can still have legitimate post-mortem readers — a crash right after an
-//! operation completed recovers by re-reading the operation's (already
-//! retired) descriptor's header and result words, and an idempotent help
-//! replay may re-examine a removed node's info field. Only the link word
-//! is sacrificed, and no recovery path reads a block's last word. Class
-//! free-list links are plain addresses (the class is implied by the list);
-//! the limbo list mixes classes, so its head and links pack
-//! `addr | class << 48` into one word. Cursor announcements pack
-//! `(addr, class, kind)` the same way, so publishing one is a single
-//! atomic store.
+//! A head word packs the list's first block (its line index, low 32 bits)
+//! and the list's length (high 32 bits), so one store moves both; the
+//! empty list is the word 0. [`PmemPool::new`] asserts that a reclaiming
+//! pool has fewer than 2³² lines, which bounds both fields. A listed block
+//! links to the next block of its list through its **last word**
+//! (`addr + 8·class − 1`), a plain word address, deliberately leaving the
+//! rest of the block untouched: a retired block can still have legitimate
+//! post-mortem readers — a crash right after an operation completed
+//! recovers by re-reading the operation's (already retired) descriptor's
+//! header and result words, and an idempotent help replay may re-examine a
+//! removed node's info field. Only the link word is sacrificed, and no
+//! recovery path reads a block's last word.
+//!
+//! Every walk of a list stops after the head's count, so the link word of
+//! a list's last block is never read: it may name anything. That is what
+//! lets a drain splice a whole limbo list in a constant number of flushes.
 //!
 //! ## Why the protocols are crash-safe
 //!
 //! Every list is **single-owner**: only thread `q` (or, during quiescent
 //! drains and recovery, the unique thread standing in for `q`) mutates
-//! `q`'s heads. Every head update is made durable (`pwb`+`pfence`) before
-//! the protocol's next step, so after a crash the persisted head is either
-//! the value recorded in the announcement or its successor — recovery can
-//! always tell whether a pop/push took effect by a single comparison, with
-//! no ambiguity window.
+//! `q`'s heads. The crash model resolves a cache line as a whole to one of
+//! its images, each a prefix of the stores made to it, so a head word
+//! survives as its old or its new value and two stores to the metadata
+//! line survive in program order (the hash map's header relies on the same
+//! property).
 //!
-//! The announcement discipline gives the recovery pass
-//! ([`PmemPool::recover_allocator`]) exactly one in-flight operation to
-//! resolve per cursor: an announcement is cleared *and `psync`ed* before
-//! the operation returns, so a nonzero cursor at recovery time implies the
-//! crash struck mid-operation and the block named by it is referenced
-//! nowhere else (an allocating caller never saw the address; a retired
-//! block was already unlinked from its structure). Resolution is therefore
-//! safe to redo idempotently:
+//! * **alloc** pops with one store, `free_c := (b.link, n − 1)`, then
+//!   `pwb` and `psync` before the block is zeroed or its address escapes.
+//!   A crash before the `psync` leaves either head; with the old one the
+//!   block is still listed and its link word intact (zeroing comes after
+//!   the `psync`). A crash after it leaks the block: the caller may never
+//!   have linked it anywhere.
+//! * **retire** first writes the block's link word, `b.link := limbo_c`'s
+//!   first block, and makes it durable (`pwb`, `pfence`); then it pushes,
+//!   `limbo_c := (b, n + 1)`, with `pwb` and `psync`. A surviving push
+//!   therefore always finds a durable link. A crash before the push is
+//!   durable leaks the block, which its structure has already unlinked.
+//! * **drain** splices each nonempty limbo list onto its class free list.
+//!   Its tail `t` is the block a retire pushed onto the empty list, kept
+//!   as a volatile hint; after a crash or a restore forgot the hints, a
+//!   load-only walk bounded by the limbo count finds it. The drain stores
+//!   `t.link := free_c`'s first block (`pwb`, `pfence`), then, on the
+//!   metadata line, `free_c := (limbo_c's first block, n + m)` *before*
+//!   `limbo_c := 0`, and one `pwb` and `psync`. A crash before the
+//!   head stores leaves both lists as they were (a rewritten tail link lies
+//!   past the limbo count). A crash between them can leave the one image
+//!   where `free_c` already holds the whole splice and `limbo_c` still
+//!   names its first block, which recovery repairs. Nothing leaks.
 //!
-//! * **alloc** (`kind = ALLOC`, announcing the pre-pop head `a`): if the
-//!   class head still equals `a` the pop never persisted — nothing to do.
-//!   Otherwise the pop persisted but the address never escaped: push `a`
-//!   back. Either way no block is lost and no block can be handed out
-//!   twice. A crash after the cursor-clearing store but before its `psync`
-//!   may resolve the cursor to 0 with the block already popped — that is
-//!   the one *bounded* leak the allocator admits: at most one block (≤ 4
-//!   lines) per crash, the analogue of the paper's bounded-leak argument
-//!   for in-flight nodes.
-//! * **retire** (`kind = RETIRE`): the block is at the limbo head iff the
-//!   push persisted; otherwise redo the push (idempotent — the link word
-//!   is rewritten from scratch).
-//! * **move** (`kind = MOVE`, limbo → class list at a drain): the drain
-//!   persists the limbo *pop* before overwriting the block's link word for
-//!   the class-list *push* — overwriting first would cross-link the limbo
-//!   tail into the class list and double-allocate it. Recovery: block at
-//!   the class head ⇒ done; block still at the limbo head ⇒ the next
-//!   drain redoes the whole move; otherwise the pop persisted and the
-//!   push didn't — complete the push (the block is orphaned otherwise).
+//! [`PmemPool::recover_allocator`] therefore reads heads only: it clears
+//! each limbo head that names its class's free head (no block is on two
+//! lists otherwise) and sums the free counts into the volatile accounting.
+//! The blocks a crash can leak are the blocks the crashed thread's
+//! in-flight operation allocated or retired — the bound the system already
+//! has, since an operation that crashes after `palloc` returned leaks its
+//! new nodes anyway.
 //!
 //! ## Deferred reclamation and ABA
 //!
@@ -93,10 +97,10 @@
 //! Recycled blocks are zeroed on allocation with *uninstrumented* stores
 //! (fresh-zero semantics, identical to bump memory). Durability of the
 //! zeros rides the caller's own pre-publication `pwb`+`pfence` of the new
-//! object — a block whose zeroing was cut short by a crash is either
-//! pushed back or bounded-leaked by recovery, never observed.
+//! object — a block whose zeroing was cut short by a crash has already
+//! left its list for good, so it is leaked, never observed.
 
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(debug_assertions)]
 use std::sync::PoisonError;
 
@@ -108,19 +112,10 @@ use crate::pool::PmemPool;
 /// fall through to the bump arena and are never recycled.
 pub const MAX_CLASS: usize = 4;
 
-/// Word offset of the limbo-list head in a thread's metadata line.
-const W_LIMBO: usize = 4;
-/// Word offset of the alloc cursor (in-flight allocation announcement).
-const W_ALLOC_ANN: usize = 5;
-/// Word offset of the free cursor (in-flight retire/move announcement).
-const W_FREE_ANN: usize = 6;
-
 /// `pwb` site: class free-list head updates.
 pub const P_HEAD: SiteId = SiteId(56);
 /// `pwb` site: limbo-list head updates.
 pub const P_LIMBO: SiteId = SiteId(57);
-/// `pwb` site: alloc/free cursor announcements.
-pub const P_ANN: SiteId = SiteId(58);
 /// `pwb` site: a listed block's link word.
 pub const P_BLOCK: SiteId = SiteId(59);
 
@@ -129,42 +124,70 @@ pub const P_BLOCK: SiteId = SiteId(59);
 /// they must stay **enabled** whenever the pool was built with `reclaim` —
 /// masking them removes the flushes the recovery argument above depends
 /// on.
-pub const PALLOC_SITES: [(SiteId, &str); 4] = [
+pub const PALLOC_SITES: [(SiteId, &str); 3] = [
     (P_HEAD, "palloc-head"),
     (P_LIMBO, "palloc-limbo"),
-    (P_ANN, "palloc-cursor"),
     (P_BLOCK, "palloc-block"),
 ];
 
-/// Announcement kinds (high byte of a packed cursor word).
-const KIND_ALLOC: u64 = 1;
-const KIND_RETIRE: u64 = 2;
-const KIND_MOVE: u64 = 3;
+/// Lines a reclaiming pool may have: a head's two 32-bit fields hold a line
+/// index and a list length, and neither can exceed the line count.
+pub(crate) const MAX_RECLAIM_LINES: usize = u32::MAX as usize;
 
-const ADDR_MASK: u64 = (1 << 48) - 1;
-
-fn pack_ann(addr: u64, class: usize, kind: u64) -> u64 {
-    debug_assert!(addr != 0 && addr <= ADDR_MASK);
-    addr | ((class as u64) << 48) | (kind << 56)
+/// A counted head: first block `addr` (a word address) and list length `n`.
+fn pack(addr: u64, n: u64) -> u64 {
+    debug_assert!(addr.is_multiple_of(WORDS_PER_LINE as u64) && n <= u32::MAX as u64);
+    if n == 0 {
+        return 0;
+    }
+    (addr / WORDS_PER_LINE as u64) | (n << 32)
 }
 
-fn unpack_ann(w: u64) -> (u64, usize, u64) {
-    (w & ADDR_MASK, ((w >> 48) & 0xff) as usize, w >> 56)
-}
-
-/// Limbo head/link encoding: address plus the class of the block it names.
-fn pack_limbo(addr: u64, class: usize) -> u64 {
-    debug_assert!(addr <= ADDR_MASK);
-    addr | ((class as u64) << 48)
-}
-
-fn unpack_limbo(w: u64) -> (u64, usize) {
-    (w & ADDR_MASK, (w >> 48) as usize)
+/// `(first block's word address, length)` of a counted head.
+fn unpack(w: u64) -> (u64, u64) {
+    ((w & u32::MAX as u64) * WORDS_PER_LINE as u64, w >> 32)
 }
 
 /// Word index of a block's link word: its last word.
 fn link_word(addr: u64, class: usize) -> usize {
     addr as usize + class * WORDS_PER_LINE - 1
+}
+
+/// Word offset of class `c`'s free-list head in a metadata line.
+fn free_off(c: usize) -> usize {
+    c - 1
+}
+
+/// Word offset of class `c`'s limbo-list head in a metadata line.
+fn limbo_off(c: usize) -> usize {
+    MAX_CLASS + c - 1
+}
+
+/// The blocks of one counted list, first to last, read uninstrumented.
+/// A block's link word is read only when the walk moves past it, so a
+/// caller can vet each block before its link is followed.
+struct Walk<'a> {
+    pool: &'a PmemPool,
+    class: usize,
+    block: u64,
+    left: u64,
+    started: bool,
+}
+
+impl Iterator for Walk<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.left == 0 {
+            return None;
+        }
+        if self.started {
+            self.block = self.pool.raw_load(link_word(self.block, self.class));
+        }
+        self.started = true;
+        self.left -= 1;
+        Some(self.block)
+    }
 }
 
 impl PmemPool {
@@ -184,6 +207,28 @@ impl PmemPool {
         PAddr((self.palloc_base + tid * WORDS_PER_LINE + off) as u64)
     }
 
+    /// The head word at `off` of `tid`'s metadata line, read uninstrumented.
+    fn head(&self, tid: usize, off: usize) -> u64 {
+        self.raw_load(self.palloc_base + tid * WORDS_PER_LINE + off)
+    }
+
+    /// Thread `tid`'s class-`c` limbo tail hint (see `limbo_tails`).
+    fn tail_hint(&self, tid: usize, c: usize) -> &AtomicU64 {
+        &self.limbo_tails[tid * MAX_CLASS + c - 1]
+    }
+
+    /// Walks the class-`c` list whose head word is `head`.
+    fn walk(&self, head: u64, c: usize) -> Walk<'_> {
+        let (block, left) = unpack(head);
+        Walk {
+            pool: self,
+            class: c,
+            block,
+            left,
+            started: false,
+        }
+    }
+
     /// Allocates `nlines` zeroed cache lines for thread `tid`, recycling a
     /// retired block of the same size class when one is available.
     ///
@@ -200,9 +245,9 @@ impl PmemPool {
             return self.alloc_lines(nlines);
         }
         let c = nlines;
-        let head_a = self.meta_word(tid, c - 1);
-        let head = self.raw_load(head_a.word());
-        if head == 0 {
+        let head_a = self.meta_word(tid, free_off(c));
+        let (b, n) = unpack(self.raw_load(head_a.word()));
+        if n == 0 {
             return self.alloc_lines(nlines);
         }
         // Stop counting the block as free *before* the pop can take effect,
@@ -213,16 +258,15 @@ impl PmemPool {
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
                 Some(v.saturating_sub(c))
             });
-        // 1. Announce the pop (alloc cursor := pre-pop head).
-        let ann_a = self.meta_word(tid, W_ALLOC_ANN);
-        self.store_at(ann_a, pack_ann(head, c, KIND_ALLOC), P_ANN);
-        self.pwb(ann_a, P_ANN);
-        self.pfence();
-        // 2. Pop: head := head.link, durable before the address escapes.
-        let next = self.raw_load(link_word(head, c));
-        self.store_at(head_a, next, P_HEAD);
+        // Pop, durable before the link word is zeroed or the address escapes.
+        let next = if n > 1 {
+            self.raw_load(link_word(b, c))
+        } else {
+            0
+        };
+        self.store_at(head_a, pack(next, n - 1), P_HEAD);
         self.pwb(head_a, P_HEAD);
-        self.pfence();
+        self.psync();
         #[cfg(debug_assertions)]
         {
             let retired = self
@@ -230,17 +274,13 @@ impl PmemPool {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             assert!(
-                !retired.contains(&head),
-                "retired address {head:#x} re-issued before a full epoch quiescence"
+                !retired.contains(&b),
+                "retired address {b:#x} re-issued before a full epoch quiescence"
             );
         }
-        // 3. Fresh-zero semantics (uninstrumented; see module docs).
-        self.raw_zero_words(head as usize, c * WORDS_PER_LINE);
-        // 4. Clear the cursor and sync before returning the address.
-        self.store_at(ann_a, 0, P_ANN);
-        self.pwb(ann_a, P_ANN);
-        self.psync();
-        PAddr(head)
+        // Fresh-zero semantics (uninstrumented; see module docs).
+        self.raw_zero_words(b as usize, c * WORDS_PER_LINE);
+        PAddr(b)
     }
 
     /// Retires a `nlines`-line block that thread `tid` has just unlinked
@@ -264,27 +304,19 @@ impl PmemPool {
             addr.word() >= self.heap_base && addr.word().is_multiple_of(WORDS_PER_LINE),
             "pretire_lines: {a:#x} is not a heap block"
         );
-        // 1. Announce the retire (free cursor := block).
-        let ann_a = self.meta_word(tid, W_FREE_ANN);
-        self.store_at(ann_a, pack_ann(a, c, KIND_RETIRE), P_ANN);
-        self.pwb(ann_a, P_ANN);
-        self.pfence();
-        // 2. Write the block's link word and make it durable before the
-        //    block becomes reachable from the limbo head.
-        let limbo_a = self.meta_word(tid, W_LIMBO);
-        let h = self.raw_load(limbo_a.word());
+        let limbo_a = self.meta_word(tid, limbo_off(c));
+        let (h, n) = unpack(self.raw_load(limbo_a.word()));
+        // Link the block to the list, durably, before the head names it.
         let link = PAddr(link_word(a, c) as u64);
         self.store_at(link, h, P_BLOCK);
         self.pwb(link, P_BLOCK);
         self.pfence();
-        // 3. Push, durably.
-        self.store_at(limbo_a, pack_limbo(a, c), P_LIMBO);
+        self.store_at(limbo_a, pack(a, n + 1), P_LIMBO);
         self.pwb(limbo_a, P_LIMBO);
-        self.pfence();
-        // 4. Clear the cursor and sync before returning.
-        self.store_at(ann_a, 0, P_ANN);
-        self.pwb(ann_a, P_ANN);
         self.psync();
+        if n == 0 {
+            self.tail_hint(tid, c).store(a, Ordering::Relaxed);
+        }
         #[cfg(debug_assertions)]
         self.retired_debug
             .lock()
@@ -292,7 +324,8 @@ impl PmemPool {
             .insert(a);
     }
 
-    /// Drains thread `tid`'s limbo list onto its class free lists.
+    /// Drains thread `tid`'s limbo lists onto its class free lists, one
+    /// splice per nonempty class (see module docs).
     ///
     /// **Quiescence contract:** callers may invoke this only when no
     /// data-structure operation is in flight on any thread — the drain is
@@ -303,51 +336,47 @@ impl PmemPool {
         if !self.reclaim {
             return;
         }
-        let limbo_a = self.meta_word(tid, W_LIMBO);
-        let ann_a = self.meta_word(tid, W_FREE_ANN);
-        loop {
-            let hp = self.raw_load(limbo_a.word());
-            if hp == 0 {
-                return;
+        for c in 1..=MAX_CLASS {
+            let limbo_a = self.meta_word(tid, limbo_off(c));
+            let limbo = self.raw_load(limbo_a.word());
+            if limbo == 0 {
+                continue;
             }
-            let (b, c) = unpack_limbo(hp);
-            debug_assert!(
-                (1..=MAX_CLASS).contains(&c),
-                "limbo head {hp:#x} carries corrupt class {c}"
-            );
-            // 1. Announce the move.
-            self.store_at(ann_a, pack_ann(b, c, KIND_MOVE), P_ANN);
-            self.pwb(ann_a, P_ANN);
-            self.pfence();
-            // 2. Pop off limbo — and persist the pop — *before* the block's
-            //    link word is overwritten for the class-list push. The
-            //    reverse order would cross-link the limbo tail into the
-            //    class list and double-allocate it.
-            let link = PAddr(link_word(b, c) as u64);
-            let next = self.raw_load(link.word());
-            self.store_at(limbo_a, next, P_LIMBO);
-            self.pwb(limbo_a, P_LIMBO);
-            self.pfence();
-            // 3. Relink onto the class list, durably.
-            let head_a = self.meta_word(tid, c - 1);
-            let h = self.raw_load(head_a.word());
-            self.store_at(link, h, P_BLOCK);
+            let (first, n) = unpack(limbo);
+            // The tail: the retire's hint, or a load-only walk bounded by
+            // the count when a quiescent point has forgotten the hint.
+            let tail = match self.tail_hint(tid, c).swap(0, Ordering::Relaxed) {
+                0 => self.walk(limbo, c).last().unwrap_or(first),
+                hint => hint,
+            };
+            #[cfg(debug_assertions)]
+            {
+                let mut ledger = self
+                    .retired_debug
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                let mut last = first;
+                for b in self.walk(limbo, c) {
+                    ledger.remove(&b);
+                    last = b;
+                }
+                assert_eq!(last, tail, "stale limbo tail hint");
+            }
+            let head_a = self.meta_word(tid, free_off(c));
+            let (f, m) = unpack(self.raw_load(head_a.word()));
+            // 1. Chain the free list behind the limbo tail, durably.
+            let link = PAddr(link_word(tail, c) as u64);
+            self.store_at(link, f, P_BLOCK);
             self.pwb(link, P_BLOCK);
             self.pfence();
-            self.store_at(head_a, b, P_HEAD);
+            // 2. Publish the spliced list, then retire the limbo head: same
+            //    line, this order (recovery repairs the image in between).
+            self.store_at(head_a, pack(first, n + m), P_HEAD);
+            self.store_at(limbo_a, 0, P_LIMBO);
             self.pwb(head_a, P_HEAD);
-            self.pfence();
-            // 4. Clear the cursor.
-            self.store_at(ann_a, 0, P_ANN);
-            self.pwb(ann_a, P_ANN);
             self.psync();
-            // Only now is the block genuinely allocatable.
-            self.free_lines.fetch_add(c, Ordering::SeqCst);
-            #[cfg(debug_assertions)]
-            self.retired_debug
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .remove(&b);
+            // Only now are the blocks genuinely allocatable.
+            self.free_lines.fetch_add(c * n as usize, Ordering::SeqCst);
         }
     }
 
@@ -360,151 +389,68 @@ impl PmemPool {
             return;
         }
         for tid in 0..self.max_threads() {
-            if self.raw_load(self.palloc_base + tid * WORDS_PER_LINE + W_LIMBO) != 0 {
+            if (1..=MAX_CLASS).any(|c| self.head(tid, limbo_off(c)) != 0) {
                 self.palloc_drain(tid);
             }
         }
     }
 
-    /// Post-crash allocator recovery: resolves every thread's in-flight
-    /// alloc/free announcement (see module docs for the case analysis),
-    /// then rebuilds the volatile accounting. Must run after
-    /// [`Self::crash`] and before any structure recovery allocates.
-    /// Idempotent; a no-op without [`crate::PoolCfg::reclaim`].
+    /// Post-crash allocator recovery: repairs the one image an interrupted
+    /// drain can leave (a limbo head naming its class's free head, see the
+    /// module docs), then rebuilds the volatile accounting. Reads heads
+    /// only. Must run after [`Self::crash`] and before any structure
+    /// recovery allocates. Idempotent; a no-op without
+    /// [`crate::PoolCfg::reclaim`].
     pub fn recover_allocator(&self) {
         if !self.reclaim {
             return;
         }
         for tid in 0..self.max_threads() {
-            let meta = self.palloc_base + tid * WORDS_PER_LINE;
-            // Idle threads (no cursor set): zero instrumented events.
-            let alloc_ann = self.raw_load(meta + W_ALLOC_ANN);
-            let free_ann = self.raw_load(meta + W_FREE_ANN);
-            debug_assert!(
-                alloc_ann == 0 || free_ann == 0,
-                "both cursors in flight for tid {tid}"
-            );
-            if alloc_ann != 0 {
-                let (a, c, kind) = unpack_ann(alloc_ann);
-                debug_assert_eq!(kind, KIND_ALLOC);
-                let head_a = self.meta_word(tid, c - 1);
-                if self.raw_load(head_a.word()) != a {
-                    // The pop persisted but the address never escaped the
-                    // allocator: push the block back.
-                    let h = self.raw_load(head_a.word());
-                    let link = PAddr(link_word(a, c) as u64);
-                    self.store_at(link, h, P_BLOCK);
-                    self.pwb(link, P_BLOCK);
-                    self.pfence();
-                    self.store_at(head_a, a, P_HEAD);
-                    self.pwb(head_a, P_HEAD);
-                    self.pfence();
+            for c in 1..=MAX_CLASS {
+                let limbo = self.head(tid, limbo_off(c));
+                if limbo != 0 && unpack(limbo).0 == unpack(self.head(tid, free_off(c))).0 {
+                    let limbo_a = self.meta_word(tid, limbo_off(c));
+                    self.store_at(limbo_a, 0, P_LIMBO);
+                    self.pwb(limbo_a, P_LIMBO);
+                    self.psync();
                 }
-                let ann_a = self.meta_word(tid, W_ALLOC_ANN);
-                self.store_at(ann_a, 0, P_ANN);
-                self.pwb(ann_a, P_ANN);
-                self.psync();
-            }
-            if free_ann != 0 {
-                let (b, c, kind) = unpack_ann(free_ann);
-                let limbo_a = self.meta_word(tid, W_LIMBO);
-                let link = PAddr(link_word(b, c) as u64);
-                match kind {
-                    KIND_RETIRE => {
-                        if unpack_limbo(self.raw_load(limbo_a.word())).0 != b {
-                            // Push never persisted: redo it from scratch.
-                            let h = self.raw_load(limbo_a.word());
-                            self.store_at(link, h, P_BLOCK);
-                            self.pwb(link, P_BLOCK);
-                            self.pfence();
-                            self.store_at(limbo_a, pack_limbo(b, c), P_LIMBO);
-                            self.pwb(limbo_a, P_LIMBO);
-                            self.pfence();
-                        }
-                    }
-                    KIND_MOVE => {
-                        let head_a = self.meta_word(tid, c - 1);
-                        let at_class_head = self.raw_load(head_a.word()) == b;
-                        let at_limbo_head = unpack_limbo(self.raw_load(limbo_a.word())).0 == b;
-                        if !at_class_head && !at_limbo_head {
-                            // Limbo pop persisted, class push didn't:
-                            // complete the push (the block is orphaned
-                            // otherwise).
-                            let h = self.raw_load(head_a.word());
-                            self.store_at(link, h, P_BLOCK);
-                            self.pwb(link, P_BLOCK);
-                            self.pfence();
-                            self.store_at(head_a, b, P_HEAD);
-                            self.pwb(head_a, P_HEAD);
-                            self.pfence();
-                        }
-                        // At the limbo head: the move never took; the next
-                        // drain redoes it. At the class head: fully done.
-                    }
-                    k => debug_assert!(false, "corrupt free cursor kind {k}"),
-                }
-                let ann_a = self.meta_word(tid, W_FREE_ANN);
-                self.store_at(ann_a, 0, P_ANN);
-                self.pwb(ann_a, P_ANN);
-                self.psync();
             }
         }
         self.refresh_palloc_accounting();
     }
 
-    /// Every block currently on a class free list, as `(addr, class)`
-    /// pairs, gathered with uninstrumented reads (audit/test use).
-    pub fn palloc_free_blocks(&self) -> Vec<(u64, usize)> {
+    /// `(addr, class)` of every block on the lists at `off(class)` of
+    /// every metadata line, read uninstrumented.
+    fn listed_blocks(&self, off: fn(usize) -> usize) -> Vec<(u64, usize)> {
         let mut out = Vec::new();
         if !self.reclaim {
             return out;
         }
-        let bound = self.nwords() / WORDS_PER_LINE + 1;
         for tid in 0..self.max_threads() {
-            let meta = self.palloc_base + tid * WORDS_PER_LINE;
             for c in 1..=MAX_CLASS {
-                let mut b = self.raw_load(meta + c - 1);
-                let mut steps = 0;
-                while b != 0 && steps < bound {
-                    out.push((b, c));
-                    b = self.raw_load(link_word(b, c));
-                    steps += 1;
-                }
+                out.extend(self.walk(self.head(tid, off(c)), c).map(|b| (b, c)));
             }
         }
         out
+    }
+
+    /// Every block currently on a class free list, as `(addr, class)`
+    /// pairs, gathered with uninstrumented reads (audit/test use).
+    pub fn palloc_free_blocks(&self) -> Vec<(u64, usize)> {
+        self.listed_blocks(free_off)
     }
 
     /// Every block currently on a limbo list, as `(addr, class)` pairs,
     /// gathered with uninstrumented reads (audit/test use).
     pub fn palloc_limbo_blocks(&self) -> Vec<(u64, usize)> {
-        let mut out = Vec::new();
-        if !self.reclaim {
-            return out;
-        }
-        let bound = self.nwords() / WORDS_PER_LINE + 1;
-        for tid in 0..self.max_threads() {
-            let meta = self.palloc_base + tid * WORDS_PER_LINE;
-            let mut hp = self.raw_load(meta + W_LIMBO);
-            let mut steps = 0;
-            while hp != 0 && steps < bound {
-                let (b, c) = unpack_limbo(hp);
-                out.push((b, c));
-                if !(1..=MAX_CLASS).contains(&c) {
-                    break; // corrupt link; palloc_check reports it
-                }
-                hp = self.raw_load(link_word(b, c));
-                steps += 1;
-            }
-        }
-        out
+        self.listed_blocks(limbo_off)
     }
 
     /// Structural audit of the allocator's persistent state, for verdict
-    /// phases: every free/limbo block is line-aligned, inside the allocated
-    /// heap, carries a valid class, appears on exactly one list, and no two
-    /// blocks overlap; all lists are acyclic and all cursors are resolved.
-    /// Uninstrumented — safe to call from traced verdict phases.
+    /// phases: every free/limbo block is line-aligned and inside the
+    /// allocated heap, every list holds exactly as many blocks as its head
+    /// counts, every block appears on exactly one list, and no two blocks
+    /// overlap. Uninstrumented — safe to call from traced verdict phases.
     ///
     /// Returns `Err` with a description of the first violation found.
     pub fn palloc_check(&self) -> Result<(), String> {
@@ -512,43 +458,31 @@ impl PmemPool {
             return Ok(());
         }
         let wm = self.alloc_watermark() as u64;
-        let bound = self.nwords() / WORDS_PER_LINE + 1;
         let mut blocks: Vec<(u64, usize, String)> = Vec::new();
         for tid in 0..self.max_threads() {
-            let meta = self.palloc_base + tid * WORDS_PER_LINE;
-            for c in 1..=MAX_CLASS {
-                let list = format!("tid {tid} class-{c} free list");
-                let mut b = self.raw_load(meta + c - 1);
-                let mut steps = 0;
-                while b != 0 {
-                    if steps >= bound {
-                        return Err(format!("cycle in {list}"));
+            for (kind, off) in [
+                ("free", free_off as fn(usize) -> usize),
+                ("limbo", limbo_off),
+            ] {
+                for c in 1..=MAX_CLASS {
+                    let list = format!("tid {tid} class-{c} {kind} list");
+                    let head = self.head(tid, off(c));
+                    let n = unpack(head).1;
+                    if n as usize > self.nwords() / WORDS_PER_LINE {
+                        return Err(format!("{list}: count {n} exceeds the pool"));
                     }
-                    check_block(self, &list, b, c, wm)?;
-                    blocks.push((b, c, list.clone()));
-                    b = self.raw_load(link_word(b, c));
-                    steps += 1;
-                }
-            }
-            let list = format!("tid {tid} limbo list");
-            let mut hp = self.raw_load(meta + W_LIMBO);
-            let mut steps = 0;
-            while hp != 0 {
-                if steps >= bound {
-                    return Err(format!("cycle in {list}"));
-                }
-                let (b, c) = unpack_limbo(hp);
-                check_block(self, &list, b, c, wm)?;
-                blocks.push((b, c, list.clone()));
-                hp = self.raw_load(link_word(b, c));
-                steps += 1;
-            }
-            for (off, name) in [(W_ALLOC_ANN, "alloc"), (W_FREE_ANN, "free")] {
-                let ann = self.raw_load(meta + off);
-                if ann != 0 {
-                    return Err(format!(
-                        "tid {tid}: unresolved {name} cursor {ann:#x} (recover_allocator not run?)"
-                    ));
+                    for (i, b) in self.walk(head, c).enumerate() {
+                        if b == 0 {
+                            return Err(format!("{list}: count {n} but the list ends after {i}"));
+                        }
+                        if (b as usize) < self.heap_base
+                            || b + (c * WORDS_PER_LINE) as u64 > wm
+                            || !b.is_multiple_of(WORDS_PER_LINE as u64)
+                        {
+                            return Err(format!("{list}: block {b:#x} outside the heap"));
+                        }
+                        blocks.push((b, c, list.clone()));
+                    }
                 }
             }
         }
@@ -557,7 +491,7 @@ impl PmemPool {
             let (a, ca, ref la) = pair[0];
             let (b, _, ref lb) = pair[1];
             if a == b {
-                return Err(format!("block {a:#x} on two lists: {la} and {lb}"));
+                return Err(format!("block {a:#x} listed twice: {la} and {lb}"));
             }
             if a + (ca * WORDS_PER_LINE) as u64 > b {
                 return Err(format!(
@@ -570,62 +504,31 @@ impl PmemPool {
 
     /// Rebuilds the volatile allocator accounting (the `remaining_lines`
     /// free counter and, in debug builds, the retired-address ledger) from
-    /// the persistent lists. Called at the quiescent points — `restore`,
-    /// `crash` resolution, and the end of recovery — where the lists are
-    /// the only source of truth.
+    /// the persistent heads, and forgets the limbo tail hints. Called at
+    /// the quiescent points — `restore`, `crash` resolution, and the end of
+    /// recovery — where the lists are the only source of truth.
     pub(crate) fn refresh_palloc_accounting(&self) {
-        let bound = self.nwords() / WORDS_PER_LINE + 1;
-        let mut free = 0usize;
-        for tid in 0..self.max_threads() {
-            let meta = self.palloc_base + tid * WORDS_PER_LINE;
-            for c in 1..=MAX_CLASS {
-                let mut b = self.raw_load(meta + c - 1);
-                let mut steps = 0;
-                while b != 0 && steps < bound {
-                    free += c;
-                    b = self.raw_load(link_word(b, c));
-                    steps += 1;
-                }
-            }
-        }
+        let free = (0..self.max_threads())
+            .flat_map(|tid| (1..=MAX_CLASS).map(move |c| (tid, c)))
+            .map(|(tid, c)| c * unpack(self.head(tid, free_off(c))).1 as usize)
+            .sum();
         self.free_lines.store(free, Ordering::SeqCst);
+        for hint in self.limbo_tails.iter() {
+            hint.store(0, Ordering::Relaxed);
+        }
         #[cfg(debug_assertions)]
         {
-            let mut retired = std::collections::HashSet::new();
-            for tid in 0..self.max_threads() {
-                let meta = self.palloc_base + tid * WORDS_PER_LINE;
-                let mut hp = self.raw_load(meta + W_LIMBO);
-                let mut steps = 0;
-                while hp != 0 && steps < bound {
-                    let (b, c) = unpack_limbo(hp);
-                    retired.insert(b);
-                    if !(1..=MAX_CLASS).contains(&c) {
-                        break;
-                    }
-                    hp = self.raw_load(link_word(b, c));
-                    steps += 1;
-                }
-            }
+            let retired = self
+                .palloc_limbo_blocks()
+                .into_iter()
+                .map(|(b, _)| b)
+                .collect();
             *self
                 .retired_debug
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = retired;
         }
     }
-}
-
-/// One block's structural validity (shared by the audit walks).
-fn check_block(pool: &PmemPool, list: &str, b: u64, c: usize, wm: u64) -> Result<(), String> {
-    if !(1..=MAX_CLASS).contains(&c) {
-        return Err(format!("{list}: block {b:#x} carries invalid class {c}"));
-    }
-    if (b as usize) < pool.heap_base
-        || b + (c * WORDS_PER_LINE) as u64 > wm
-        || !b.is_multiple_of(WORDS_PER_LINE as u64)
-    {
-        return Err(format!("{list}: block {b:#x} (class {c}) outside the heap"));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -849,8 +752,9 @@ mod tests {
     }
 
     /// Crash at every instrumented event of a drain (the limbo → free-list
-    /// move): the block must land on exactly one list — never both (the
-    /// double-allocate hazard the move ordering exists to prevent).
+    /// splice): the block must land on exactly one list — never both (the
+    /// double-allocate hazard the splice ordering exists to prevent), and
+    /// never neither (a drain leaks nothing).
     #[test]
     fn drain_crash_swept_at_every_event() {
         let count = {
@@ -884,17 +788,85 @@ mod tests {
                 });
                 let free = p.palloc_free_blocks();
                 let limbo = p.palloc_limbo_blocks();
-                assert!(
-                    free.len() + limbo.len() <= 1,
-                    "drain crash at {k}: block on multiple lists (free={free:?}, limbo={limbo:?})"
+                assert_eq!(
+                    free.len() + limbo.len(),
+                    1,
+                    "drain crash at {k}: block not on exactly one list (free={free:?}, limbo={limbo:?})"
                 );
                 // Wherever it landed, a follow-up drain + alloc must
                 // re-issue it exactly once.
                 p.palloc_drain(0);
-                if free.len() + limbo.len() == 1 {
-                    assert_eq!(p.palloc_lines(0, 1), a);
-                    assert_ne!(p.palloc_lines(0, 1), a, "double-allocate after drain crash");
+                assert_eq!(p.palloc_lines(0, 1), a);
+                assert_ne!(p.palloc_lines(0, 1), a, "double-allocate after drain crash");
+            }
+        }
+    }
+
+    /// Crash at every instrumented event of a drain that splices three
+    /// class-1 limbo blocks over a nonempty class-1 free list, plus one
+    /// class-2 block, under the pessimist and three seeded adversaries.
+    /// Recovery, run twice, must leave every block on exactly one list,
+    /// and a follow-up drain plus allocs must issue each block exactly
+    /// once.
+    #[test]
+    fn splice_crash_swept_at_every_event() {
+        // Two class-1 blocks free; three class-1 and one class-2 in limbo.
+        let setup = || {
+            let p = reclaim_pool(1 << 20);
+            let blocks: Vec<(PAddr, usize)> = [1, 1, 1, 1, 1, 2]
+                .into_iter()
+                .map(|c| (p.palloc_lines(0, c), c))
+                .collect();
+            for &(b, c) in &blocks[..2] {
+                p.pretire_lines(0, b, c);
+            }
+            p.palloc_drain(0);
+            for &(b, c) in &blocks[2..] {
+                p.pretire_lines(0, b, c);
+            }
+            let mut all: Vec<(u64, usize)> = blocks.iter().map(|&(b, c)| (b.raw(), c)).collect();
+            all.sort_unstable();
+            (p, all)
+        };
+        let lists = |p: &PmemPool| (p.palloc_free_blocks(), p.palloc_limbo_blocks());
+        let count = {
+            let (p, _) = setup();
+            p.set_trace_enabled(true);
+            let before = p.trace_event_total();
+            p.palloc_drain(0);
+            p.trace_event_total() - before
+        };
+        assert!(count > 0, "drain must be instrumented");
+        for adversary in 0..4u64 {
+            for k in 0..count {
+                let (p, all) = setup();
+                p.crash_ctl().arm_after(k);
+                assert!(
+                    run_crashable(|| p.palloc_drain(0)).is_none(),
+                    "crash point {k} did not fire"
+                );
+                if adversary == 0 {
+                    p.crash(&mut PessimistAdversary);
+                } else {
+                    p.crash(&mut SeededAdversary::new(k << 8 ^ adversary ^ 0x5911CE));
                 }
+                let at = format!("splice crash at {k} (adversary {adversary})");
+                p.recover_allocator();
+                let once = lists(&p);
+                p.recover_allocator();
+                assert_eq!(once, lists(&p), "{at}: recover_allocator is not idempotent");
+                p.palloc_check()
+                    .unwrap_or_else(|e| panic!("{at}: audit failed: {e}"));
+                let mut listed: Vec<(u64, usize)> = once.0.into_iter().chain(once.1).collect();
+                listed.sort_unstable();
+                assert_eq!(listed, all, "{at}: a block leaked or is listed twice");
+                p.palloc_drain(0);
+                let mut issued: Vec<(u64, usize)> = all
+                    .iter()
+                    .map(|&(_, c)| (p.palloc_lines(0, c).raw(), c))
+                    .collect();
+                issued.sort_unstable();
+                assert_eq!(issued, all, "{at}: blocks not issued exactly once");
             }
         }
     }

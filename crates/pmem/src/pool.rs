@@ -164,9 +164,18 @@ pub struct PmemPool {
     /// Volatile count of cache lines currently sitting on class free lists
     /// (not limbo — those are not yet allocatable). Maintained conservatively
     /// for [`Self::remaining_lines`]: decremented *before* a pop takes
-    /// effect, incremented only once a push is durable, and recomputed from
-    /// the lists at the quiescent points (`restore`/`crash`/recovery).
+    /// effect, incremented only once a drain's splice is durable, and
+    /// recomputed from the free heads' counts at the quiescent points
+    /// (`restore`/`crash`/recovery).
     pub(crate) free_lines: AtomicUsize,
+    /// Volatile tail hints of the limbo lists, one per thread and size
+    /// class (0 = unknown): the block a retire pushed onto an empty limbo
+    /// list. A drain that has one splices without walking the list; the
+    /// quiescent points that rebuild `free_lines` forget them all. Relaxed
+    /// suffices: a drain runs only at a quiescent point, and whatever
+    /// makes it quiescent (a barrier, a join) orders the retire's hint
+    /// store before the drain's read.
+    pub(crate) limbo_tails: Box<[AtomicU64]>,
     /// Debug-only ledger of retired-but-not-yet-quiescent block addresses,
     /// used to assert that no address is re-issued before a full epoch
     /// quiescence (see `palloc`).
@@ -222,6 +231,10 @@ impl PmemPool {
     /// [`NUM_ROOTS`] root lines, then `cfg.max_threads` recovery lines,
     /// then (with [`PoolCfg::reclaim`]) `cfg.max_threads` allocator
     /// metadata lines, then the allocatable heap.
+    ///
+    /// # Panics
+    /// If a `reclaim` pool has 2³² or more lines: the allocator's counted
+    /// list heads hold a line index and a length in 32 bits each.
     pub fn new(cfg: PoolCfg) -> Self {
         let recovery_base = (1 + NUM_ROOTS) * WORDS_PER_LINE;
         let palloc_base = recovery_base + cfg.max_threads * WORDS_PER_LINE;
@@ -234,8 +247,18 @@ impl PmemPool {
         let nwords = (cfg.capacity / 8)
             .next_multiple_of(WORDS_PER_LINE)
             .max(heap_base + 16 * WORDS_PER_LINE);
+        assert!(
+            !cfg.reclaim || nwords / WORDS_PER_LINE <= crate::palloc::MAX_RECLAIM_LINES,
+            "a reclaiming pool holds at most {} lines (palloc's counted heads)",
+            crate::palloc::MAX_RECLAIM_LINES
+        );
         let words = alloc_zeroed_atomics(nwords);
         let reclaim = cfg.reclaim;
+        let tails = if reclaim {
+            cfg.max_threads * crate::MAX_CLASS
+        } else {
+            0
+        };
         let epoch = new_epoch(
             if cfg.trace { EP_TRACE } else { 0 }
                 | if cfg.lint { EP_LINT } else { 0 }
@@ -258,6 +281,7 @@ impl PmemPool {
             heap_base,
             reclaim: cfg.reclaim,
             free_lines: AtomicUsize::new(0),
+            limbo_tails: (0..tails).map(|_| AtomicU64::new(0)).collect(),
             #[cfg(debug_assertions)]
             retired_debug: Mutex::new(std::collections::HashSet::new()),
             max_threads: cfg.max_threads,
@@ -372,7 +396,7 @@ impl PmemPool {
     /// concurrent allocation. The bump component uses a `SeqCst` load of a
     /// monotone cursor (so it can only under-report a racing bump), and the
     /// free-list component is a counter that is decremented *before* a pop
-    /// takes effect and incremented only once a push is durable — a racing
+    /// takes effect and incremented only once a splice is durable — a racing
     /// reader can miss a block in flight, never count one twice.
     pub fn remaining_lines(&self) -> usize {
         let next = self.next.load(Ordering::SeqCst).min(self.words.len());
@@ -388,6 +412,12 @@ impl PmemPool {
     /// Current bump-allocation watermark in words.
     pub(crate) fn alloc_watermark(&self) -> usize {
         self.next.load(Ordering::SeqCst)
+    }
+
+    /// Cache lines the bump arena has handed out so far. On a `reclaim`
+    /// pool each of them is in use, on a free or limbo list, or leaked.
+    pub fn issued_lines(&self) -> usize {
+        (self.alloc_watermark() - self.heap_base) / WORDS_PER_LINE
     }
 
     /// Uninstrumented word read: no crash tick, no trace event, no yield.

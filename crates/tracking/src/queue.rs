@@ -17,7 +17,10 @@
 //! * **Dequeue** consumes the successor `F` of the head sentinel `H` and
 //!   makes `F` the new sentinel: AffectSet = `{H}` (leaves the structure ⇒
 //!   tagged forever), WriteSet = `{head-cell: H → F}`, response =
-//!   `F.value`. Competing dequeues serialize on `H`'s tag; the head cell
+//!   `F.value`. Before publishing, a dequeue persists the head cell: `H`
+//!   may be the sentinel of a dequeue whose head-cell CAS is not yet
+//!   durable, and a durable tag on `H` must not outlive that move.
+//!   Competing dequeues serialize on `H`'s tag; the head cell
 //!   CAS is ABA-free because sentinels advance through node addresses that
 //!   are never reused *within an operation window* — fresh forever on the
 //!   default bump pool, and on a `pmem::PoolCfg::reclaim` pool re-issued
@@ -39,7 +42,7 @@ use crate::descriptor::{AffectEntry, Desc, WriteEntry};
 use crate::help::{help, help_tagged};
 use crate::op;
 use crate::result::{dec_val, enc_val, BOTTOM, FALSE};
-use crate::sites::{S_CP, S_NEW};
+use crate::sites::{S_CP, S_NEW, S_UPDATE};
 
 /// Descriptor op-type tag for enqueues.
 pub const OP_ENQ: u8 = 10;
@@ -216,6 +219,12 @@ impl RecoverableQueue {
                 }],
                 &[],
             );
+            // `h` may be the sentinel of a dequeue whose head-cell CAS is
+            // not yet durable. Persist the head cell (the publish fence
+            // orders it) before tagging `h`: a durable tag on a sentinel
+            // the head cell can still revert past would let recovery take
+            // this dequeue's failed CAS for "done".
+            pool.pwb(self.head_cell, S_UPDATE);
             op::publish(ctx, desc, &[]);
             help(pool, desc);
             let r = desc.result(pool);
@@ -454,6 +463,80 @@ mod tests {
             }
         }
         panic!("sweep did not terminate");
+    }
+
+    /// Dequeue D2 crashes right after its head-cell CAS, so the head move
+    /// exists only in volatile memory. Dequeue D0 gathers the moved head,
+    /// tags the new sentinel and crashes right after its tagging psync.
+    /// After a pessimist crash, recovering D0 before D2 must still hand
+    /// out every value exactly once: D0's durable tag must not outlive the
+    /// head move it builds on.
+    #[test]
+    fn dequeue_over_an_unpersisted_head_move_recovers_exactly_once() {
+        let pool = Arc::new(PmemPool::new(PoolCfg {
+            trace: true,
+            trace_capacity: 1 << 16,
+            ..PoolCfg::model(16 << 20)
+        }));
+        let q = RecoverableQueue::new(pool.clone(), 4);
+        let d0 = ThreadCtx::new(pool.clone(), 0);
+        let d2 = ThreadCtx::new(pool.clone(), 2);
+        for v in 1..=4 {
+            q.enqueue(&d0, v);
+        }
+        // Runs `deq` crash-free from a checkpoint, finds the index of the
+        // event `at` picks out, rewinds, and replays `deq` to crash right
+        // after that event.
+        let crash_after = |deq: &dyn Fn(), at: &dyn Fn(&[pmem::Event]) -> usize| {
+            let snap = pool.snapshot();
+            pool.trace_clear();
+            deq();
+            let k = at(&pool.trace_snapshot().events) as u64;
+            pool.restore(&snap);
+            pool.crash_ctl().arm_after(k + 1);
+            assert!(pmem::run_crashable(deq).is_none(), "crash did not fire");
+        };
+        let head = q.head_cell.raw();
+        crash_after(
+            &|| {
+                q.dequeue(&d2);
+            },
+            &|ev| {
+                ev.iter()
+                    .position(|e| e.kind == pmem::EventKind::Cas && e.addr == head)
+                    .expect("D2 moves the head")
+            },
+        );
+        let moved = pool.load(q.head_cell);
+        assert_ne!(
+            pool.persisted_load(q.head_cell),
+            moved,
+            "head move is volatile"
+        );
+        let new_info = PAddr::from_raw(moved).add(N_INFO).raw();
+        crash_after(
+            &|| {
+                q.dequeue(&d0);
+            },
+            &|ev| {
+                let tag = ev
+                    .iter()
+                    .position(|e| e.kind == pmem::EventKind::Cas && e.addr == new_info)
+                    .expect("D0 tags the new sentinel");
+                tag + ev[tag..]
+                    .iter()
+                    .position(|e| e.kind == pmem::EventKind::Psync)
+                    .expect("tagging psync")
+            },
+        );
+        pool.crash(&mut pmem::PessimistAdversary);
+        let mut out: Vec<u64> = [q.recover_dequeue(&d0), q.recover_dequeue(&d2)]
+            .into_iter()
+            .flatten()
+            .chain(q.values())
+            .collect();
+        out.sort_unstable();
+        assert_eq!(out, vec![1, 2, 3, 4], "every value exactly once");
     }
 
     #[test]
