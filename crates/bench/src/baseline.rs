@@ -45,6 +45,11 @@ use crate::workload::Mix;
 /// field by field with the PR each field appeared in.
 pub const SCHEMA: &str = "bench-baseline/v1";
 
+/// Timed window per thread-sweep point, the same in the smoke and full
+/// tiers: the smoke sweep's trend is compared with a full capture's, and a
+/// shorter window lets the hash map's early resizes dominate the point.
+pub const SWEEP_WINDOW: std::time::Duration = std::time::Duration::from_millis(200);
+
 /// Configuration of one baseline capture.
 #[derive(Clone, Debug)]
 pub struct BaselineCfg {
@@ -53,10 +58,9 @@ pub struct BaselineCfg {
     /// Iterations of the primitive loop per timed overhead trial.
     pub overhead_iters: u64,
     /// Thread counts of the parallel thread sweep (`bench::parallel`
-    /// over the [`THROUGHPUT`] pairs).
+    /// over the [`THROUGHPUT`] pairs). Every point is timed over
+    /// [`SWEEP_WINDOW`] in both tiers.
     pub sweep_threads: Vec<usize>,
-    /// Timed window per sweep point, in milliseconds.
-    pub sweep_window_ms: u64,
     /// Label recorded in the report (e.g. `pr4`).
     pub label: String,
     /// Previously captured `off_ns_per_op`, for trend reporting (read from
@@ -71,7 +75,6 @@ impl BaselineCfg {
             ops: 40_000,
             overhead_iters: 4_000_000,
             sweep_threads: vec![1, 2, 4],
-            sweep_window_ms: 200,
             label: label.to_string(),
             prev_off_ns_per_op: None,
         }
@@ -83,7 +86,6 @@ impl BaselineCfg {
             ops: 2_000,
             overhead_iters: 200_000,
             sweep_threads: vec![1, 2],
-            sweep_window_ms: 40,
             label: label.to_string(),
             prev_off_ns_per_op: None,
         }
@@ -450,7 +452,7 @@ pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
     let thread_sweep = run_thread_sweep(
         &registry::with_role(THROUGHPUT).collect::<Vec<_>>(),
         &cfg.sweep_threads,
-        std::time::Duration::from_millis(cfg.sweep_window_ms),
+        SWEEP_WINDOW,
         512 << 20,
     );
     let overhead = bench_overhead(cfg.overhead_iters);
@@ -734,7 +736,6 @@ mod tests {
         cfg.ops = 64;
         cfg.overhead_iters = 2_000;
         cfg.sweep_threads = vec![1, 2];
-        cfg.sweep_window_ms = 20;
         cfg.prev_off_ns_per_op = Some(12.5);
         let report = run_baseline(&cfg);
         assert_eq!(

@@ -719,8 +719,8 @@ fn worker_body<Sub: Subject>(
 
 /// The attach-once exploration context: pool, subject, and per-thread
 /// contexts are built once; every schedule run rewinds the pool to the
-/// `base` snapshot ([`PmemPool::restore`] re-arms the crash model and
-/// leaves the scheduler bit alone).
+/// `base` snapshot ([`PmemPool::restore`] rewinds the words and the crash
+/// model's images and leaves the scheduler bit alone).
 struct ExpRunner<Sub: Subject> {
     pool: Arc<PmemPool>,
     sub: Sub,
@@ -872,7 +872,6 @@ impl<Sub: Subject> ExpRunner<Sub> {
             // stamp, so their intervals span the crash.
             self.pool
                 .crash(&mut *cfg.adversary.instantiate(k, cfg.seed));
-            self.pool.set_crash_model_dormant(true);
             // Allocator recovery first, as a restarted system would order
             // it: per-thread structure recovery below may allocate and must
             // not see a half-linked free list (no-op on bump pools).

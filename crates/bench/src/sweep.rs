@@ -757,20 +757,16 @@ where
         };
 
         if cfg.multi_crash == 0 {
-            // No further crash can fire before the next restore/rebuild, so
-            // the crash model's bookkeeping is dead weight for the rest of
-            // the verdict; restore (or the next scratch build) re-arms it.
-            pool.set_crash_model_dormant(true);
             let pp = Cell::new(past_prologue);
             let actual = self.run_recovery(pool, sub, ctx, j, &pp);
             judge(&mut outcome, actual, "");
             return outcome;
         }
 
-        // Multi-crash tier: the crash model stays live, because recovery is
-        // about to crash too. The count pass doubles as the single-crash
-        // verdict: recovery runs crash-free under a sentinel countdown
-        // whose remainder counts recovery's instrumented events `M`.
+        // Multi-crash tier: recovery is about to crash too. The count pass
+        // doubles as the single-crash verdict: recovery runs crash-free
+        // under a sentinel countdown whose remainder counts recovery's
+        // instrumented events `M`.
         let base = pool.snapshot();
         const SENTINEL: u64 = 1 << 40;
         pool.crash_ctl().arm_after(SENTINEL);
@@ -809,7 +805,6 @@ where
             let r2 = self.run_recovery(pool, sub, ctx, j, &pp);
             judge(&mut outcome, r2, &tag);
         }
-        pool.set_crash_model_dormant(true);
         outcome
     }
 

@@ -10,10 +10,14 @@
 //! handling the rest stays out of the inlined fast path entirely.
 //!
 //! Bit owners: [`crate::crash::CrashCtl`] maintains [`EP_CRASH`] from its
-//! arm/disarm/auto-disarm transitions; [`crate::PmemPool`] maintains
-//! [`EP_TRACE`]/[`EP_LINT`] from the observer toggles,
-//! [`EP_SHADOW`] from construction plus the dormant-model toggle,
-//! and [`EP_SCHED`] from the schedule explorer's enable toggle.
+//! arm/disarm/auto-disarm transitions; [`crate::PmemPool`] sets
+//! [`EP_SHADOW`] once at construction and never toggles it, maintains
+//! [`EP_TRACE`]/[`EP_LINT`] from the observer toggles, [`EP_MASK`] from
+//! the site-mask setters (and [`crate::PmemPool::restore`], which puts a
+//! snapshot's mask back), and [`EP_SCHED`] from the schedule explorer's
+//! enable toggle. Snapshot, restore and crash resolution set no bit of
+//! their own: a checkpointed replay runs on the same fast paths as a run
+//! on a fresh pool.
 //!
 //! Ordering: *setting* bits uses SeqCst (arming a crash or enabling an
 //! observer is a rare control action that must not reorder with the
@@ -29,17 +33,9 @@ pub(crate) const EP_CRASH: u64 = 1 << 0;
 pub(crate) const EP_TRACE: u64 = 1 << 1;
 /// Flush lint recording ([`crate::lint`]).
 pub(crate) const EP_LINT: u64 = 1 << 2;
-/// Shadow crash model awake (Model mode pools; set at construction,
-/// temporarily cleared while the model is dormant between a resolved
-/// crash and the next restore — see
-/// [`crate::PmemPool::set_crash_model_dormant`]).
+/// Shadow crash model present (Model mode pools; set at construction and
+/// never cleared).
 pub(crate) const EP_SHADOW: u64 = 1 << 3;
-/// Replay-footprint tracking armed ([`crate::PmemPool::restore`] sets it,
-/// permanently for the pool): mutating primitives record the cache lines
-/// they touch so the next restore/crash can visit only those lines instead
-/// of scanning the whole allocated prefix. Never set outside checkpointed
-/// crash sweeps, so perf-mode pools keep their untouched fast paths.
-pub(crate) const EP_FOOT: u64 = 1 << 4;
 /// Some persistence instruction is masked off (site mask not all-ones, or
 /// `psync` disabled) — the paper's "remove this code line" experiments.
 /// Folding this into the epoch keeps the unmasked `pwb`/`pfence`/`psync`

@@ -22,9 +22,8 @@
 //!    analysis — a flush of a contended shared line causes coherence misses
 //!    and is expensive, a flush of a thread-private line is cheap — which is
 //!    exactly the low/medium/high categorization of Figures 3e–f, 4e–f, 5
-//!    and 6. [`Backend::Delay`] injects calibrated latencies instead (for
-//!    non-x86 hosts), and [`Backend::Noop`] turns persistence instructions
-//!    into pure counters.
+//!    and 6. On hosts other than x86-64 both fall back to a fence.
+//!    [`Backend::Noop`] turns persistence instructions into pure counters.
 //! 2. **Crash model** (the `shadow` module, enabled with
 //!    [`PoolCfg::shadow`]): every cache line keeps a *persisted* image and an
 //!    optional *pwb-pending* snapshot. A simulated crash

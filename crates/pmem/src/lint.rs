@@ -283,12 +283,6 @@ pub(crate) struct FlushLint {
     pwb_dirty: [AtomicU64; MAX_SITES],
     pwb_redundant: [AtomicU64; MAX_SITES],
     pwb_unknown: [AtomicU64; MAX_SITES],
-    /// Bumped by every *observable* mutation (line-state transition,
-    /// diagnostic, counter). Pool restore compares generations to skip
-    /// re-importing a table nothing touched (the common case for the sweep
-    /// engine's dark replays, where neither the trace nor the lint drives
-    /// the state machine).
-    generation: AtomicU64,
 }
 
 impl FlushLint {
@@ -303,26 +297,7 @@ impl FlushLint {
             pwb_dirty: std::array::from_fn(|_| AtomicU64::new(0)),
             pwb_redundant: std::array::from_fn(|_| AtomicU64::new(0)),
             pwb_unknown: std::array::from_fn(|_| AtomicU64::new(0)),
-            generation: AtomicU64::new(0),
         }
-    }
-
-    /// Opaque mutation counter over the observable lint state (see the
-    /// field docs); equal generations mean table, diagnostics and counters
-    /// are all unchanged.
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn touch(&self) {
-        // Not a fetch_add: racing touches may collapse into one increment,
-        // which is fine — generations are only compared across quiescent
-        // points, and any epoch containing a touch strictly advances the
-        // value. A plain load+store keeps the lock-prefixed RMW off the
-        // store/pwb hot paths.
-        let g = self.generation.load(Ordering::Relaxed);
-        self.generation.store(g + 1, Ordering::Relaxed);
     }
 
     #[inline]
@@ -404,7 +379,6 @@ impl FlushLint {
                     if meta_status(prev) == ST_UNTRACKED {
                         self.journal_push(line);
                     }
-                    self.touch();
                     self.deep_check(line, ST_DIRTY);
                     return true;
                 }
@@ -434,7 +408,6 @@ impl FlushLint {
                             if count {
                                 self.pwb_dirty[site.idx()].fetch_add(1, Ordering::Relaxed);
                             }
-                            self.touch();
                             self.deep_check(line, ST_FLUSHED);
                             return true;
                         }
@@ -455,7 +428,6 @@ impl FlushLint {
                             if count {
                                 self.pwb_unknown[site.idx()].fetch_add(1, Ordering::Relaxed);
                             }
-                            self.touch();
                             self.deep_check(line, ST_FLUSHED);
                             return false;
                         }
@@ -475,7 +447,6 @@ impl FlushLint {
                             tid: crate::trace::trace_tid(),
                             seq,
                         });
-                        self.touch();
                     }
                     return false;
                 }
@@ -488,7 +459,6 @@ impl FlushLint {
     /// epoch at once (see [`eff_status`]).
     pub(crate) fn on_fence(&self) {
         self.fence_epoch.fetch_add(1, Ordering::AcqRel);
-        self.touch();
     }
 
     /// A successful CAS stored `new` into some word; if `new` decodes to a
@@ -512,7 +482,6 @@ impl FlushLint {
                 tid,
                 seq,
             });
-            self.touch();
         }
     }
 
@@ -521,7 +490,6 @@ impl FlushLint {
     /// tracked state resets — post-crash, volatile and persisted views
     /// agree everywhere.
     pub(crate) fn on_crash(&self, seq: u64) {
-        self.touch();
         let epoch = self.fence_epoch.load(Ordering::Relaxed);
         let mut journal = lock(&self.journal);
         if self.enabled() {
@@ -625,7 +593,6 @@ impl FlushLint {
     /// `_flushed` worklist is derived state under the epoch scheme and is
     /// accepted only for signature stability.
     pub(crate) fn import_state(&self, lines: &[(usize, LineState)], _flushed: &[usize]) {
-        self.touch();
         let epoch = self.fence_epoch.load(Ordering::Relaxed);
         let mut journal = lock(&self.journal);
         for &l in journal.iter() {
@@ -651,7 +618,6 @@ impl FlushLint {
 
     /// Forgets all findings, counters and line states.
     pub(crate) fn clear(&self) {
-        self.touch();
         let mut journal = lock(&self.journal);
         for &l in journal.iter() {
             self.meta[l].store(0, Ordering::Relaxed);

@@ -34,16 +34,9 @@ pub enum Backend {
     /// (`clwb` where the host supports it — Optane's own instruction —
     /// falling back to `clflushopt`/`clflush`), `psync`/`pfence` = real
     /// `sfence`. Default on x86-64; reproduces the coherence/write-back
-    /// cost structure of flushes that the paper's analysis is about.
+    /// cost structure of flushes that the paper's analysis is about. On
+    /// other hosts both fall back to a sequentially consistent fence.
     Clflush,
-    /// Inject fixed busy-wait latencies (nanoseconds) instead of real
-    /// flushes. Portable fallback and a knob for sensitivity studies.
-    Delay {
-        /// Busy-wait per `pwb`.
-        pwb_ns: u64,
-        /// Busy-wait per `psync`.
-        psync_ns: u64,
-    },
     /// Count persistence instructions but execute nothing. Used for pure
     /// instruction-count experiments (Figures 3b/3d) where the counting
     /// itself must not perturb the run.
@@ -176,18 +169,6 @@ pub(crate) fn hw_sfence() {
     std::sync::atomic::fence(Ordering::SeqCst);
 }
 
-/// Busy-waits approximately `ns` nanoseconds (Delay backend).
-#[inline]
-pub(crate) fn busy_wait_ns(ns: u64) {
-    if ns == 0 {
-        return;
-    }
-    let start = std::time::Instant::now();
-    while (start.elapsed().as_nanos() as u64) < ns {
-        std::hint::spin_loop();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,13 +213,5 @@ mod tests {
         assert!(!m.psync_enabled());
         m.set_psync(true);
         assert!(m.psync_enabled());
-    }
-
-    #[test]
-    fn busy_wait_returns() {
-        // smoke: must terminate and take at least roughly the requested time
-        let t = std::time::Instant::now();
-        busy_wait_ns(10_000);
-        assert!(t.elapsed().as_nanos() >= 10_000);
     }
 }

@@ -358,6 +358,11 @@ impl ShadowMem {
     /// concurrent pool operations) — callers crash/join all worker threads
     /// first. `nlines` bounds the scan to the allocated prefix of the pool
     /// (untouched lines are identical in both views by construction).
+    ///
+    /// Lines are visited in ascending order, and a line whose views agree
+    /// and that has no pending snapshot is skipped without consulting the
+    /// adversary, so a seeded adversary's choices depend only on the lines
+    /// that can actually lose data.
     pub(crate) fn crash(
         &self,
         volatile: &[AtomicU64],
@@ -365,35 +370,34 @@ impl ShadowMem {
         nlines: usize,
     ) {
         for line in 0..nlines {
-            self.resolve_line(volatile, adversary, line);
+            let base = line * WORDS_PER_LINE;
+            let pending = self.take_pending(line);
+            let differs = (0..WORDS_PER_LINE).any(|i| {
+                volatile[base + i].load(Ordering::Acquire)
+                    != self.persisted[base + i].load(Ordering::Acquire)
+            });
+            if !differs && pending.is_none() {
+                continue;
+            }
+            let choice = adversary.choose(line, pending.is_some());
+            let image: LineSnap = match (choice, pending) {
+                (CrashChoice::Volatile, _) => {
+                    std::array::from_fn(|i| volatile[base + i].load(Ordering::Acquire))
+                }
+                (CrashChoice::Pending, Some(snap)) => snap,
+                // Pending without a snapshot degrades to the persisted image
+                _ => std::array::from_fn(|i| self.persisted[base + i].load(Ordering::Acquire)),
+            };
+            for (i, w) in image.iter().enumerate() {
+                volatile[base + i].store(*w, Ordering::Release);
+                self.persisted[base + i].store(*w, Ordering::Release);
+            }
         }
-        self.pend_head.store(NIL, Ordering::Release);
-    }
-
-    /// [`ShadowMem::crash`] over an explicit ascending line list instead of
-    /// the whole allocated prefix. The caller (pool footprint tracking)
-    /// guarantees the list covers every line whose views can differ and
-    /// every pending snapshot; lines are visited in the same ascending
-    /// order as the full scan and clean lines consume no adversary choice,
-    /// so a seeded adversary resolves both scans identically.
-    pub(crate) fn crash_bounded(
-        &self,
-        volatile: &[AtomicU64],
-        adversary: &mut dyn CrashAdversary,
-        lines: &[usize],
-    ) {
-        for &line in lines {
-            self.resolve_line(volatile, adversary, line);
-        }
-        debug_assert!(
-            self.queued_lines_unsorted().is_empty(),
-            "crash_bounded missed a pending line"
-        );
         self.pend_head.store(NIL, Ordering::Release);
     }
 
     /// Consumes `line`'s pending snapshot if it has one (quiescence only;
-    /// the crash scans reset the stack head once, afterwards).
+    /// the crash scan resets the stack head once, afterwards).
     fn take_pending(&self, line: usize) -> Option<LineSnap> {
         if self.pend_state[line].load(Ordering::Acquire) & ST_QUEUED == 0 {
             return None;
@@ -403,69 +407,6 @@ impl ShadowMem {
             std::array::from_fn(|i| self.pend_buf[base + i].load(Ordering::Relaxed));
         self.pend_state[line].store(0, Ordering::Relaxed);
         Some(snap)
-    }
-
-    /// One line of crash resolution (shared by the full and bounded scans):
-    /// skip if both views agree and nothing is pending, otherwise let the
-    /// adversary pick the surviving image and write it to both views.
-    fn resolve_line(
-        &self,
-        volatile: &[AtomicU64],
-        adversary: &mut dyn CrashAdversary,
-        line: usize,
-    ) {
-        let base = line * WORDS_PER_LINE;
-        let pending = self.take_pending(line);
-        let differs = (0..WORDS_PER_LINE).any(|i| {
-            volatile[base + i].load(Ordering::Acquire)
-                != self.persisted[base + i].load(Ordering::Acquire)
-        });
-        if !differs && pending.is_none() {
-            return;
-        }
-        let choice = adversary.choose(line, pending.is_some());
-        let image: LineSnap = match (choice, pending) {
-            (CrashChoice::Volatile, _) => {
-                std::array::from_fn(|i| volatile[base + i].load(Ordering::Acquire))
-            }
-            (CrashChoice::Pending, Some(snap)) => snap,
-            // Pending without a snapshot degrades to the persisted image
-            _ => std::array::from_fn(|i| self.persisted[base + i].load(Ordering::Acquire)),
-        };
-        for (i, w) in image.iter().enumerate() {
-            volatile[base + i].store(*w, Ordering::Release);
-            self.persisted[base + i].store(*w, Ordering::Release);
-        }
-    }
-
-    /// Lines that currently hold a pending `pwb` snapshot, ascending.
-    pub(crate) fn pending_lines(&self) -> Vec<usize> {
-        let mut lines = self.queued_lines_unsorted();
-        lines.sort_unstable();
-        lines
-    }
-
-    /// Incremental counterpart of [`ShadowMem::import`]: rewrites the
-    /// persisted image of just `lines` (from `persisted`, zero past its
-    /// end) and replaces the pending set. Correct only when every other
-    /// line's persisted image already equals the snapshot's — the pool's
-    /// footprint tracking establishes exactly that.
-    pub(crate) fn import_lines(
-        &self,
-        lines: &[usize],
-        persisted: &[u64],
-        pending: &[(usize, LineSnap)],
-    ) {
-        for &line in lines {
-            let base = line * WORDS_PER_LINE;
-            for i in 0..WORDS_PER_LINE {
-                let w = base + i;
-                let v = persisted.get(w).copied().unwrap_or(0);
-                self.persisted[w].store(v, Ordering::Release);
-            }
-        }
-        self.clear_pending();
-        self.set_pending(pending);
     }
 }
 

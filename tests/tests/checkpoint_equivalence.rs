@@ -2,15 +2,17 @@
 //!
 //! The checkpointed sweep engine (`bench::sweep` with `cfg.checkpoint`)
 //! replays each crash point from a pool snapshot instead of rebuilding the
-//! structure from scratch, and its restore path is *incremental*: only the
-//! cache lines the previous replay touched are rewritten, and crash
-//! resolution scans only that footprint. These tests assert the strongest
-//! available equivalence for every structure family: with `paranoia = 1.0`
-//! every single replayed point is re-run from scratch, traced, and the two
+//! structure from scratch. A restore copies the snapshot's whole allocated
+//! prefix (volatile words, persisted image, pending `pwb` snapshots, lint
+//! line states), and a crash scans the whole allocated prefix, exactly as
+//! on a fresh pool. These tests assert the strongest available
+//! equivalence for every structure family: with `paranoia = 1.0` every
+//! single replayed point is re-run from scratch, traced, and the two
 //! engines must agree on the verdict *and* produce byte-identical
-//! pre-crash event streams. Any divergence — a stale line the incremental
-//! restore missed, an adversary RNG stream shifted by the bounded crash
-//! scan — lands in `violations` and fails the run.
+//! pre-crash event streams. Any divergence — state a snapshot failed to
+//! capture or a restore failed to put back, an adversary stream consumed
+//! differently after a restore — lands in `violations` and fails the
+//! run.
 
 use bench::sweep::{run_palloc_sweep, run_sweep, AdversaryKind, SweepCfg};
 use bench::{AlgoKind, StructureKind};
@@ -56,10 +58,10 @@ fn assert_engines_equivalent_reclaim(
     assert_eq!(ck.points_run, scratch.points_run);
 }
 
-/// List family, seeded adversary: partial-line survival exercises the
-/// bounded crash scan's "clean lines consume no adversary choice"
-/// invariant — a scan-order difference between the engines would shift
-/// the RNG stream and change crash resolutions.
+/// List family, seeded adversary: partial-line survival makes every
+/// adversary choice count — a line whose views agree on one engine and
+/// differ on the other would shift the RNG stream and change crash
+/// resolutions.
 #[test]
 fn list_checkpoint_engine_is_equivalent() {
     assert_engines_equivalent(
@@ -92,10 +94,10 @@ fn exchanger_checkpoint_engine_is_equivalent() {
 
 /// Hashmap family, pessimist adversary: the sweep config (2 buckets,
 /// max-chain 2) drives the scripted puts through bucket migrations, so the
-/// incremental restore must reproduce level headers, migration cursors and
-/// move descriptors exactly — a stale `H_NEXT` or cursor line would send
-/// the replayed recovery down a different (still-migrating vs finished)
-/// path than the scratch engine's.
+/// restore must reproduce level headers, migration cursors and move
+/// descriptors exactly — a stale `H_NEXT` or cursor line would send the
+/// replayed recovery down a different (still-migrating vs finished) path
+/// than the scratch engine's.
 #[test]
 fn hashmap_checkpoint_engine_is_equivalent() {
     assert_engines_equivalent(
@@ -106,8 +108,8 @@ fn hashmap_checkpoint_engine_is_equivalent() {
 }
 
 /// Hashmap on a reclaim pool: migrated-out originals and sealed sentinels
-/// retire into limbo, so the per-thread allocator metadata joins the
-/// checkpointed footprint.
+/// retire into limbo, so the per-thread allocator metadata lines are part
+/// of every checkpoint and every restore.
 #[test]
 fn churn_hashmap_checkpoint_engine_is_equivalent() {
     assert_engines_equivalent_reclaim(
@@ -121,9 +123,9 @@ fn churn_hashmap_checkpoint_engine_is_equivalent() {
 /// Allocator-churn list on a reclaim pool: deletes retire nodes into
 /// limbo, op boundaries drain it, and every verdict audits the free
 /// lists — so the allocator's instrumented events join the sweep's event
-/// space and the incremental restore must reproduce the per-thread
-/// allocator metadata lines exactly. A stale free-list head or a drain
-/// replayed against an un-restored limbo line would diverge the engines.
+/// space and the restore must reproduce the per-thread allocator metadata
+/// lines exactly. A stale free-list head or a drain replayed against an
+/// un-restored limbo line would diverge the engines.
 #[test]
 fn churn_list_checkpoint_engine_is_equivalent() {
     assert_engines_equivalent_reclaim(
