@@ -191,12 +191,6 @@ impl Iterator for Walk<'_> {
 }
 
 impl PmemPool {
-    /// Was this pool built with the free-list allocator
-    /// ([`crate::PoolCfg::reclaim`])?
-    pub fn reclaim_enabled(&self) -> bool {
-        self.reclaim
-    }
-
     fn meta_word(&self, tid: usize, off: usize) -> PAddr {
         debug_assert!(self.reclaim);
         assert!(

@@ -785,11 +785,6 @@ impl PmemPool {
         self.set_epoch_bit(EP_TRACE, on);
     }
 
-    /// Is the trace currently recording?
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.enabled()
-    }
-
     /// Copies out the retained trace window, merged across threads in
     /// global sequence order.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
@@ -805,11 +800,6 @@ impl PmemPool {
     pub fn set_lint_enabled(&self, on: bool) {
         self.lint.set_enabled(on);
         self.set_epoch_bit(EP_LINT, on);
-    }
-
-    /// Is the lint currently recording findings?
-    pub fn lint_enabled(&self) -> bool {
-        self.lint.enabled()
     }
 
     /// Copies out the lint's findings and per-site flush counters,

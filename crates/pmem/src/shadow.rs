@@ -28,25 +28,25 @@
 //! tests; it merely under-approximates maximal adversarial loss across
 //! concurrently crashing threads.
 //!
-//! ## Lock-free pending table
+//! ## Pending set
 //!
-//! The pending set used to be a global `Mutex<HashMap>`, which made every
-//! `pwb` a lock acquisition. It is now a fixed-geometry per-line table
-//! (`nwords` is known at pool creation): one snapshot buffer line, one
-//! state word and one intrusive stack link per cache line. `pwb` touches
-//! only its own line's words; `psync` steals the queued-lines stack with a
-//! single swap and commits line by line. Durability law 4
-//! (`persisted_image_never_regresses_under_concurrency`) is preserved by a
-//! per-line `WRITING` bit that serializes *both* snapshot capture and
-//! persisted-image commits for that line: a snapshot is always read from
-//! the live volatile view inside the critical section (never captured
-//! early and published late), and commits of a line cannot interleave, so
-//! each per-word persisted image only ever moves forward in snapshot time.
-//! A line is pushed onto the queued stack inside that same critical
-//! section, so a line marked queued is always on a stack some fence will
-//! drain.
+//! The queued snapshots sit behind one `Mutex`: a list of queued lines plus
+//! a per-line slot index into it, lazily zeroed like `persisted`. Under the
+//! lock, `pwb` reads its snapshot from the live volatile view and queues it
+//! (or replaces the line's older one in place) in O(1), and `psync` commits
+//! the queued lines in O(queued). One lock serializes every snapshot
+//! capture and every commit, so each per-word persisted image only moves
+//! forward in snapshot time (durability law 4,
+//! `persisted_image_never_regresses_under_concurrency`), and a fence that
+//! takes the lock after a `pwb` finds that `pwb`'s snapshot either still
+//! queued or already committed. The shadow runs no instrumented event while
+//! it holds the lock, so no crash tick or scheduler yield fires inside it.
+//! The list keeps a fence's work proportional to the lines queued since
+//! the last fence; a `HashMap` keyed by line would drain in time
+//! proportional to its capacity, which one resize's run of `pwb`s inflates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::addr::WORDS_PER_LINE;
 
@@ -119,156 +119,85 @@ impl CrashAdversary for SeededAdversary {
 
 pub(crate) type LineSnap = [u64; WORDS_PER_LINE];
 
-// Per-line pending state word bits.
-/// The line's snapshot buffer or persisted image is being written; acts as
-/// a per-line spinlock (critical sections are a handful of word copies).
-const ST_WRITING: u64 = 1;
-/// The snapshot buffer holds a pending `pwb` awaiting the next `psync`.
-const ST_QUEUED: u64 = 2;
-/// Stack-link terminator.
-const NIL: u64 = u64::MAX;
-
 /// The shadow images backing Model mode (see module docs).
 pub(crate) struct ShadowMem {
     persisted: Box<[AtomicU64]>,
-    /// Per-line pending snapshot buffers, same geometry as `persisted`.
-    /// Valid for line `l` iff its state word has [`ST_QUEUED`] set.
-    pend_buf: Box<[AtomicU64]>,
-    /// Per-line [`ST_WRITING`]/[`ST_QUEUED`] word.
-    pend_state: Box<[AtomicU64]>,
-    /// Per-line intrusive link of the queued-lines stack ([`NIL`]-ended).
-    pend_next: Box<[AtomicU64]>,
-    /// Treiber stack of lines with a pending snapshot. Pushed on the
-    /// not-queued → queued transition only, so a line is on at most one
-    /// (stolen or live) list and pop-all is a single swap — no ABA.
-    pend_head: AtomicU64,
-    /// Number of [`ShadowMem::psync`] calls between steal and commit
-    /// completion. A fence must not return while another fence still holds
-    /// stolen-but-uncommitted snapshots (see `psync`).
-    sync_active: AtomicU64,
+    pending: Mutex<Pending>,
+}
+
+/// The `pwb` snapshots awaiting the next `psync` (see module docs).
+struct Pending {
+    /// One snapshot per queued line, in first-`pwb` order.
+    lines: Vec<(usize, LineSnap)>,
+    /// Per line, 1 + its index in `lines`, or 0 when it is not queued.
+    slot: Box<[usize]>,
+}
+
+impl Pending {
+    /// Queues `snap` for `line`, replacing the line's older snapshot.
+    fn put(&mut self, line: usize, snap: LineSnap) {
+        match self.slot[line] {
+            0 => {
+                self.lines.push((line, snap));
+                self.slot[line] = self.lines.len();
+            }
+            s => self.lines[s - 1].1 = snap,
+        }
+    }
+
+    /// Dequeues every queued line, in queue order.
+    fn drain(&mut self) -> std::vec::Drain<'_, (usize, LineSnap)> {
+        for &(line, _) in &self.lines {
+            self.slot[line] = 0;
+        }
+        self.lines.drain(..)
+    }
 }
 
 impl ShadowMem {
     pub(crate) fn new(nwords: usize) -> Self {
-        let nlines = nwords.div_ceil(WORDS_PER_LINE);
         ShadowMem {
             persisted: crate::pool::alloc_zeroed_atomics(nwords),
-            pend_buf: crate::pool::alloc_zeroed_atomics(nlines * WORDS_PER_LINE),
-            pend_state: crate::pool::alloc_zeroed_atomics(nlines),
-            pend_next: crate::pool::alloc_zeroed_atomics(nlines),
-            pend_head: AtomicU64::new(NIL),
-            sync_active: AtomicU64::new(0),
+            pending: Mutex::new(Pending {
+                lines: Vec::new(),
+                // `vec![0; n]` allocates zeroed, so the OS maps its pages lazily.
+                slot: vec![0; nwords.div_ceil(WORDS_PER_LINE)].into_boxed_slice(),
+            }),
         }
     }
 
-    /// Acquires `line`'s [`ST_WRITING`] bit; returns the pre-acquire state.
-    fn lock_line(&self, line: usize) -> u64 {
-        loop {
-            let s = self.pend_state[line].load(Ordering::Relaxed);
-            if s & ST_WRITING == 0
-                && self.pend_state[line]
-                    .compare_exchange_weak(s, s | ST_WRITING, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return s;
-            }
-            std::hint::spin_loop();
-        }
+    fn pending(&self) -> MutexGuard<'_, Pending> {
+        self.pending
+            .lock()
+            .expect("shadow pending set poisoned: a pwb or psync panicked")
     }
 
-    /// Pushes `line` onto the queued-lines stack. Caller guarantees the
-    /// line is not already on a list (it just made the not-queued → queued
-    /// transition).
-    fn push_pending(&self, line: usize) {
-        let mut head = self.pend_head.load(Ordering::Relaxed);
-        loop {
-            self.pend_next[line].store(head, Ordering::Relaxed);
-            match self.pend_head.compare_exchange_weak(
-                head,
-                line as u64,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(h) => head = h,
-            }
-        }
-    }
-
-    /// Records a `pwb` of `line`: snapshots the current volatile content.
+    /// Records a `pwb` of `line`: queues a snapshot of its current volatile
+    /// content.
     ///
-    /// The snapshot is read *while holding* the line's [`ST_WRITING`] bit,
-    /// never before. `psync` commits under the same bit, so every committed
-    /// snapshot reflects the line at capture time and per-word persisted
-    /// images only move forward. If the snapshot were read first, a thread
-    /// descheduled between the read and the publish could publish an
+    /// The snapshot is read *while holding* the pending lock, never before.
+    /// `psync` commits under the same lock, so every committed snapshot
+    /// reflects the line at capture time and per-word persisted images
+    /// only move forward. If the snapshot were read first, a thread
+    /// descheduled between the read and the queueing could queue an
     /// arbitrarily old image, and the next `psync` would commit it —
     /// rolling the persisted image *backward* past durably-committed
     /// updates, something no real write-back can do.
-    ///
-    /// The line is pushed onto the queued stack *before* the [`ST_QUEUED`]
-    /// bit is published. Otherwise a second `pwb` could see the bit, skip
-    /// its own push, and fence while the line is on no stack and no fence
-    /// is active: that fence would return with the snapshot uncommitted
-    /// (durability law 4).
     pub(crate) fn pwb(&self, volatile: &[AtomicU64], line: usize) {
         let base = line * WORDS_PER_LINE;
-        let s = self.lock_line(line);
-        for i in 0..WORDS_PER_LINE {
-            self.pend_buf[base + i].store(
-                volatile[base + i].load(Ordering::Acquire),
-                Ordering::Relaxed,
-            );
-        }
-        // A fence that steals the stack before the bit is published waits
-        // on the line's lock, then commits this snapshot.
-        if s & ST_QUEUED == 0 {
-            self.push_pending(line);
-        }
-        // Publishes the snapshot and releases the lock in one store.
-        self.pend_state[line].store(ST_QUEUED, Ordering::Release);
+        let mut pending = self.pending();
+        let snap = std::array::from_fn(|i| volatile[base + i].load(Ordering::Acquire));
+        pending.put(line, snap);
     }
 
     /// Commits every pending snapshot to the persisted image (`psync`).
-    ///
-    /// Steals the whole queued stack with one swap; a `pwb` racing with the
-    /// steal either made the stack in time or stays queued for the next
-    /// fence — either is a legal write-back schedule.
-    ///
-    /// The closing drain loop is load-bearing for the durability contract
-    /// ("when *my* `psync` returns, *my* earlier `pwb`s are durable"): a
-    /// snapshot this caller queued may sit on a stack a *concurrent* fence
-    /// stole first, in which case this fence's own swap comes back empty.
-    /// Returning at that point would acknowledge durability while the
-    /// other fence is still mid-commit — the law-4 regression the
-    /// `pending_table_storm` test pins. So a fence waits until no fence
-    /// (started before or during the wait) still holds stolen snapshots;
-    /// the global mutex this table replaced gave the same guarantee by
-    /// serializing fences outright.
     pub(crate) fn psync(&self) {
-        self.sync_active.fetch_add(1, Ordering::AcqRel);
-        let mut cur = self.pend_head.swap(NIL, Ordering::Acquire);
-        while cur != NIL {
-            let line = cur as usize;
-            self.lock_line(line);
-            // Read the link *before* releasing the line: once the state
-            // word clears, a concurrent `pwb` may re-queue the line and
-            // repoint the link at the new live stack.
-            let next = self.pend_next[line].load(Ordering::Relaxed);
+        let mut pending = self.pending();
+        for (line, snap) in pending.drain() {
             let base = line * WORDS_PER_LINE;
-            for i in 0..WORDS_PER_LINE {
-                self.persisted[base + i].store(
-                    self.pend_buf[base + i].load(Ordering::Relaxed),
-                    Ordering::Release,
-                );
+            for (i, w) in snap.iter().enumerate() {
+                self.persisted[base + i].store(*w, Ordering::Release);
             }
-            // Consumes the snapshot and releases the lock.
-            self.pend_state[line].store(0, Ordering::Release);
-            cur = next;
-        }
-        self.sync_active.fetch_sub(1, Ordering::AcqRel);
-        while self.sync_active.load(Ordering::Acquire) != 0 {
-            std::hint::spin_loop();
         }
     }
 
@@ -277,63 +206,14 @@ impl ShadowMem {
         self.persisted[word].load(Ordering::Acquire)
     }
 
-    /// Walks the queued-lines stack at quiescence: yields each line that
-    /// still holds a pending snapshot, unsorted. At quiescence every
-    /// psync's stolen list has drained, so queued ⇔ on this stack.
-    fn queued_lines_unsorted(&self) -> Vec<usize> {
-        let mut lines = Vec::new();
-        let mut cur = self.pend_head.load(Ordering::Acquire);
-        while cur != NIL {
-            let line = cur as usize;
-            if self.pend_state[line].load(Ordering::Acquire) & ST_QUEUED != 0 {
-                lines.push(line);
-            }
-            cur = self.pend_next[line].load(Ordering::Acquire);
-        }
-        lines
-    }
-
-    /// Drops every pending snapshot (quiescence only).
-    fn clear_pending(&self) {
-        let mut cur = self.pend_head.swap(NIL, Ordering::Acquire);
-        while cur != NIL {
-            let line = cur as usize;
-            let next = self.pend_next[line].load(Ordering::Relaxed);
-            self.pend_state[line].store(0, Ordering::Relaxed);
-            cur = next;
-        }
-    }
-
-    /// Installs `pending` as the entire pending set (quiescence only; the
-    /// caller cleared the old set first).
-    fn set_pending(&self, pending: &[(usize, LineSnap)]) {
-        for &(line, snap) in pending {
-            let base = line * WORDS_PER_LINE;
-            for (i, w) in snap.iter().enumerate() {
-                self.pend_buf[base + i].store(*w, Ordering::Relaxed);
-            }
-            self.pend_state[line].store(ST_QUEUED, Ordering::Release);
-            self.push_pending(line);
-        }
-    }
-
     /// Copies out the shadow state covering the first `nwords` words: the
-    /// persisted image plus every pending `pwb` snapshot. Requires
-    /// quiescence (pool snapshot/restore only).
+    /// persisted image plus every pending `pwb` snapshot, sorted by line.
+    /// Requires quiescence (pool snapshot/restore only).
     pub(crate) fn export(&self, nwords: usize) -> (Vec<u64>, Vec<(usize, LineSnap)>) {
         let persisted = (0..nwords)
             .map(|i| self.persisted[i].load(Ordering::Acquire))
             .collect();
-        let mut pending: Vec<(usize, LineSnap)> = self
-            .queued_lines_unsorted()
-            .into_iter()
-            .map(|line| {
-                let base = line * WORDS_PER_LINE;
-                let snap: LineSnap =
-                    std::array::from_fn(|i| self.pend_buf[base + i].load(Ordering::Relaxed));
-                (line, snap)
-            })
-            .collect();
+        let mut pending = self.pending().lines.clone();
         pending.sort_unstable_by_key(|&(line, _)| line);
         (persisted, pending)
     }
@@ -349,15 +229,19 @@ impl ShadowMem {
         for i in persisted.len()..zero_to {
             self.persisted[i].store(0, Ordering::Release);
         }
-        self.clear_pending();
-        self.set_pending(pending);
+        let mut set = self.pending();
+        drop(set.drain());
+        for &(line, snap) in pending {
+            set.put(line, snap);
+        }
     }
 
     /// Resolves a crash: rewrites both the volatile and persisted views of
-    /// every line per the adversary's choices. Requires quiescence (no
-    /// concurrent pool operations) — callers crash/join all worker threads
-    /// first. `nlines` bounds the scan to the allocated prefix of the pool
-    /// (untouched lines are identical in both views by construction).
+    /// every line per the adversary's choices, and drops every pending
+    /// snapshot. Requires quiescence (no concurrent pool operations) —
+    /// callers crash/join all worker threads first. `nlines` bounds the
+    /// scan to the allocated prefix of the pool (untouched lines are
+    /// identical in both views by construction).
     ///
     /// Lines are visited in ascending order, and a line whose views agree
     /// and that has no pending snapshot is skipped without consulting the
@@ -369,9 +253,12 @@ impl ShadowMem {
         adversary: &mut dyn CrashAdversary,
         nlines: usize,
     ) {
+        let mut queued: Vec<_> = self.pending().drain().collect();
+        queued.sort_unstable_by_key(|&(line, _)| line);
+        let mut queued = queued.into_iter().peekable();
         for line in 0..nlines {
             let base = line * WORDS_PER_LINE;
-            let pending = self.take_pending(line);
+            let pending = queued.next_if(|&(l, _)| l == line).map(|(_, snap)| snap);
             let differs = (0..WORDS_PER_LINE).any(|i| {
                 volatile[base + i].load(Ordering::Acquire)
                     != self.persisted[base + i].load(Ordering::Acquire)
@@ -393,20 +280,6 @@ impl ShadowMem {
                 self.persisted[base + i].store(*w, Ordering::Release);
             }
         }
-        self.pend_head.store(NIL, Ordering::Release);
-    }
-
-    /// Consumes `line`'s pending snapshot if it has one (quiescence only;
-    /// the crash scan resets the stack head once, afterwards).
-    fn take_pending(&self, line: usize) -> Option<LineSnap> {
-        if self.pend_state[line].load(Ordering::Acquire) & ST_QUEUED == 0 {
-            return None;
-        }
-        let base = line * WORDS_PER_LINE;
-        let snap: LineSnap =
-            std::array::from_fn(|i| self.pend_buf[base + i].load(Ordering::Relaxed));
-        self.pend_state[line].store(0, Ordering::Relaxed);
-        Some(snap)
     }
 }
 
@@ -522,12 +395,13 @@ mod tests {
         assert_eq!(vol[2].load(Ordering::Acquire), 1);
     }
 
-    /// Races the lock-free pending table directly: writers storm `pwb` +
-    /// `psync` over several lines (so queued-stack steals race pushes)
-    /// while asserting durability law 4, and the final fence must find
-    /// every line — a line whose state says QUEUED but which fell off the
-    /// stack would stay stale forever, because later `pwb`s only push on
-    /// the not-queued → queued transition.
+    /// Races the pending set directly: writers storm `pwb` + `psync` over
+    /// several lines while a dedicated fence hammer drains the set, and
+    /// every writer asserts durability law 4 after its own fence. The
+    /// final fence must then find every line: a line whose slot says
+    /// queued but whose snapshot left the list would stay stale forever,
+    /// because later `pwb`s replace its snapshot in a list entry no fence
+    /// visits.
     #[test]
     fn pending_table_storm_preserves_law_4_and_loses_no_lines() {
         use std::sync::Arc;
@@ -541,7 +415,7 @@ mod tests {
         let ticket = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
-        // A dedicated fence hammer maximizes stack-steal vs push races.
+        // A dedicated fence hammer keeps the set draining under the writers.
         let syncer = {
             let sh = Arc::clone(&sh);
             let stop = Arc::clone(&stop);
@@ -591,8 +465,8 @@ mod tests {
         syncer.join().unwrap();
 
         // Quiescent close: one pwb per line + one fence must commit the
-        // final volatile image everywhere. A line lost off the queued
-        // stack during the storm would fail exactly here.
+        // final volatile image everywhere. A line lost from the pending
+        // set during the storm would fail exactly here.
         for line in 0..LINES {
             sh.pwb(&vol, line);
         }
@@ -604,6 +478,41 @@ mod tests {
                 "word {w}: pending line lost during the storm"
             );
         }
+    }
+
+    /// Two `pwb`s of one line before a fence keep only the second
+    /// snapshot, and a `pwb` after the fence queues the line afresh.
+    #[test]
+    fn repeated_pwb_replaces_the_pending_snapshot() {
+        struct PickPending;
+        impl CrashAdversary for PickPending {
+            fn choose(&mut self, _: usize, has_pending: bool) -> CrashChoice {
+                assert!(has_pending);
+                CrashChoice::Pending
+            }
+        }
+        let (vol, sh) = mk(16);
+        let replaced = |vol: &[AtomicU64], sh: &ShadowMem| {
+            vol[9].store(1, Ordering::Release);
+            sh.pwb(vol, 1);
+            vol[9].store(2, Ordering::Release);
+            sh.pwb(vol, 1);
+            vol[9].store(3, Ordering::Release); // never written back
+        };
+        replaced(&vol, &sh);
+        sh.crash(&vol, &mut PickPending, vol.len() / WORDS_PER_LINE);
+        assert_eq!(vol[9].load(Ordering::Acquire), 2);
+        assert_eq!(sh.persisted_load(9), 2);
+
+        let (vol, sh) = mk(16);
+        replaced(&vol, &sh);
+        sh.psync();
+        assert_eq!(sh.persisted_load(9), 2);
+        // The fence emptied the set; a third pwb must queue the line again.
+        sh.pwb(&vol, 1);
+        assert_eq!(sh.export(vol.len()).1, vec![(1, [0, 3, 0, 0, 0, 0, 0, 0])]);
+        sh.psync();
+        assert_eq!(sh.persisted_load(9), 3);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl ThreadCtx {
         &self.pool
     }
 
-    /// A clone of the pool handle.
-    pub fn pool_arc(&self) -> Arc<PmemPool> {
-        self.pool.clone()
-    }
-
     /// This thread's identity (recovery-slot index).
     #[inline]
     pub fn tid(&self) -> usize {

@@ -95,9 +95,10 @@
 //! announcer always self-combines, which keeps single-thread crash
 //! sweeps deterministic.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pmem::{PAddr, PmemPool, ThreadCtx, MAX_THREADS, WORDS_PER_LINE};
+use pmem::{CrashPoint, PAddr, PmemPool, ThreadCtx, MAX_THREADS, WORDS_PER_LINE};
 
 use crate::result::{dec_val, enc_val, FALSE, TRUE};
 use crate::sites::{S_ANNOUNCE, S_COMB_PUBLISH, S_COMB_ROUND, S_CP};
@@ -257,7 +258,16 @@ impl Comb {
                 return pool.load(self.table_entry(self.cur_round(), q).add(1));
             }
             if pool.load(lock) == 0 && pool.cas(lock, 0, q as u64 + 1).is_ok() {
-                self.combine(ctx);
+                // A combiner that panics (pool exhaustion) frees the lock,
+                // or every waiter would spin forever. A crashed thread runs
+                // no further pool events: after an injected crash,
+                // `recover_structure` frees it.
+                if let Err(e) = panic::catch_unwind(AssertUnwindSafe(|| self.combine(ctx))) {
+                    if !e.is::<CrashPoint>() {
+                        pool.store(lock, 0);
+                    }
+                    panic::resume_unwind(e);
+                }
                 pool.store(lock, 0);
             } else {
                 // Real OS threads on few cores: hand the timeslice to the
@@ -727,6 +737,34 @@ mod tests {
         want.sort_unstable();
         assert_eq!(all, want);
         assert!(s.is_empty());
+    }
+
+    /// A combiner that runs the pool dry panics holding the combiner
+    /// lock. The next announcer must still finish, by returning or by the
+    /// same exhaustion panic, rather than spin behind a dead combiner.
+    #[test]
+    fn exhausted_combiner_frees_the_lock_for_the_next_announcer() {
+        let pool = Arc::new(PmemPool::new(PoolCfg::model(1 << 20)));
+        let s = CombiningStack::new(pool.clone(), 8, 2);
+        // Leave no room for the first combining round's record.
+        while pool.try_alloc_lines(1).is_some() {}
+        let first = ThreadCtx::new(pool.clone(), 0);
+        let died = panic::catch_unwind(AssertUnwindSafe(|| s.push(&first, 1)))
+            .expect_err("the first combiner must run the pool dry");
+        assert!(pmem::exhaustion_message(&*died).is_some());
+
+        // A channel, not a bare join: a wedged announcer never finishes.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let second = ThreadCtx::new(pool.clone(), 1);
+        let waiter = std::thread::spawn(move || {
+            let out = panic::catch_unwind(AssertUnwindSafe(|| s.pop(&second)));
+            let _ = tx.send(out.map_err(|e| pmem::exhaustion_message(&*e).map(str::to_owned)));
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(Ok(_)) | Ok(Err(Some(_))) => waiter.join().unwrap(),
+            Ok(Err(None)) => panic!("the second announcer panicked, but not on exhaustion"),
+            Err(_) => panic!("the second announcer is wedged behind the dead combiner's lock"),
+        }
     }
 
     #[test]

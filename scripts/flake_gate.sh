@@ -28,6 +28,7 @@ gates=(
     "multithread_crash||-p integration-tests --test multithread_crash"
     "queue_stack_crash||-p integration-tests --test queue_stack_crash"
     "bench --lib parallel::|parallel::|-p bench --lib"
+    "tracking --lib combining::|combining::|-p tracking --lib"
 )
 
 # Build every binary first, so build time and errors stay out of the runs.
