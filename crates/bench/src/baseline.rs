@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use pmem::{Backend, PmemPool, PoolCfg, Rng, SiteId, ThreadCtx};
 
-use crate::parallel::{run_thread_sweep, SweepPoint};
+use crate::parallel::{run_thread_sweep, time_point, SweepPoint};
 use crate::registry::{self, Dims, Engine, Entry, BASELINE, THROUGHPUT};
 use crate::subject::Subject;
 use crate::workload::Mix;
@@ -49,6 +49,9 @@ pub const SCHEMA: &str = "bench-baseline/v1";
 /// tiers: the smoke sweep's trend is compared with a full capture's, and a
 /// shorter window lets the hash map's early resizes dominate the point.
 pub const SWEEP_WINDOW: std::time::Duration = std::time::Duration::from_millis(200);
+
+/// Pool size of each thread-sweep point.
+const SWEEP_POOL_BYTES: usize = 512 << 20;
 
 /// Configuration of one baseline capture.
 #[derive(Clone, Debug)]
@@ -384,8 +387,8 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// *instrumentation* (flag checks, counters, crash-tick plumbing) rather
 /// than flush hardware. The two pools run interleaved, one off trial then
 /// one on trial, so a slow stretch of the host lands on both sides of a
-/// pair; each figure is the median over [`OVERHEAD_TRIALS`] pairs.
-fn bench_overhead(iters: u64) -> OverheadRow {
+/// pair; each figure is the median over `OVERHEAD_TRIALS` pairs.
+pub fn bench_overhead(iters: u64) -> OverheadRow {
     let off_pool = PmemPool::new(PoolCfg {
         backend: Backend::Noop,
         ..PoolCfg::perf(1 << 20)
@@ -418,6 +421,13 @@ fn bench_overhead(iters: u64) -> OverheadRow {
         on_ns_per_op: median(on),
         ratio: median(ratio),
     }
+}
+
+/// Times one more window of a thread-sweep point as [`run_baseline`]
+/// timed it, returning its ops/sec (the `--prev` trend's retime).
+pub fn retime_sweep_point(p: &SweepPoint) -> f64 {
+    let subject = registry::parse_subject(p.subject).expect("a registered subject");
+    time_point(subject, p.threads, SWEEP_WINDOW, SWEEP_POOL_BYTES).ops_per_sec
 }
 
 /// Available parallelism of the host, sampled now (not cached): the value
@@ -453,7 +463,7 @@ pub fn run_baseline(cfg: &BaselineCfg) -> BaselineReport {
         &registry::with_role(THROUGHPUT).collect::<Vec<_>>(),
         &cfg.sweep_threads,
         SWEEP_WINDOW,
-        512 << 20,
+        SWEEP_POOL_BYTES,
     );
     let overhead = bench_overhead(cfg.overhead_iters);
     BaselineReport {

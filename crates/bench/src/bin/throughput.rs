@@ -13,6 +13,8 @@
 //!   --label L          report label (default pr7)
 //!   --out PATH         output JSON path (default BENCH_throughput_<label>.json)
 //!   --prev PATH        earlier report to compare aggregate ops/sec against
+//!                      (a point more than 25% slow is timed twice more and
+//!                      flagged only if the median of the three still is)
 //! ```
 //!
 //! Every point runs its threads as real concurrent OS threads — no turn
@@ -118,7 +120,16 @@ fn main() {
         if prev_pts.is_empty() {
             println!("prev {} has no sweep points to compare", p.display());
         } else {
-            let (lines, warnings) = compare_sweeps(&prev_pts, &points, 0.25);
+            let retime = |p: &SweepPoint| {
+                let subject = registry::parse_subject(p.subject).expect("a registered subject");
+                run(&RunCfg {
+                    shards: p.shards,
+                    duration,
+                    ..RunCfg::contended(subject, p.threads)
+                })
+                .ops_per_sec()
+            };
+            let (lines, warnings) = compare_sweeps(&prev_pts, &points, 0.25, retime);
             for l in lines {
                 println!("{l}");
             }

@@ -2,9 +2,9 @@
 //! *every* instrumented persistence event and check both of the paper's
 //! correctness obligations at each point.
 //!
-//! The engine turns the ad-hoc sweeps of the integration tests into a
-//! systematic, reportable harness. One sweep of a `(structure, algorithm)`
-//! pair proceeds in three phases:
+//! The integration tests' fixed scenarios and the `crashsweep` matrix both
+//! run on this engine. One sweep of a `(structure, algorithm)` pair
+//! proceeds in three phases:
 //!
 //! 1. **Count.** Run the deterministic scripted workload once, crash-free,
 //!    on a traced pool ([`pmem::PoolCfg::trace`]). Every instrumented
@@ -54,9 +54,10 @@
 //! re-issues the prologue and invokes the operation fresh rather than
 //! calling `recover_*`.
 //!
-//! The workload scripts are deterministic functions of the sweep seed, so
-//! the count and every replay observe the identical event stream, and a
-//! failing `k` reproduces exactly. The `crashsweep` binary drives this
+//! The workload scripts are deterministic functions of the sweep seed (or
+//! the caller's fixed script, [`run_sweep_script`]), so the count and every
+//! replay observe the identical event stream, and a failing `k` reproduces
+//! exactly. The `crashsweep` binary drives this
 //! engine over the full structure × algorithm matrix and writes one CSV per
 //! pair under `results/crashsweep/`.
 
@@ -1109,22 +1110,21 @@ fn render_tail(pool: &PmemPool, events: &[Event], n: usize) -> Vec<String> {
         .collect()
 }
 
-/// The replay case of a registered pair's subject under `cfg`.
+/// The replay case of a registered pair's subject under `cfg`, over
+/// `script`.
 fn case_of<Sub: Subject>(
     cfg: &SweepCfg,
+    script: Vec<OpOf<Sub>>,
     make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
 ) -> CaseRunner<Sub, impl Fn(bool) -> Build<Sub>> {
     let c = cfg.clone();
     let dims = Dims::verify(SWEEP_THREADS);
-    CaseRunner::new(
-        Sub::script(c.seed, c.script_len, ScriptFor::Sweep),
-        move |traced| {
-            let pool = pool_for(&c, traced);
-            let sub = make(&pool, &dims);
-            let ctx = ThreadCtx::new(pool.clone(), 0);
-            (pool, sub, ctx)
-        },
-    )
+    CaseRunner::new(script, move |traced| {
+        let pool = pool_for(&c, traced);
+        let sub = make(&pool, &dims);
+        let ctx = ThreadCtx::new(pool.clone(), 0);
+        (pool, sub, ctx)
+    })
 }
 
 /// The sweep engine: sweeps a registered pair, reporting under a label.
@@ -1137,7 +1137,8 @@ impl Engine for SweepEngine<'_> {
         self,
         make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
     ) -> SweepReport {
-        run_sweep_case(self.0, &case_of(self.0, make), self.1)
+        let script = Sub::script(self.0.seed, self.0.script_len, ScriptFor::Sweep);
+        run_sweep_case(self.0, &case_of(self.0, script, make), self.1)
     }
 }
 
@@ -1168,15 +1169,29 @@ const SWEEP_CSV_COLUMNS: &[&str] = &[
     "note",
 ];
 
-/// Runs one full sweep per [`SweepCfg`] and returns its report.
-pub fn run_sweep(cfg: &SweepCfg) -> SweepReport {
-    let label = format!(
+/// The report label of a sweep of `cfg`'s registered pair.
+fn label_of(cfg: &SweepCfg) -> String {
+    format!(
         "{}{}{}",
         if cfg.multi_crash > 0 { "recrash_" } else { "" },
         if cfg.reclaim { "churn_" } else { "" },
         entry_of(cfg).label()
-    );
-    entry_of(cfg).with(SweepEngine(cfg, label))
+    )
+}
+
+/// Runs one full sweep per [`SweepCfg`] and returns its report.
+pub fn run_sweep(cfg: &SweepCfg) -> SweepReport {
+    entry_of(cfg).with(SweepEngine(cfg, label_of(cfg)))
+}
+
+/// Sweeps the registered pair `(cfg.structure, cfg.algo)` over the
+/// caller's `script` instead of its seeded one (`cfg.script_len` is
+/// ignored): every crash point of every operation, judged as
+/// [`run_sweep`] judges it. `Sub` must be the pair's subject type.
+pub fn run_sweep_script<Sub: Subject>(cfg: &SweepCfg, script: Vec<OpOf<Sub>>) -> SweepReport {
+    let entry = entry_of(cfg);
+    let case = case_of::<Sub>(cfg, script, move |p, d| entry.subject(p, d));
+    run_sweep_case(cfg, &case, label_of(cfg))
 }
 
 /// Sweeps the allocator itself (the `PallocSubject` script): forces a reclaim
@@ -1403,19 +1418,13 @@ mod tests {
 
     #[test]
     fn traced_rerun_renders_a_site_attributed_window() {
+        use crate::subject::ExchangerSubject;
         let mut cfg = SweepCfg::new(StructureKind::Exchanger, AlgoKind::Tracking);
         cfg.pool_bytes = 4 << 20;
-        struct Point<'a>(&'a SweepCfg);
-        impl Engine for Point<'_> {
-            type Out = PointOutcome;
-            fn run<Sub: Subject>(
-                self,
-                make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
-            ) -> PointOutcome {
-                case_of(self.0, make).run_point(self.0, 5, true)
-            }
-        }
-        let p = entry_of(&cfg).with(Point(&cfg));
+        let entry = entry_of(&cfg);
+        let script = ExchangerSubject::script(cfg.seed, cfg.script_len, ScriptFor::Sweep);
+        let case = case_of::<ExchangerSubject>(&cfg, script, move |p, d| entry.subject(p, d));
+        let p = case.run_point(&cfg, 5, true);
         assert!(p.crashed);
         assert!(!p.trace_tail.is_empty(), "traced rerun must keep a window");
         assert!(
@@ -1603,6 +1612,33 @@ mod tests {
             cfg.script_len as u64,
             "the pwb(CP_q) of every op must vanish from the enumeration"
         );
+    }
+
+    #[test]
+    fn sweeps_report_an_unflushed_rd() {
+        // The verdict can fail: without the pwb of `RD_q` a crash can lose
+        // the descriptor pointer `Op.Recover` reads, and the default and
+        // scripted sweeps alike must say so.
+        use crate::subject::SetSubject;
+        use linearize::SetOp;
+        let masked = |structure| SweepCfg {
+            pool_bytes: 4 << 20,
+            site_mask: !(1 << tracking::sites::S_RD.0),
+            ..SweepCfg::new(structure, AlgoKind::Tracking)
+        };
+        let insert = [2, 4, 6, 3].map(SetOp::Insert).to_vec();
+        for r in [
+            run_sweep(&masked(StructureKind::List)),
+            run_sweep(&masked(StructureKind::Queue)),
+            run_sweep_script::<SetSubject>(&masked(StructureKind::List), insert),
+        ] {
+            assert!(
+                !r.ok() && r.first_failure.is_some(),
+                "{}: {} points passed with pwb(RD_q) masked",
+                r.label,
+                r.points_run
+            );
+        }
     }
 
     #[test]

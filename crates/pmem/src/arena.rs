@@ -60,7 +60,6 @@ pub struct SubArena {
     next: Cell<usize>,
     /// First word past the current chunk.
     end: Cell<usize>,
-    carved_lines: Cell<usize>,
     refills: Cell<u64>,
     waste_lines: Cell<usize>,
 }
@@ -74,7 +73,6 @@ impl SubArena {
             chunk_lines: chunk_lines.max(1),
             next: Cell::new(0),
             end: Cell::new(0),
-            carved_lines: Cell::new(0),
             refills: Cell::new(0),
             waste_lines: Cell::new(0),
         }
@@ -114,15 +112,9 @@ impl SubArena {
             None => self.pool.try_alloc_lines_global(nlines)?,
         };
         self.refills.set(self.refills.get() + 1);
-        self.carved_lines.set(self.carved_lines.get() + lines);
         self.next.set(base.word());
         self.end.set(base.word() + lines * WORDS_PER_LINE);
         Some(())
-    }
-
-    /// Total lines carved from the global cursor so far.
-    pub fn carved_lines(&self) -> usize {
-        self.carved_lines.get()
     }
 
     /// Number of global-cursor CASes performed (one per chunk refill).
@@ -185,7 +177,6 @@ mod tests {
         let y = a.try_alloc_lines(2).unwrap();
         assert_eq!(y.word(), x.word() + WORDS_PER_LINE);
         assert_eq!(a.refills(), 1, "both fits in the first chunk");
-        assert_eq!(a.carved_lines(), 16);
         assert_eq!(before - p.remaining_lines(), 16, "one chunk carved");
     }
 

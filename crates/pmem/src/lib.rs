@@ -128,8 +128,7 @@ pub use persist::{Backend, SiteId, MAX_SITES};
 pub use pool::{exhaustion_message, PmemPool, PoolCfg, PoolSnapshot, EXHAUSTED_PREFIX, NUM_ROOTS};
 pub use rng::Rng;
 pub use sched::{
-    clear_spin_hook, clear_yield_hook, has_spin_hook, has_yield_hook, set_spin_hook,
-    set_yield_hook, yield_spin,
+    clear_spin_hook, clear_yield_hook, has_spin_hook, set_spin_hook, set_yield_hook, yield_spin,
 };
 pub use shadow::{
     CrashAdversary, CrashChoice, OptimistAdversary, PessimistAdversary, SeededAdversary,

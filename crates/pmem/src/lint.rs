@@ -198,10 +198,6 @@ enum Status {
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct LineState {
     status: Status,
-    /// Fence seen since the covering `pwb`. Fully derived under the epoch
-    /// scheme (`status == Clean`); kept so snapshots remain self-describing.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fenced: bool,
     /// Originating store of the latest dirty epoch (first store since the
     /// line was last clean), for attribution.
     store_site: u8,
@@ -551,17 +547,15 @@ impl FlushLint {
 
     /// Copies out the line-state machine, sorted for determinism. Statuses
     /// are materialized under the current fence epoch (a `Flushed` line an
-    /// epoch has passed exports as `Clean`), so the flushed-awaiting-fence
-    /// worklist of the returned pair is fully derived. Part of
+    /// epoch has passed exports as `Clean`). Part of
     /// [`crate::PmemPool::snapshot`]: a replay from a restored checkpoint
     /// must compute the same per-event dirty annotations the original
     /// timeline did.
-    pub(crate) fn export_state(&self) -> (Vec<(usize, LineState)>, Vec<usize>) {
+    pub(crate) fn export_state(&self) -> Vec<(usize, LineState)> {
         let epoch = self.fence_epoch.load(Ordering::Relaxed);
         let mut tracked: Vec<usize> = lock(&self.journal).clone();
         tracked.sort_unstable();
         let mut lines = Vec::with_capacity(tracked.len());
-        let mut flushed = Vec::new();
         for l in tracked {
             let m = self.meta[l].load(Ordering::Relaxed);
             let status = match eff_status(m, epoch) {
@@ -570,29 +564,23 @@ impl FlushLint {
                 ST_CLEAN => Status::Clean,
                 _ => continue, // reset raced the journal copy; skip
             };
-            if status == Status::Flushed {
-                flushed.push(l);
-            }
             lines.push((
                 l,
                 LineState {
                     status,
-                    fenced: status == Status::Clean,
                     store_site: meta_site(m),
                     store_tid: meta_tid(m),
                     store_seq: self.store_seq[l].load(Ordering::Relaxed),
                 },
             ));
         }
-        (lines, flushed)
+        lines
     }
 
     /// Replaces the line-state machine with state captured by
     /// [`FlushLint::export_state`] (findings and counters are left to the
-    /// caller — [`crate::PmemPool::restore`] clears them first). The
-    /// `_flushed` worklist is derived state under the epoch scheme and is
-    /// accepted only for signature stability.
-    pub(crate) fn import_state(&self, lines: &[(usize, LineState)], _flushed: &[usize]) {
+    /// caller — [`crate::PmemPool::restore`] clears them first).
+    pub(crate) fn import_state(&self, lines: &[(usize, LineState)]) {
         let epoch = self.fence_epoch.load(Ordering::Relaxed);
         let mut journal = lock(&self.journal);
         for &l in journal.iter() {
@@ -794,22 +782,29 @@ mod tests {
         l.on_fence(); // line 4 clean; line 3 was flushed before the same
                       // fence, so it commits too
         l.on_write(3, 2, 0, 15); // re-dirty 3
-        let (lines, flushed) = l.export_state();
+        l.on_write(5, 4, 0, 16);
+        l.on_pwb(5, SiteId(4), 17); // flushed, awaiting the next fence
+        let lines = l.export_state();
+        let status = |l: usize| lines.iter().find(|e| e.0 == l).map(|e| e.1.status);
+        assert_eq!(status(4), Some(Status::Clean));
+        assert_eq!(status(5), Some(Status::Flushed));
         let other = lint();
-        other.import_state(&lines, &flushed);
+        other.import_state(&lines);
         assert!(other.line_dirty(2));
         assert!(other.line_dirty(3));
         assert!(!other.line_dirty(4));
-        let (lines2, flushed2) = other.export_state();
+        let lines2 = other.export_state();
         assert_eq!(lines.len(), lines2.len());
-        assert_eq!(flushed, flushed2);
         for ((l1, s1), (l2, s2)) in lines.iter().zip(lines2.iter()) {
             assert_eq!(l1, l2);
             assert_eq!(s1.status, s2.status);
-            assert_eq!(s1.fenced, s2.fenced);
             assert_eq!(s1.store_site, s2.store_site);
             assert_eq!(s1.store_seq, s2.store_seq);
         }
+        // The imported flush awaits a fence of the importing lint.
+        other.on_fence();
+        let after = other.export_state();
+        assert!(after.iter().all(|(_, s)| s.status != Status::Flushed));
     }
 
     #[test]

@@ -720,11 +720,6 @@ impl PmemPool {
         self.refresh_mask_epoch();
     }
 
-    /// Current site mask.
-    pub fn sites_mask(&self) -> u64 {
-        self.mask.mask()
-    }
-
     /// Enables/disables `psync`/`pfence` (the paper's "no psyncs" variants,
     /// Figures 3c/4c).
     pub fn set_psync_enabled(&self, on: bool) {
@@ -1012,14 +1007,12 @@ impl PmemPool {
             }
             None => (None, Vec::new()),
         };
-        let (lint_lines, lint_flushed) = self.lint.export_state();
         PoolSnapshot {
             next,
             words,
             persisted,
             pending,
-            lint_lines,
-            lint_flushed,
+            lint_lines: self.lint.export_state(),
             // Checkpointing (not a plain read): returns the capturing
             // thread's banked seqs so a restored replay re-issues exactly
             // the seqs this run issues next.
@@ -1070,7 +1063,7 @@ impl PmemPool {
         // traced events, and a replay from this checkpoint must reproduce
         // the original timeline's annotations byte for byte.
         self.lint.clear();
-        self.lint.import_state(&snap.lint_lines, &snap.lint_flushed);
+        self.lint.import_state(&snap.lint_lines);
         self.trace.clear();
         self.trace.set_seq(snap.trace_seq);
         // The restored image carries its own free lists and limbo lists;
@@ -1119,44 +1112,12 @@ pub struct PoolSnapshot {
     pending: Vec<(usize, LineSnap)>,
     /// Flush-lint line states, sorted by line (feeds trace `dirty` flags).
     lint_lines: Vec<(usize, LineState)>,
-    /// Flush-lint flushed-awaiting-fence worklist.
-    lint_flushed: Vec<usize>,
     /// Global trace sequence counter at capture time.
     trace_seq: u64,
     /// Site mask at capture time.
     sites_mask: u64,
     /// `psync`/`pfence` enable flag at capture time.
     psync_on: bool,
-}
-
-impl PoolSnapshot {
-    /// Allocation watermark (in words) at capture time. Words at or past
-    /// the watermark were not yet allocated when the snapshot was taken.
-    pub fn watermark(&self) -> usize {
-        self.next
-    }
-
-    /// The captured *volatile* image of word `w`, or `None` past the
-    /// watermark. Forensic introspection for crash-state debugging.
-    pub fn word(&self, w: usize) -> Option<u64> {
-        self.words.get(w).copied()
-    }
-
-    /// The captured shadow *persisted* image of word `w` (`None` for
-    /// non-shadow pools or past the watermark). Forensic introspection.
-    pub fn persisted_word(&self, w: usize) -> Option<u64> {
-        self.persisted.as_ref().and_then(|p| p.get(w).copied())
-    }
-
-    /// The captured *pending* `pwb` snapshot covering word `w`, if its
-    /// cache line had one in flight. Forensic introspection.
-    pub fn pending_word(&self, w: usize) -> Option<u64> {
-        let line = w / WORDS_PER_LINE;
-        self.pending
-            .iter()
-            .find(|&&(l, _)| l == line)
-            .map(|&(_, snap)| snap[w % WORDS_PER_LINE])
-    }
 }
 
 #[cfg(test)]

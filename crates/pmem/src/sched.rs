@@ -74,11 +74,6 @@ pub fn clear_yield_hook() {
     YIELD_HOOK.with(|h| *h.borrow_mut() = None);
 }
 
-/// Does the calling thread currently have a yield hook registered?
-pub fn has_yield_hook() -> bool {
-    YIELD_HOOK.with(|h| h.borrow().is_some())
-}
-
 /// Registers `hook` as the calling thread's *spin* hook, invoked by
 /// [`yield_spin`] from the busy-wait loops of blocking subjects. Replaces
 /// any previously registered spin hook. Explorer workers register it
@@ -152,12 +147,10 @@ mod tests {
         let hits = Rc::new(Cell::new(0u32));
         let h = hits.clone();
         set_yield_hook(Box::new(move || h.set(h.get() + 1)));
-        assert!(has_yield_hook());
         yield_now();
         yield_now();
         assert_eq!(hits.get(), 2);
         clear_yield_hook();
-        assert!(!has_yield_hook());
         yield_now(); // no hook: falls through
         assert_eq!(hits.get(), 2);
     }

@@ -4,9 +4,9 @@
 //! Every instrumented primitive of [`crate::PmemPool`] — `load`, `store`,
 //! `cas`, `pwb`, `pfence`, `psync` — can be recorded as an [`Event`]
 //! carrying the event kind, the originating thread, the affected word and
-//! cache line, the attributed [`SiteId`] (where the caller supplied one),
-//! and the line's dirty state as tracked by the [`crate::lint`] module's
-//! line-state machine. Recording is off by default and costs a single
+//! cache line, the attributed [`crate::SiteId`] (where the caller supplied
+//! one), and the line's dirty state as tracked by the [`crate::lint`]
+//! module's line-state machine. Recording is off by default and costs a single
 //! relaxed flag load per primitive when disabled; when enabled, each thread
 //! appends to its own bounded single-writer ring (oldest events are
 //! dropped, with a drop counter), so tracing a long run keeps a window of
@@ -62,10 +62,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::persist::SiteId;
-
 /// Sentinel "no call site" value used for events whose primitive carries no
-/// [`SiteId`] (plain `load`/`store`/`cas` and fences).
+/// [`crate::SiteId`] (plain `load`/`store`/`cas` and fences).
 pub const NO_SITE: u8 = u8::MAX;
 
 /// Number of per-thread rings a trace multiplexes over. Threads claim a
@@ -380,11 +378,6 @@ impl TraceSnapshot {
     /// Number of retained events of `kind`.
     pub fn count(&self, kind: EventKind) -> usize {
         self.events.iter().filter(|e| e.kind == kind).count()
-    }
-
-    /// Retained events attributed to `site`.
-    pub fn at_site(&self, site: SiteId) -> impl Iterator<Item = &Event> {
-        self.events.iter().filter(move |e| e.site == site.0)
     }
 }
 
@@ -707,7 +700,7 @@ mod tests {
         let snap = t.snapshot();
         assert!(snap.events.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(snap.count(EventKind::Pwb), 1);
-        assert_eq!(snap.at_site(SiteId(3)).count(), 3);
+        assert_eq!(snap.events.iter().filter(|e| e.site == 3).count(), 3);
     }
 
     #[test]

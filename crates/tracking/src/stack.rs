@@ -62,7 +62,7 @@
 //! `head` cell shares the hazard on reclaim pools; see DESIGN.md.
 //!
 //! Only the `top` cell is stamped. Node `next` fields still hold bare
-//! node addresses, and readers mask with [`node_of`] before dereferencing.
+//! node addresses, and readers mask with `node_of` before dereferencing.
 //!
 //! ## Why the gather re-reads `top` after the info load
 //!
@@ -115,7 +115,7 @@ const ADDR_MASK: u64 = (1 << STAMP_SHIFT) - 1;
 
 /// Extracts the node address from a stamped `top` word.
 #[inline]
-pub fn node_of(top_word: u64) -> PAddr {
+fn node_of(top_word: u64) -> PAddr {
     PAddr::from_raw(top_word & ADDR_MASK)
 }
 

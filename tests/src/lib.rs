@@ -7,6 +7,7 @@
 //!
 //! * [`mk`] builds any evaluated set algorithm on a fresh Model-mode pool,
 //!   and [`all_algos`] lists the registry's set competitors;
+//! * [`assert_sweep_clean`] checks a crash sweep's verdict;
 //! * [`KeyTally`] maintains, per key, the balance of *successful* inserts
 //!   minus *successful* deletes. Because set operations on the same key
 //!   serialize (a successful insert and a successful delete of the same key
@@ -21,7 +22,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 use bench::registry::{self, COMPETITOR};
-use bench::{build, AlgoKind, SetAlgo};
+use bench::{build, AlgoKind, SetAlgo, SweepReport};
 use pmem::{PmemPool, PoolCfg, ThreadCtx};
 
 /// All set algorithms under test: the registry's competitors — the
@@ -41,6 +42,24 @@ pub fn mk(
     let pool = Arc::new(PmemPool::new(PoolCfg::model(pool_bytes)));
     let algo = build(kind, pool.clone(), threads, range);
     (pool, algo)
+}
+
+/// Asserts that the sweep ran crash points and every one passed, with the
+/// minimized first failure in the message otherwise.
+pub fn assert_sweep_clean(r: &SweepReport) {
+    assert!(r.points_run > 0, "{}: no crash points", r.label);
+    assert!(
+        r.ok(),
+        "{} ({}): {} of {} points failed\n{}",
+        r.label,
+        r.cfg.adversary.name(),
+        r.violations.len(),
+        r.points_run,
+        r.first_failure
+            .as_ref()
+            .map(|f| f.render())
+            .unwrap_or_default()
+    );
 }
 
 /// Per-key balance of successful inserts minus successful deletes.

@@ -1,105 +1,45 @@
-//! Crash-at-every-step detectability sweeps, uniformly across all six
-//! implementations and under two different crash adversaries.
+//! Crash-at-every-step detectability sweeps, uniformly across the set
+//! implementations and under both crash adversaries.
 //!
-//! For each algorithm: prefill a small set, then run one update operation
-//! with a crash injected after exactly `n` instrumented persistent-memory
-//! events, for every `n` until the operation completes crash-free. After
-//! each crash, the adversary destroys (pessimist) or selectively retains
-//! (seeded) the unflushed cache lines; the recovery function must then
-//! return the *correct* response and leave the structure in the correct
-//! state. This is the paper's definition of detectable recovery, checked
-//! exhaustively.
+//! Each test runs the sweep engine ([`bench::sweep::run_sweep_script`]) over
+//! a short fixed scenario: a crash is injected at every instrumented
+//! persistent-memory event of every operation, prefill and prologue
+//! included. After each crash the adversary destroys (pessimist) or
+//! selectively retains (seeded) the unflushed cache lines; recovery must
+//! return the response the sequential model gives the interrupted
+//! operation, and the whole history plus a post-recovery observation of
+//! every key must linearize. This is the paper's definition of detectable
+//! recovery, checked exhaustively.
 
+use bench::registry;
+use bench::subject::SetSubject;
+use bench::sweep::{run_sweep_script, AdversaryKind, SweepCfg};
 use bench::AlgoKind;
-use integration_tests::{all_algos, mk};
+use integration_tests::{all_algos, assert_sweep_clean, mk};
+use linearize::SetOp;
 use pmem::Rng;
-use pmem::{CrashAdversary, PessimistAdversary, SeededAdversary, SiteId, ThreadCtx};
+use pmem::{SeededAdversary, SiteId, ThreadCtx};
 
-const POOL: usize = 64 << 20;
-
-fn sweep_insert(kind: AlgoKind, adversary: &mut dyn FnMut(u64) -> Box<dyn CrashAdversary>) {
-    for crash_at in 0..6000 {
-        let (pool, algo) = mk(kind, POOL, 4, 64);
-        let ctx = ThreadCtx::new(pool.clone(), 0);
-        // prefill so searches traverse a few nodes
-        for k in [10u64, 20, 30] {
-            assert!(algo.insert(&ctx, k));
-        }
-        ctx.begin_op(SiteId(0));
-        pool.crash_ctl().arm_after(crash_at);
-        let pre = pmem::run_crashable(|| algo.insert_started(&ctx, 15));
-        match pre {
-            Some(r) => {
-                assert!(r, "{kind:?}: fresh insert must succeed");
-                return; // sweep covered every crash point
-            }
-            None => {
-                pool.crash(&mut *adversary(crash_at));
-                algo.recover_structure();
-                let r = algo.recover_insert(&ctx, 15);
-                assert!(
-                    r,
-                    "{kind:?} crash_at={crash_at}: recovered insert must report success"
-                );
-                assert!(
-                    algo.find(&ctx, 15),
-                    "{kind:?} crash_at={crash_at}: key must be present"
-                );
-                assert_eq!(
-                    algo.len(),
-                    4,
-                    "{kind:?} crash_at={crash_at}: structure corrupted"
-                );
-            }
-        }
-    }
-    panic!("{kind:?}: insert sweep did not terminate within 6000 events");
+/// Sweeps `script` on the set implementation `kind` under `adversary`.
+fn sweep(kind: AlgoKind, adversary: AdversaryKind, script: Vec<SetOp>) {
+    let cfg = SweepCfg {
+        adversary,
+        ..SweepCfg::new(registry::set(kind).structure, kind)
+    };
+    assert_sweep_clean(&run_sweep_script::<SetSubject>(&cfg, script));
 }
 
-fn sweep_delete(kind: AlgoKind, adversary: &mut dyn FnMut(u64) -> Box<dyn CrashAdversary>) {
-    for crash_at in 0..6000 {
-        let (pool, algo) = mk(kind, POOL, 4, 64);
-        let ctx = ThreadCtx::new(pool.clone(), 0);
-        for k in [10u64, 20, 30] {
-            assert!(algo.insert(&ctx, k));
-        }
-        ctx.begin_op(SiteId(0));
-        pool.crash_ctl().arm_after(crash_at);
-        let pre = pmem::run_crashable(|| algo.delete_started(&ctx, 20));
-        match pre {
-            Some(r) => {
-                assert!(r);
-                return;
-            }
-            None => {
-                pool.crash(&mut *adversary(crash_at));
-                algo.recover_structure();
-                let r = algo.recover_delete(&ctx, 20);
-                assert!(
-                    r,
-                    "{kind:?} crash_at={crash_at}: recovered delete must report success"
-                );
-                assert!(
-                    !algo.find(&ctx, 20),
-                    "{kind:?} crash_at={crash_at}: key must be gone"
-                );
-                assert_eq!(
-                    algo.len(),
-                    2,
-                    "{kind:?} crash_at={crash_at}: structure corrupted"
-                );
-            }
-        }
-    }
-    panic!("{kind:?}: delete sweep did not terminate within 6000 events");
+/// Three inserts, then the swept insert of a key between them, so its
+/// search traverses nodes.
+fn sweep_insert(kind: AlgoKind, adversary: AdversaryKind) {
+    sweep(kind, adversary, [2, 4, 6, 3].map(SetOp::Insert).to_vec());
 }
 
-fn pessimist() -> impl FnMut(u64) -> Box<dyn CrashAdversary> {
-    |_| Box::new(PessimistAdversary)
-}
-
-fn seeded() -> impl FnMut(u64) -> Box<dyn CrashAdversary> {
-    |crash_at| Box::new(SeededAdversary::new(crash_at.wrapping_mul(2654435761) | 1))
+/// The same prefill, then the swept delete of a middle key.
+fn sweep_delete(kind: AlgoKind, adversary: AdversaryKind) {
+    let mut script = [2, 4, 6].map(SetOp::Insert).to_vec();
+    script.push(SetOp::Delete(4));
+    sweep(kind, adversary, script);
 }
 
 macro_rules! sweeps {
@@ -107,13 +47,13 @@ macro_rules! sweeps {
         mod $name {
             use super::*;
             #[test]
-            fn insert_pessimist() { sweep_insert($kind, &mut pessimist()); }
+            fn insert_pessimist() { sweep_insert($kind, AdversaryKind::Pessimist); }
             #[test]
-            fn insert_seeded() { sweep_insert($kind, &mut seeded()); }
+            fn insert_seeded() { sweep_insert($kind, AdversaryKind::Seeded); }
             #[test]
-            fn delete_pessimist() { sweep_delete($kind, &mut pessimist()); }
+            fn delete_pessimist() { sweep_delete($kind, AdversaryKind::Pessimist); }
             #[test]
-            fn delete_seeded() { sweep_delete($kind, &mut seeded()); }
+            fn delete_seeded() { sweep_delete($kind, AdversaryKind::Seeded); }
         }
     )+};
 }
@@ -133,26 +73,11 @@ sweeps! {
 #[test]
 fn find_crash_sweep_all_algorithms() {
     for kind in all_algos() {
-        for crash_at in 0..400 {
-            let (pool, algo) = mk(kind, POOL, 4, 64);
-            let ctx = ThreadCtx::new(pool.clone(), 0);
-            assert!(algo.insert(&ctx, 7));
-            ctx.begin_op(SiteId(0));
-            pool.crash_ctl().arm_after(crash_at);
-            let pre = pmem::run_crashable(|| algo.find(&ctx, 7));
-            match pre {
-                Some(r) => {
-                    assert!(r, "{kind:?}");
-                    break;
-                }
-                None => {
-                    pool.crash(&mut SeededAdversary::new(crash_at | 1));
-                    algo.recover_structure();
-                    assert!(algo.recover_find(&ctx, 7), "{kind:?} crash_at={crash_at}");
-                    assert_eq!(algo.len(), 1, "{kind:?} crash_at={crash_at}");
-                }
-            }
-        }
+        sweep(
+            kind,
+            AdversaryKind::Seeded,
+            vec![SetOp::Insert(7), SetOp::Find(7)],
+        );
     }
 }
 
