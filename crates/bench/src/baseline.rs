@@ -143,8 +143,8 @@ pub struct BaselineReport {
     pub created_unix: u64,
     /// Timed micro-workloads.
     pub rows: Vec<BenchRow>,
-    /// The parallel thread sweep over the [`THROUGHPUT`] pairs on one
-    /// contended shard.
+    /// The parallel thread sweep over the [`THROUGHPUT`] pairs, every
+    /// thread on one contended structure.
     pub thread_sweep: Vec<SweepPoint>,
     /// The observers-off/on comparison.
     pub overhead: OverheadRow,
@@ -190,7 +190,6 @@ impl Engine for Row {
     ) -> BenchRow {
         let b = Sub::BENCH;
         let dims = Dims {
-            root: 0,
             threads: 2,
             keys: b.keys + 4,
             map: Default::default(),
@@ -426,7 +425,8 @@ pub fn bench_overhead(iters: u64) -> OverheadRow {
 /// Times one more window of a thread-sweep point as [`run_baseline`]
 /// timed it, returning its ops/sec (the `--prev` trend's retime).
 pub fn retime_sweep_point(p: &SweepPoint) -> f64 {
-    let subject = registry::parse_subject(p.subject).expect("a registered subject");
+    let subject = registry::entries().find(|e| e.name == p.subject);
+    let subject = subject.expect("a registered subject");
     time_point(subject, p.threads, SWEEP_WINDOW, SWEEP_POOL_BYTES).ops_per_sec
 }
 
@@ -686,23 +686,34 @@ pub fn compare_bench_rows(
     (lines, warnings)
 }
 
-/// Checks that `json`'s first `key` field is a finite non-negative number.
-pub(crate) fn check_number(json: &str, key: &str) -> Result<(), String> {
-    match extract_number(json, key) {
-        Some(v) if v.is_finite() && v >= 0.0 => Ok(()),
-        Some(v) => Err(format!("field {key} has non-finite/negative value {v}")),
-        None => Err(format!("missing numeric field {key}")),
+/// Checks every object of `json` that opens with `opener` (read up to its
+/// first `}`): each must carry every one of `keys` as a finite non-negative
+/// number (`json_f` writes `null` for a non-finite value). Returns how many
+/// it checked.
+fn check_rows(json: &str, opener: &str, keys: &[&str]) -> Result<usize, String> {
+    let mut rows = 0;
+    for chunk in json.split(opener).skip(1) {
+        let row = &chunk[..chunk.find('}').unwrap_or(chunk.len())];
+        for key in keys {
+            if !extract_number(row, key).is_some_and(|v| v.is_finite() && v >= 0.0) {
+                return Err(format!("no finite non-negative {key} in {opener}{row}}}"));
+            }
+        }
+        rows += 1;
     }
+    Ok(rows)
 }
 
 /// Validates that `json` looks like a `bench-baseline/v1` document: schema
-/// tag, non-empty bench list with the required numeric fields, and an
-/// overhead block. Returns a description of the first problem found.
+/// tag, at least two bench rows, and an overhead block, with every numeric
+/// field of every bench row, thread-sweep point and the overhead block
+/// present, finite and non-negative. Returns a description of the first
+/// problem found.
 ///
 /// The `thread_sweep` section (added in PR 7) is validated when present —
-/// it must then be non-empty with finite numerics — but its absence is
-/// accepted, so pre-PR-7 committed reports still pass (the schema grows
-/// additively; fresh reports always include it).
+/// it must then be non-empty — but its absence is accepted, so pre-PR-7
+/// committed reports still pass (the schema grows additively; fresh
+/// reports always include it).
 pub fn validate_json(json: &str) -> Result<(), String> {
     if !json.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
         return Err(format!("missing schema tag {SCHEMA:?}"));
@@ -712,27 +723,43 @@ pub fn validate_json(json: &str) -> Result<(), String> {
             return Err(format!("missing section {key}"));
         }
     }
+    let benches = check_rows(
+        json,
+        "{\"name\": \"",
+        &[
+            "ops",
+            "ns_per_op",
+            "ops_per_sec",
+            "events_per_op",
+            "pwb_per_op",
+            "psync_per_op",
+        ],
+    )?;
+    if benches < 2 {
+        return Err("fewer than two bench rows".into());
+    }
     if json.contains("\"thread_sweep\": [") {
-        if json.matches("\"subject\":").count() == 0 {
+        let points = check_rows(
+            json,
+            "{\"subject\": \"",
+            &[
+                "threads",
+                "ops",
+                "ops_per_sec",
+                "per_thread_ops_per_sec",
+                "pwb_per_op",
+                "psync_per_op",
+            ],
+        )?;
+        if points == 0 {
             return Err("thread_sweep section present but empty".into());
         }
-        check_number(json, "per_thread_ops_per_sec")?;
     }
-    let benches = json.matches("\"ns_per_op\":").count();
-    if benches < 2 {
-        return Err("fewer than one bench row plus overhead".into());
-    }
-    for key in [
-        "ops_per_sec",
-        "events_per_op",
-        "pwb_per_op",
-        "psync_per_op",
-        "off_ns_per_op",
-        "on_ns_per_op",
-        "ratio",
-    ] {
-        check_number(json, key)?;
-    }
+    check_rows(
+        json,
+        "\"overhead\": {",
+        &["iters", "off_ns_per_op", "on_ns_per_op", "ratio"],
+    )?;
     Ok(())
 }
 
@@ -822,6 +849,31 @@ mod tests {
     fn validate_rejects_garbage() {
         assert!(validate_json("{}").is_err());
         assert!(validate_json("{\"schema\": \"bench-baseline/v1\"}").is_err());
+    }
+
+    /// Every bench row and every thread-sweep point is checked, not only
+    /// the first one carrying a field.
+    #[test]
+    fn validate_checks_every_row() {
+        let row = "{\"name\": \"list/a\", \"ops\": 10, \"ns_per_op\": 2.0, \"ops_per_sec\": 5.0, \
+                   \"events_per_op\": 3.0, \"pwb_per_op\": 1.0, \"psync_per_op\": 1.0}";
+        let point = "{\"subject\": \"stack/Tracking\", \"threads\": 1, \"ops\": 10, \
+                     \"ops_per_sec\": 5.0, \"per_thread_ops_per_sec\": 5.0, \"pwb_per_op\": 1.0, \
+                     \"psync_per_op\": 1.0}";
+        let doc = |second_row: &str, second_point: &str| {
+            format!(
+                "{{\"schema\": \"{SCHEMA}\", \"benches\": [{row}, {second_row}], \
+                 \"thread_sweep\": [{point}, {second_point}], \"overhead\": {{\"iters\": 1, \
+                 \"off_ns_per_op\": 1.0, \"on_ns_per_op\": 2.0, \"ratio\": 2.0}}}}"
+            )
+        };
+        // `json_f` writes `null` for a non-finite value.
+        let null = |obj: &str| obj.replace("5.0", "null");
+        assert_eq!(validate_json(&doc(row, point)), Ok(()));
+        let err = validate_json(&doc(&null(row), point)).expect_err("a null second bench row");
+        assert!(err.contains("ops_per_sec"), "{err}");
+        let err = validate_json(&doc(row, &null(point))).expect_err("a null second sweep point");
+        assert!(err.contains("ops_per_sec"), "{err}");
     }
 
     #[test]

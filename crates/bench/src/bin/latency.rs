@@ -1,6 +1,6 @@
 //! Per-operation latency percentiles for every implementation.
 //!
-//! Complements the throughput harness and the baseline with a
+//! Complements the throughput figures and the baseline with a
 //! latency-distribution view of every set competitor in the registry:
 //! p50/p90/p99/p999 per operation kind, from a log-bucketed histogram
 //! (hand-rolled; no extra dependencies).
@@ -124,7 +124,6 @@ impl Engine for Latency {
             ..Default::default()
         }));
         let dims = Dims {
-            root: 0,
             threads: 4,
             keys: self.range,
             map: Default::default(),

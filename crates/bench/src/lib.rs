@@ -16,9 +16,9 @@
 //!   [`adapter::SetAlgo`] interface the set implementations share;
 //! * [`workload`] — the timed multi-thread engine with
 //!   persistence-instruction accounting, behind both the figure runs and
-//!   the real-thread throughput sweep ([`parallel`] / `bin/throughput`:
-//!   sharded roots, per-thread [`pmem::SubArena`] allocation,
-//!   `bench-throughput/v1` JSON and the baseline's `thread_sweep` series);
+//!   the baseline's real-thread sweep ([`parallel`]: every thread on one
+//!   contended structure, per-thread [`pmem::SubArena`] allocation, the
+//!   `thread_sweep` series);
 //! * [`figures`] — drivers that reproduce each figure's measurement
 //!   protocol, including the paper's pwb-categorization methodology
 //!   (persistence-free baseline → single-site impact → L/M/H classes →

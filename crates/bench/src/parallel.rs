@@ -1,8 +1,7 @@
-//! The real-thread throughput sweep: `subjects × thread counts` timed runs
-//! of the [`crate::workload`] engine on one contended shard, reported as
-//! the baseline's `thread_sweep` series and as the standalone
-//! `bench-throughput/v1` document of `bin/throughput`, plus the readers
-//! and comparisons the `--prev` checks run on those documents.
+//! The real-thread sweep: `subjects × thread counts` timed runs of the
+//! [`crate::workload`] engine on one contended structure, reported as the
+//! baseline's `thread_sweep` series, plus the reader and comparison the
+//! `--prev` check runs on a committed capture's series.
 
 use std::time::Duration;
 
@@ -10,16 +9,13 @@ use crate::registry::Entry;
 use crate::workload::{run, RunCfg, RunResult};
 
 /// One `(subject, threads)` datapoint of a thread sweep, as recorded in
-/// the committed JSON reports (`thread_sweep` section of
-/// `bench-baseline/v1`, `points` of `bench-throughput/v1`).
+/// the `thread_sweep` section of the committed `bench-baseline/v1` reports.
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Subject name.
     pub subject: &'static str,
     /// Worker threads.
     pub threads: usize,
-    /// Shards used.
-    pub shards: usize,
     /// Completed operations.
     pub ops: u64,
     /// Aggregate operations per second.
@@ -38,7 +34,6 @@ impl SweepPoint {
         SweepPoint {
             subject: r.subject,
             threads: r.threads,
-            shards: r.shards,
             ops: r.ops,
             ops_per_sec: r.ops_per_sec(),
             per_thread_ops_per_sec: r.per_thread_ops_per_sec(),
@@ -51,12 +46,11 @@ impl SweepPoint {
     pub fn to_json(&self) -> String {
         let f = crate::baseline::json_f;
         format!(
-            "{{\"subject\": \"{}\", \"threads\": {}, \"shards\": {}, \"ops\": {}, \
+            "{{\"subject\": \"{}\", \"threads\": {}, \"ops\": {}, \
              \"ops_per_sec\": {}, \"per_thread_ops_per_sec\": {}, \
              \"pwb_per_op\": {}, \"psync_per_op\": {}}}",
             self.subject,
             self.threads,
-            self.shards,
             self.ops,
             f(self.ops_per_sec),
             f(self.per_thread_ops_per_sec),
@@ -66,8 +60,8 @@ impl SweepPoint {
     }
 }
 
-/// Runs `subjects × threads_list` on one contended shard and returns the
-/// datapoints in sweep order.
+/// Runs `subjects × threads_list` on one contended structure each and
+/// returns the datapoints in sweep order.
 pub fn run_thread_sweep(
     subjects: &[&'static Entry],
     threads_list: &[usize],
@@ -84,7 +78,7 @@ pub fn run_thread_sweep(
 }
 
 /// One timed window of `subject` at `threads` threads on one contended
-/// shard.
+/// structure.
 pub fn time_point(
     subject: &'static Entry,
     threads: usize,
@@ -99,70 +93,11 @@ pub fn time_point(
     SweepPoint::from_result(&run(&cfg))
 }
 
-/// Schema identifier of the standalone `throughput` report.
-pub const THROUGHPUT_SCHEMA: &str = "bench-throughput/v1";
-
-/// Renders a standalone `bench-throughput/v1` document.
-pub fn throughput_json(label: &str, threads_list: &[usize], points: &[SweepPoint]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{THROUGHPUT_SCHEMA}\",\n"));
-    out.push_str(&format!("  \"label\": \"{label}\",\n"));
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        crate::baseline::host_cpus()
-    ));
-    out.push_str(&format!(
-        "  \"degraded_parallelism\": {},\n",
-        crate::baseline::degraded_parallelism(threads_list)
-    ));
-    out.push_str(&format!(
-        "  \"threads\": [{}],\n",
-        threads_list
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&p.to_json());
-        out.push_str(if i + 1 == points.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Validates a `bench-throughput/v1` document: schema tag, a non-empty
-/// `points` array, and finite non-negative numerics per point.
-pub fn validate_throughput_json(json: &str) -> Result<(), String> {
-    if !json.contains(&format!("\"schema\": \"{THROUGHPUT_SCHEMA}\"")) {
-        return Err(format!("missing schema tag {THROUGHPUT_SCHEMA:?}"));
-    }
-    if !json.contains("\"points\": [") {
-        return Err("missing points section".into());
-    }
-    let n = json.matches("\"subject\":").count();
-    if n == 0 {
-        return Err("no sweep points".into());
-    }
-    for key in [
-        "ops_per_sec",
-        "per_thread_ops_per_sec",
-        "pwb_per_op",
-        "psync_per_op",
-    ] {
-        crate::baseline::check_number(json, key)?;
-    }
-    Ok(())
-}
-
 /// Extracts every sweep point `(subject, threads, ops_per_sec,
-/// psync_per_op)` from a committed JSON document — works on both the
-/// baseline's `thread_sweep` section and the throughput report's `points`
-/// (the objects are identical). Used by `baseline --prev` to flag scaling
-/// regressions without a JSON dependency.
+/// psync_per_op)` from a baseline document's `thread_sweep` section (keys
+/// it does not read, such as the `shards` of captures up to
+/// `BENCH_pr19.json`, are skipped). Used by `baseline --prev` to flag
+/// scaling regressions without a JSON dependency.
 pub fn sweep_points_from_json(json: &str) -> Vec<(String, usize, f64, f64)> {
     let mut out = Vec::new();
     let mut rest = json;
@@ -242,16 +177,6 @@ mod tests {
     use crate::registry;
     use pmem::Backend;
 
-    fn tiny(subject: &'static Entry, threads: usize) -> RunCfg {
-        RunCfg {
-            duration: Duration::from_millis(40),
-            pool_bytes: 256 << 20,
-            backend: Backend::Noop,
-            prefill: 64,
-            ..RunCfg::contended(subject, threads)
-        }
-    }
-
     /// Every registered pair keeps both of two real threads busy and
     /// persists. At 64 keys, so the list competitors that copy or walk the
     /// whole set per operation stay quick in a debug build.
@@ -278,28 +203,16 @@ mod tests {
         }
     }
 
-    /// Every throughput subject runs two real threads on two shards.
-    #[test]
-    fn sharding_spreads_threads() {
-        for e in registry::with_role(registry::THROUGHPUT) {
-            let r = run(&RunCfg {
-                shards: 2,
-                ..tiny(e, 2)
-            });
-            let name = e.name;
-            assert_eq!(r.shards, 2, "{name}");
-            assert!(
-                r.per_thread_ops.iter().all(|&o| o > 0),
-                "{name} starved a shard: {:?}",
-                r.per_thread_ops
-            );
-        }
-    }
-
     #[test]
     fn arena_refills_stay_rare() {
         let queue = registry::find(StructureKind::Queue, AlgoKind::Tracking).unwrap();
-        let r = run(&tiny(queue, 2));
+        let r = run(&RunCfg {
+            duration: Duration::from_millis(40),
+            pool_bytes: 256 << 20,
+            backend: Backend::Noop,
+            prefill: 64,
+            ..RunCfg::contended(queue, 2)
+        });
         // Each 4096-line chunk serves dozens of ops, so refills must stay a
         // tiny fraction of throughput; a regression to per-op global-cursor
         // traffic would put refills on the order of `ops` itself. The bound
@@ -313,13 +226,15 @@ mod tests {
         );
     }
 
+    /// Rendered points parse back, and `compare_sweeps` retimes a slow
+    /// point before it flags it.
     #[test]
-    fn throughput_json_roundtrips() {
+    fn compare_sweeps_retimes_before_flagging() {
         let stack = registry::find(StructureKind::Stack, AlgoKind::Tracking).unwrap();
         let pts = run_thread_sweep(&[stack], &[1, 2], Duration::from_millis(30), 256 << 20);
         assert_eq!(pts.len(), 2);
-        let json = throughput_json("unit", &[1, 2], &pts);
-        validate_throughput_json(&json).expect("self-produced JSON must validate");
+        let rows: Vec<String> = pts.iter().map(SweepPoint::to_json).collect();
+        let json = format!("{{\"thread_sweep\": [\n{}\n]}}", rows.join(",\n"));
         let parsed = sweep_points_from_json(&json);
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "stack/Tracking");
@@ -345,11 +260,5 @@ mod tests {
             .all(|l| l.contains("retimed") && l.ends_with("<-- REGRESSION")));
         let (lines, warnings) = compare_sweeps(&faster, &pts, 0.25, |p| 4.0 * p.ops_per_sec);
         assert_eq!(warnings, 0, "a slow first window alone is noise: {lines:?}");
-    }
-
-    #[test]
-    fn validate_rejects_garbage() {
-        assert!(validate_throughput_json("{}").is_err());
-        assert!(validate_throughput_json("{\"schema\": \"bench-throughput/v1\"}").is_err());
     }
 }

@@ -25,8 +25,7 @@ use crate::subject::{
 pub const VERIFY: u8 = 1 << 0;
 /// A row of the perf baseline.
 pub const BASELINE: u8 = 1 << 1;
-/// A subject of the real-thread throughput sweep (`bin/throughput` and the
-/// baseline's `thread_sweep`).
+/// A subject of the baseline's real-thread `thread_sweep`.
 pub const THROUGHPUT: u8 = 1 << 2;
 /// A set competitor of the latency table, the site attribution and the
 /// integration suite's set tests.
@@ -77,11 +76,10 @@ static ENTRIES: [Entry; 16] = [
     entry(S::Hashmap, A::Tracking, "hashmap/Tracking", VERIFY | BASELINE | THROUGHPUT),
 ];
 
-/// What a constructor needs besides the pool.
+/// What a constructor needs besides the pool. Every subject hangs off
+/// root cell 0.
 #[derive(Copy, Clone, Debug)]
 pub struct Dims {
-    /// Root cell the structure hangs off.
-    pub root: usize,
     /// Threads that will operate on it (sizes the per-thread tables of
     /// RedoOpt, OneFile and the combining variants).
     pub threads: usize,
@@ -93,11 +91,10 @@ pub struct Dims {
 }
 
 impl Dims {
-    /// The verification engines' dimensions: root 0, the set scripts' key
-    /// universe plus slack, and the resize-forcing hash-table geometry.
+    /// The verification engines' dimensions: the set scripts' key universe
+    /// plus slack, and the resize-forcing hash-table geometry.
     pub fn verify(threads: usize) -> Dims {
         Dims {
-            root: 0,
             threads,
             keys: crate::subject::SET_KEYS + 4,
             map: crate::subject::HASHMAP_SWEEP_CFG,
@@ -184,55 +181,47 @@ impl Entry {
             ..paper
         };
         match (self.structure, self.algo) {
-            (S::List, A::Tracking) => go(e, |p, d| {
-                set_subject(tracking::RecoverableList::new(p.clone(), d.root))
+            (S::List, A::Tracking) => go(e, |p, _| {
+                set_subject(tracking::RecoverableList::new(p.clone(), 0))
             }),
-            (S::List, A::TrackingPaper) => go(e, move |p, d| {
+            (S::List, A::TrackingPaper) => go(e, move |p, _| {
+                set_subject(tracking::RecoverableList::with_config(p.clone(), 0, paper))
+            }),
+            (S::List, A::TrackingNaive) => go(e, move |p, _| {
+                set_subject(tracking::RecoverableList::with_config(p.clone(), 0, naive))
+            }),
+            (S::List, A::TrackingNoReadOpt) => go(e, move |p, _| {
                 set_subject(tracking::RecoverableList::with_config(
                     p.clone(),
-                    d.root,
-                    paper,
-                ))
-            }),
-            (S::List, A::TrackingNaive) => go(e, move |p, d| {
-                set_subject(tracking::RecoverableList::with_config(
-                    p.clone(),
-                    d.root,
-                    naive,
-                ))
-            }),
-            (S::List, A::TrackingNoReadOpt) => go(e, move |p, d| {
-                set_subject(tracking::RecoverableList::with_config(
-                    p.clone(),
-                    d.root,
+                    0,
                     no_read_opt,
                 ))
             }),
-            (S::List, A::Capsules) => go(e, |p, d| {
+            (S::List, A::Capsules) => go(e, |p, _| {
                 set_subject(capsules::CapsulesList::new(
                     p.clone(),
-                    d.root,
+                    0,
                     capsules::PersistPolicy::Full,
                 ))
             }),
-            (S::List, A::CapsulesOpt) => go(e, |p, d| {
+            (S::List, A::CapsulesOpt) => go(e, |p, _| {
                 set_subject(capsules::CapsulesList::new(
                     p.clone(),
-                    d.root,
+                    0,
                     capsules::PersistPolicy::Opt,
                 ))
             }),
             (S::List, A::Romulus) => go(e, |p, d| {
                 set_subject(romulus::RomulusList::new(
                     p.clone(),
-                    d.root,
+                    0,
                     d.keys as usize + 16,
                 ))
             }),
             (S::List, A::RedoOpt) => go(e, |p, d| {
                 set_subject(redo::RedoSet::new(
                     p.clone(),
-                    d.root,
+                    0,
                     d.threads,
                     d.keys as usize + 16,
                 ))
@@ -240,33 +229,33 @@ impl Entry {
             (S::List, A::OneFile) => go(e, |p, d| {
                 set_subject(onefile::OneFileList::new(
                     p.clone(),
-                    d.root,
+                    0,
                     d.threads,
                     d.keys as usize + 16,
                 ))
             }),
-            (S::Bst, A::TrackingBst) => go(e, |p, d| {
-                set_subject(tracking::RecoverableBst::new(p.clone(), d.root))
+            (S::Bst, A::TrackingBst) => go(e, |p, _| {
+                set_subject(tracking::RecoverableBst::new(p.clone(), 0))
             }),
-            (S::Queue, A::Tracking) => go(e, |p, d| {
-                QueueSubject::new(tracking::RecoverableQueue::new(p.clone(), d.root))
+            (S::Queue, A::Tracking) => go(e, |p, _| {
+                QueueSubject::new(tracking::RecoverableQueue::new(p.clone(), 0))
             }),
             (S::Queue, A::TrackingComb) => go(e, |p, d| {
-                QueueSubject::new(tracking::CombiningQueue::new(p.clone(), d.root, d.threads))
+                QueueSubject::new(tracking::CombiningQueue::new(p.clone(), 0, d.threads))
             }),
-            (S::Stack, A::Tracking) => go(e, |p, d| {
-                StackSubject::new(tracking::RecoverableStack::new(p.clone(), d.root))
+            (S::Stack, A::Tracking) => go(e, |p, _| {
+                StackSubject::new(tracking::RecoverableStack::new(p.clone(), 0))
             }),
             (S::Stack, A::TrackingComb) => go(e, |p, d| {
-                StackSubject::new(tracking::CombiningStack::new(p.clone(), d.root, d.threads))
+                StackSubject::new(tracking::CombiningStack::new(p.clone(), 0, d.threads))
             }),
-            (S::Exchanger, A::Tracking) => go(e, |p, d| {
-                ExchangerSubject(tracking::RecoverableExchanger::new(p.clone(), d.root))
+            (S::Exchanger, A::Tracking) => go(e, |p, _| {
+                ExchangerSubject(tracking::RecoverableExchanger::new(p.clone(), 0))
             }),
             (S::Hashmap, A::Tracking) => go(e, |p, d| {
                 HashmapSubject(tracking::RecoverableHashMap::with_config(
                     p.clone(),
-                    d.root,
+                    0,
                     d.map,
                 ))
             }),
@@ -334,20 +323,6 @@ pub fn select(
     Ok(pairs)
 }
 
-/// Parses a throughput subject: its report name (`queue/Combining`), a
-/// structure name for its Tracking pair (`queue`), or `comb-<structure>`
-/// for its flat-combining pair.
-pub fn parse_subject(token: &str) -> Option<&'static Entry> {
-    if let Some(e) = entries().find(|e| e.name == token) {
-        return Some(e);
-    }
-    let (algo, structure) = match token.strip_prefix("comb-") {
-        Some(s) => (A::TrackingComb, s),
-        None => (A::Tracking, token),
-    };
-    find(StructureKind::parse(structure)?, algo)
-}
-
 /// Builds the set algorithm `kind` in `pool` (rooted at root cell 0).
 /// `threads` and `key_range` size the per-thread tables of the algorithms
 /// that need them (Romulus' region, RedoOpt's state object).
@@ -362,7 +337,6 @@ pub fn build(
     key_range: u64,
 ) -> Arc<dyn SetAlgo> {
     let dims = Dims {
-        root: 0,
         threads,
         keys: key_range,
         map: HashMapConfig::default(),
@@ -442,16 +416,6 @@ mod tests {
             subjects.join(" "),
             "queue/Tracking queue/Combining stack/Tracking stack/Combining hashmap/Tracking"
         );
-        for (token, name) in [
-            ("queue", "queue/Tracking"),
-            ("comb-queue", "queue/Combining"),
-            ("stack", "stack/Tracking"),
-            ("comb-stack", "stack/Combining"),
-            ("hashmap", "hashmap/Tracking"),
-            ("queue/Combining", "queue/Combining"),
-        ] {
-            assert_eq!(parse_subject(token).map(|e| e.name), Some(name), "{token}");
-        }
 
         let rows: Vec<String> = with_role(BASELINE)
             .map(|e| e.name.to_string())

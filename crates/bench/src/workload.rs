@@ -7,19 +7,17 @@
 //!
 //! * **the paper's benchmark loop** (the figure drivers, [`RunCfg::paper`]):
 //!   keys uniform in `[1, key_range]`, the structure prefilled with
-//!   `key_range / 2` random inserts (the paper's 250 over range 500), one
-//!   shared root, no sub-arenas;
-//! * **the throughput sweep** (`bin/throughput` and the baseline's thread
-//!   sweep, [`RunCfg::contended`]): the structure replicated over `shards`
-//!   disjoint sets of root cells with thread *t* on shard `t % shards` (one
-//!   shard is the fully contended configuration the combining variants
-//!   target), and each worker allocating from a thread-private
-//!   [`pmem::SubArena`] that touches the global cursor only on chunk
-//!   refills. On a host with fewer cores than threads the threads
-//!   time-slice, which still exercises every synchronization path; the
-//!   count-based `pwb`/`psync`-per-op numbers are scheduling-independent
-//!   and are the primary cross-variant signal (see EXPERIMENTS.md,
-//!   "Scaling & throughput methodology").
+//!   `key_range / 2` random inserts (the paper's 250 over range 500), no
+//!   sub-arenas;
+//! * **the thread sweep** (the baseline's `thread_sweep`,
+//!   [`RunCfg::contended`]): every thread on the one structure (the fully
+//!   contended configuration the combining variants target), each worker
+//!   allocating from a thread-private [`pmem::SubArena`] that touches the
+//!   global cursor only on chunk refills. On a host with fewer cores than
+//!   threads the threads time-slice, which still exercises every
+//!   synchronization path; the count-based `pwb`/`psync`-per-op numbers
+//!   are scheduling-independent and are the primary cross-variant signal
+//!   (see EXPERIMENTS.md, "Scaling & throughput methodology").
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -78,7 +76,7 @@ impl Mix {
         read: 0,
         add: 1,
     };
-    /// The throughput sweep's mix: half adds, a quarter each of reads and
+    /// The thread sweep's mix: half adds, a quarter each of reads and
     /// removes, so pops mostly succeed and both paths stay hot.
     pub const THROUGHPUT: Mix = Mix {
         of: 4,
@@ -108,32 +106,6 @@ impl Mix {
 /// abort the run.
 const HEADROOM_LINES: usize = 8192;
 
-/// Root cells per shard. The Tracking queue keeps its tail hint in the
-/// root cell after its head cell, so shard `k` hangs off root `2k`.
-const ROOTS_PER_SHARD: usize = 2;
-
-/// Builds `shards` replicas of `make`'s subject in `pool`, each on its own
-/// root cells.
-fn build_shards<Sub: Subject>(
-    make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub,
-    pool: &Arc<PmemPool>,
-    shards: usize,
-    threads: usize,
-    keys: u64,
-) -> Vec<Sub> {
-    (0..shards)
-        .map(|k| {
-            let dims = Dims {
-                root: k * ROOTS_PER_SHARD,
-                threads,
-                keys,
-                map: Default::default(),
-            };
-            make(pool, &dims)
-        })
-        .collect()
-}
-
 /// One timed-run configuration.
 #[derive(Clone, Debug)]
 pub struct RunCfg {
@@ -141,16 +113,13 @@ pub struct RunCfg {
     pub subject: &'static Entry,
     /// Worker threads.
     pub threads: usize,
-    /// Structure replicas; thread `t` drives shard `t % shards`. Capped at
-    /// half of [`pmem::NUM_ROOTS`] (each shard owns two root cells).
-    pub shards: usize,
     /// Timed-window length.
     pub duration: Duration,
     /// Keys are uniform in `[1, key_range]`.
     pub key_range: u64,
     /// Operation mix.
     pub mix: Mix,
-    /// Adds per shard before the window (so removes mostly succeed).
+    /// Adds before the window (so removes mostly succeed).
     pub prefill: u64,
     /// Pool capacity in bytes (arena for nodes + descriptors).
     pub pool_bytes: usize,
@@ -168,12 +137,11 @@ pub struct RunCfg {
 
 impl RunCfg {
     /// The paper's benchmark for the set algorithm `kind` at `threads`
-    /// threads: one shared root, no sub-arenas.
+    /// threads: no sub-arenas.
     pub fn paper(kind: AlgoKind, threads: usize) -> RunCfg {
         RunCfg {
             subject: registry::set(kind),
             threads,
-            shards: 1,
             duration: Duration::from_millis(300),
             key_range: 500,
             mix: Mix::READ_INTENSIVE,
@@ -187,13 +155,12 @@ impl RunCfg {
         }
     }
 
-    /// The throughput sweep's defaults for `subject` at `threads` threads:
-    /// one contended shard, Clflush backend, per-thread arenas on.
+    /// The thread sweep's defaults for `subject` at `threads` threads:
+    /// Clflush backend, per-thread arenas on.
     pub fn contended(subject: &'static Entry, threads: usize) -> RunCfg {
         RunCfg {
             subject,
             threads,
-            shards: 1,
             duration: Duration::from_millis(200),
             key_range: 4096,
             mix: Mix::THROUGHPUT,
@@ -215,8 +182,6 @@ pub struct RunResult {
     pub subject: &'static str,
     /// Worker threads.
     pub threads: usize,
-    /// Shards used (post-cap).
-    pub shards: usize,
     /// Completed operations across all threads.
     pub ops: u64,
     /// Completed operations per thread.
@@ -281,7 +246,6 @@ impl Engine for Timed<'_> {
     ) -> RunResult {
         let cfg = self.0;
         let threads = cfg.threads.max(1);
-        let shards = cfg.shards.clamp(1, pmem::NUM_ROOTS / ROOTS_PER_SHARD);
         let pool = Arc::new(PmemPool::new(PoolCfg {
             capacity: cfg.pool_bytes,
             backend: cfg.backend,
@@ -289,16 +253,21 @@ impl Engine for Timed<'_> {
             max_threads: threads.next_power_of_two().max(8),
             ..Default::default()
         }));
-        let subs = build_shards(make, &pool, shards, threads, cfg.key_range);
-        // Prefill every shard from thread slot 0, with persistence on.
+        let sub = make(
+            &pool,
+            &Dims {
+                threads,
+                keys: cfg.key_range,
+                map: Default::default(),
+            },
+        );
+        // Prefill from thread slot 0, with persistence on.
         {
             let ctx = ThreadCtx::new(pool.clone(), 0);
             let mut rng = Rng(cfg.seed ^ 0xABCDEF);
-            for sub in &subs {
-                for _ in 0..cfg.prefill {
-                    let op = Sub::draw(rng.next(), &Mix::ADD, cfg.key_range);
-                    sub.call(&ctx, &op);
-                }
+            for _ in 0..cfg.prefill {
+                let op = Sub::draw(rng.next(), &Mix::ADD, cfg.key_range);
+                sub.call(&ctx, &op);
             }
         }
         pool.set_psync_enabled(cfg.psync_enabled);
@@ -311,7 +280,7 @@ impl Engine for Timed<'_> {
         let (outs, elapsed) = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
-                    let (pool, sub, stop, barrier) = (&pool, &subs[t % shards], &stop, &barrier);
+                    let (pool, sub, stop, barrier) = (&pool, &sub, &stop, &barrier);
                     s.spawn(move || {
                         if cfg.chunk_lines > 0 {
                             install_thread_arena(SubArena::new(pool.clone(), cfg.chunk_lines));
@@ -351,7 +320,6 @@ impl Engine for Timed<'_> {
         RunResult {
             subject: cfg.subject.name,
             threads,
-            shards,
             ops: per_thread_ops.iter().sum(),
             per_thread_ops,
             elapsed,
@@ -420,41 +388,5 @@ mod tests {
             r2.pwb_per_op(),
             r1.pwb_per_op()
         );
-    }
-
-    /// Shards are disjoint structures: an add on one shard is invisible
-    /// to the other. Shards one root cell apart once shared a cell: the
-    /// Tracking queue's tail hint was the next shard's head cell.
-    #[test]
-    fn shards_share_no_root_cell() {
-        struct Disjoint;
-        impl Engine for Disjoint {
-            type Out = Result<(), String>;
-            fn run<Sub: Subject>(
-                self,
-                make: impl Fn(&Arc<PmemPool>, &Dims) -> Sub + Copy + Send + Sync + 'static,
-            ) -> Result<(), String> {
-                for (add_on, look_at) in [(0, 1), (1, 0)] {
-                    let pool = Arc::new(PmemPool::new(PoolCfg {
-                        capacity: 16 << 20,
-                        backend: Backend::Noop,
-                        ..Default::default()
-                    }));
-                    let subs = build_shards(make, &pool, 2, 2, 8);
-                    let ctx = ThreadCtx::new(pool.clone(), 0);
-                    subs[add_on].call(&ctx, &Sub::draw(1, &Mix::ADD, 8));
-                    let mut h = linearize::History::new();
-                    subs[look_at].observe(&ctx, &mut h)?;
-                    h.check(Sub::S::default())
-                        .map_err(|e| format!("shard {look_at} sees shard {add_on}'s add: {e}"))?;
-                }
-                Ok(())
-            }
-        }
-        for e in registry::with_role(registry::THROUGHPUT) {
-            if let Err(err) = e.with(Disjoint) {
-                panic!("{}: {err}", e.name);
-            }
-        }
     }
 }
