@@ -194,8 +194,6 @@ pub struct RunResult {
     pub psync: u64,
     /// Sub-arena chunk refills across all workers (global-cursor touches).
     pub arena_refills: u64,
-    /// Lines stranded in abandoned sub-arena chunks.
-    pub arena_waste_lines: u64,
 }
 
 impl RunResult {
@@ -298,10 +296,8 @@ impl Engine for Timed<'_> {
                             std::hint::black_box(sub.call(&ctx, &op));
                             ops += 1;
                         }
-                        let arena = uninstall_thread_arena();
-                        let refills = arena.as_ref().map_or(0, |a| a.refills());
-                        let waste = arena.map_or(0, |a| a.waste_lines() as u64);
-                        (ops, refills, waste)
+                        let refills = uninstall_thread_arena().map_or(0, |a| a.refills());
+                        (ops, refills)
                     })
                 })
                 .collect();
@@ -309,7 +305,7 @@ impl Engine for Timed<'_> {
             let start = Instant::now();
             std::thread::sleep(cfg.duration);
             stop.store(true, Ordering::Relaxed);
-            let outs: Vec<(u64, u64, u64)> = handles
+            let outs: Vec<(u64, u64)> = handles
                 .into_iter()
                 .map(|h| h.join().expect("timed worker panicked"))
                 .collect();
@@ -326,7 +322,6 @@ impl Engine for Timed<'_> {
             pwb_per_site: d.pwb_per_site,
             psync: d.psync + d.pfence,
             arena_refills: outs.iter().map(|o| o.1).sum(),
-            arena_waste_lines: outs.iter().map(|o| o.2).sum(),
         }
     }
 }

@@ -61,7 +61,6 @@ pub struct SubArena {
     /// First word past the current chunk.
     end: Cell<usize>,
     refills: Cell<u64>,
-    waste_lines: Cell<usize>,
 }
 
 impl SubArena {
@@ -74,7 +73,6 @@ impl SubArena {
             next: Cell::new(0),
             end: Cell::new(0),
             refills: Cell::new(0),
-            waste_lines: Cell::new(0),
         }
     }
 
@@ -102,10 +100,7 @@ impl SubArena {
         let lines = self.chunk_lines.max(nlines);
         // The tail of the old chunk is abandoned, not freed: handing it
         // back would require a free list, and the point of an arena is to
-        // avoid one. Tracked so reports can show the (tiny) loss.
-        let left = self.end.get().saturating_sub(self.next.get());
-        self.waste_lines
-            .set(self.waste_lines.get() + left / WORDS_PER_LINE);
+        // avoid one.
         let base = match self.pool.try_alloc_lines_global(lines) {
             Some(a) => a,
             // Chunk no longer fits: fall back to exactly the request.
@@ -120,11 +115,6 @@ impl SubArena {
     /// Number of global-cursor CASes performed (one per chunk refill).
     pub fn refills(&self) -> u64 {
         self.refills.get()
-    }
-
-    /// Lines abandoned at chunk tails (never handed out, never reused).
-    pub fn waste_lines(&self) -> usize {
-        self.waste_lines.get()
     }
 }
 
@@ -183,6 +173,7 @@ mod tests {
     #[test]
     fn arena_refills_and_serves_oversized_requests() {
         let p = pool();
+        let before = p.remaining_lines();
         let a = SubArena::new(p.clone(), 4);
         for _ in 0..6 {
             a.try_alloc_lines(1).unwrap();
@@ -192,7 +183,9 @@ mod tests {
         let big = a.try_alloc_lines(9).unwrap();
         assert!(!big.is_null());
         assert_eq!(a.refills(), 3);
-        assert!(a.waste_lines() > 0, "abandoned tail of chunk two");
+        // Chunks of 4, 4 and 9 lines for 6 + 9 handed out: chunk two's
+        // tail is abandoned.
+        assert_eq!(before - p.remaining_lines(), 17, "lines carved");
     }
 
     #[test]

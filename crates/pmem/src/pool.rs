@@ -1032,12 +1032,18 @@ impl PmemPool {
     /// is disarmed and the trace/lint observers are cleared (their enable
     /// flags are left alone — the caller decides what to observe next).
     ///
-    /// Requires quiescence, and the snapshot must come from this pool (the
-    /// allocation watermark may only have grown since it was taken).
+    /// The current watermark may also stand *below* the snapshot's: a
+    /// crash-sweep replay stops after recovering the interrupted operation,
+    /// short of the allocations the capture run made before a later
+    /// checkpoint. Words past the watermark are zero in both images (fresh,
+    /// or zeroed by an earlier restore), so copying the prefix over them
+    /// restores the snapshot exactly.
+    ///
+    /// Requires quiescence, and the snapshot must come from this pool.
     pub fn restore(&self, snap: &PoolSnapshot) {
         let cur_next = self.next.load(Ordering::SeqCst);
         assert!(
-            snap.next <= cur_next && snap.next <= self.words.len(),
+            snap.next <= self.words.len(),
             "restore: snapshot does not belong to this pool"
         );
         for (i, w) in snap.words.iter().enumerate() {
@@ -1475,6 +1481,28 @@ mod tests {
         assert_eq!(b2.word(), b.word());
         assert_eq!(p.load(b2), 0);
         assert_eq!(p.persisted_load(b2), 0);
+    }
+
+    /// A replay can stop below a later checkpoint's watermark; restoring
+    /// that checkpoint must still reproduce it exactly.
+    #[test]
+    fn restore_reaches_a_snapshot_past_the_current_watermark() {
+        let p = model_pool();
+        let early = p.snapshot();
+        let a = p.alloc_lines(2);
+        p.store(a, 5);
+        p.pwb(a, SiteId(0));
+        p.psync();
+        let late = p.snapshot();
+
+        p.restore(&early);
+        let b = p.alloc_lines(1); // the replay allocates one line of two
+        p.store(b, 9);
+        p.restore(&late);
+        assert_eq!((p.load(a), p.persisted_load(a)), (5, 5));
+        let c = p.alloc_lines(1);
+        assert_eq!(c.word(), a.word() + 2 * WORDS_PER_LINE, "cursor restored");
+        assert_eq!((p.load(c), p.persisted_load(c)), (0, 0));
     }
 
     #[test]

@@ -204,7 +204,7 @@ impl RecoverableBst {
                 ctx.retire(new_leaf, 1);
                 return false;
             }
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 1, 1, 1);
             // Lines 14–15: duplicate of l and the new internal node
             let new_sibling = ctx.palloc(1);
             Self::init_leaf(pool, new_sibling, l_key);
@@ -301,7 +301,7 @@ impl RecoverableBst {
                 op::record_false(ctx);
                 return false;
             }
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 2, 1, 0);
             // A present user key is at depth >= 2 (depth-1 leaves are the
             // sentinels), so gp exists.
             assert!(!s.gp.is_null(), "present key must have a grandparent");

@@ -11,17 +11,35 @@
 //! in the paper's placement they write `result` directly, exactly like the
 //! pseudocode's red lines.
 //!
-//! Layout (24 words = 3 cache lines, line-aligned so descriptor flushes have
-//! deterministic line counts):
+//! Layout: three header words, then the three sets back to back, each
+//! located from the lengths in the header word (`a`, `w`, `n` entries):
 //!
 //! ```text
-//! w0        header: opType | alen<<8 | wlen<<16 | nlen<<24 | untagFlags<<32
-//! w1        result            (⊥ until the op takes effect)
-//! w2        success_result    (what `help` writes on success)
-//! w3..w10   AffectSet         (info-field addr, observed value) × ≤4
-//! w11..w16  WriteSet          (field addr, old, new)            × ≤2
-//! w17..w19  NewSet            (info-field addr of new node)     × ≤3
+//! w0              header: opType | a<<8 | w<<16 | n<<24 | untagFlags<<32
+//! w1              result            (⊥ until the op takes effect)
+//! w2              success_result    (what `help` writes on success)
+//! w3 ..           AffectSet         (info-field addr, observed value) × a
+//! w3+2a ..        WriteSet          (field addr, old, new)            × w
+//! w3+2a+3w ..     NewSet            (info-field addr of new node)     × n
 //! ```
+//!
+//! A descriptor is line-aligned, so its flush has a deterministic line
+//! count, and [`Desc::alloc`] sizes it to the sets its operation fills:
+//!
+//! | operation                                  | a, w, n | words | lines |
+//! |--------------------------------------------|---------|-------|-------|
+//! | hash-map seal                              | 1, 0, 0 | 5     | 1     |
+//! | pop, dequeue                               | 1, 1, 0 | 8     | 1     |
+//! | push, enqueue, BST insert, capture, cancel | 1, 1, 1 | 9     | 2     |
+//! | list/map delete, BST delete                | 2, 1, 0 | 10    | 2     |
+//! | list/map insert                            | 2, 1, 2 | 12    | 2     |
+//! | collide                                    | 1, 2, 1 | 12    | 2     |
+//! | hash-map move                              | 3, 2, 1 | 16    | 2     |
+//!
+//! The list's paper placements ([`crate::list::Placement::Paper`] and
+//! `PaperNoReadOpt`) keep the paper's fixed size instead:
+//! [`Desc::alloc_paper`] allocates [`D_LINES`] = 3 lines, room for the
+//! largest sets, and [`Desc::pbarrier`] flushes all three.
 //!
 //! AffectSet and NewSet entries store the address of a node's **info
 //! field** (not the node base): the engine tags/untags nodes without
@@ -30,28 +48,35 @@
 //! the update and must be untagged during cleanup — a deleted or replaced
 //! node keeps its tag forever (paper, Figure 1c).
 
-use pmem::{PAddr, PmemPool, SiteId};
+use pmem::{PAddr, PmemPool, SiteId, WORDS_PER_LINE};
 
 use crate::result::BOTTOM;
 
-/// Maximum AffectSet entries (the BST delete needs 2; 4 leaves headroom).
+/// Maximum AffectSet entries (the hash map's move needs 3; 4 leaves
+/// headroom).
 pub const AFFECT_MAX: usize = 4;
-/// Maximum WriteSet entries (the exchanger's collide needs 2).
+/// Maximum WriteSet entries (the exchanger's collide and the hash map's
+/// move need 2).
 pub const WRITE_MAX: usize = 2;
 /// Maximum NewSet entries (the list insert allocates 2; 3 leaves headroom).
 pub const NEW_MAX: usize = 3;
 
-/// Descriptor size in words (3 cache lines).
-pub const D_WORDS: usize = 24;
-/// Descriptor size in cache lines.
+/// The paper placement's descriptor size in cache lines: room for the
+/// largest sets.
 pub const D_LINES: usize = 3;
 
 const W_HDR: u64 = 0;
 const W_RESULT: u64 = 1;
 const W_SUCCESS: u64 = 2;
 const W_AFFECT: u64 = 3;
-const W_WRITE: u64 = 11;
-const W_NEW: u64 = 17;
+
+const _: () = assert!(words(AFFECT_MAX, WRITE_MAX, NEW_MAX) <= D_LINES * WORDS_PER_LINE);
+
+/// Words a descriptor with `affect` AffectSet, `writes` WriteSet and `news`
+/// NewSet entries fills.
+const fn words(affect: usize, writes: usize, news: usize) -> usize {
+    W_AFFECT as usize + 2 * affect + 3 * writes + news
+}
 
 /// One AffectSet entry.
 #[derive(Copy, Clone, Debug)]
@@ -76,18 +101,73 @@ pub struct WriteEntry {
     pub new: u64,
 }
 
-/// A handle on a descriptor in persistent memory (the untagged base
-/// address). Copy-cheap; all state lives in the pool.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct Desc {
-    addr: PAddr,
+/// A descriptor's header word, decoded: the op type, the three set lengths
+/// and the untag flags. [`Desc::header`] reads it with one load, and the
+/// WriteSet and NewSet readers take it to locate their set without loading
+/// it again.
+#[derive(Copy, Clone, Debug)]
+pub struct Header(u64);
+
+impl Header {
+    /// Structure-defined operation type tag.
+    pub fn op_type(self) -> u8 {
+        (self.0 & 0xFF) as u8
+    }
+
+    /// AffectSet length.
+    pub fn affect_len(self) -> usize {
+        ((self.0 >> 8) & 0xFF) as usize
+    }
+
+    /// WriteSet length.
+    pub fn write_len(self) -> usize {
+        ((self.0 >> 16) & 0xFF) as usize
+    }
+
+    /// NewSet length.
+    pub fn new_len(self) -> usize {
+        ((self.0 >> 24) & 0xFF) as usize
+    }
+
+    /// Word offset of WriteSet entry `j`.
+    fn write_at(self, j: usize) -> u64 {
+        words(self.affect_len(), j, 0) as u64
+    }
+
+    /// Word offset of NewSet entry `i`.
+    fn new_at(self, i: usize) -> u64 {
+        words(self.affect_len(), self.write_len(), i) as u64
+    }
 }
 
+/// A handle on a descriptor in persistent memory (the untagged base
+/// address). Copy-cheap; all state lives in the pool. Handles compare by
+/// address.
+#[derive(Copy, Clone, Debug)]
+pub struct Desc {
+    addr: PAddr,
+    /// Lines allocated. Only the handle an allocation returned knows them
+    /// (0 on a handle read back by [`Desc::from_raw`]); only its owner
+    /// fills and flushes the descriptor.
+    lines: usize,
+}
+
+impl PartialEq for Desc {
+    fn eq(&self, other: &Desc) -> bool {
+        self.addr == other.addr
+    }
+}
+
+impl Eq for Desc {}
+
 impl Desc {
-    /// Allocates a fresh (zeroed) descriptor. `result` is ⊥ (= 0) by
-    /// construction. Only an update attempt (or a read-only outcome in the
-    /// paper's placement) allocates one: finds, gets and the read-only
-    /// outcomes of updates record no descriptor.
+    /// Allocates a fresh (zeroed) descriptor sized to hold `affect`
+    /// AffectSet, `writes` WriteSet and `news` NewSet entries: the lines
+    /// those words fill, 1 or 2 for every lean operation (see the module
+    /// docs). `result` is ⊥ (= 0) by construction. Only an update
+    /// attempt (or a read-only outcome in the paper's placement) allocates
+    /// one: finds, gets and the read-only outcomes of updates record no
+    /// descriptor.
     ///
     /// Descriptors are deliberately bump-allocated — never recycled, even
     /// on a pool built with `pmem::PoolCfg::reclaim`. Cleanup leaves
@@ -100,9 +180,21 @@ impl Desc {
     /// windows). Only *node* blocks — whose addresses are compared solely
     /// against values gathered within a single operation window — are safe
     /// to recycle; see `pmem::palloc`.
-    pub fn alloc(pool: &PmemPool) -> Desc {
+    pub fn alloc(pool: &PmemPool, affect: usize, writes: usize, news: usize) -> Desc {
+        Self::alloc_lines(pool, words(affect, writes, news).div_ceil(WORDS_PER_LINE))
+    }
+
+    /// Allocates a fresh descriptor of the paper placement's fixed size,
+    /// [`D_LINES`] lines, whose [`Self::pbarrier`] flushes all of them
+    /// (Figures 3–6 measure that flush).
+    pub fn alloc_paper(pool: &PmemPool) -> Desc {
+        Self::alloc_lines(pool, D_LINES)
+    }
+
+    fn alloc_lines(pool: &PmemPool, lines: usize) -> Desc {
         Desc {
-            addr: pool.alloc_lines(D_LINES),
+            addr: pool.alloc_lines(lines),
+            lines,
         }
     }
 
@@ -112,6 +204,7 @@ impl Desc {
     pub fn from_raw(raw: u64) -> Desc {
         Desc {
             addr: PAddr(pmem::untagged(raw)),
+            lines: 0,
         }
     }
 
@@ -142,6 +235,7 @@ impl Desc {
     /// Fills in every field of a freshly allocated descriptor (Algorithm 1
     /// line 16). Plain stores; the caller persists with [`Desc::pbarrier`]
     /// *before* publishing the descriptor through `RD_q` or a tagging CAS.
+    /// Panics if the sets do not fit the allocation.
     pub fn init(
         &self,
         pool: &PmemPool,
@@ -154,6 +248,10 @@ impl Desc {
         assert!(affect.len() <= AFFECT_MAX, "AffectSet too large");
         assert!(writes.len() <= WRITE_MAX, "WriteSet too large");
         assert!(news.len() <= NEW_MAX, "NewSet too large");
+        assert!(
+            words(affect.len(), writes.len(), news.len()) <= self.lines * WORDS_PER_LINE,
+            "descriptor sets overflow the allocation"
+        );
         let mut untag_flags = 0u64;
         for (i, e) in affect.iter().enumerate() {
             pool.store(self.addr.add(W_AFFECT + 2 * i as u64), e.info_addr.raw());
@@ -162,63 +260,56 @@ impl Desc {
                 untag_flags |= 1 << i;
             }
         }
+        let hdr = Header(
+            op_type as u64
+                | (affect.len() as u64) << 8
+                | (writes.len() as u64) << 16
+                | (news.len() as u64) << 24
+                | untag_flags << 32,
+        );
         for (j, w) in writes.iter().enumerate() {
-            let base = W_WRITE + 3 * j as u64;
+            let base = hdr.write_at(j);
             pool.store(self.addr.add(base), w.field.raw());
             pool.store(self.addr.add(base + 1), w.old);
             pool.store(self.addr.add(base + 2), w.new);
         }
         for (i, n) in news.iter().enumerate() {
-            pool.store(self.addr.add(W_NEW + i as u64), n.raw());
+            pool.store(self.addr.add(hdr.new_at(i)), n.raw());
         }
         pool.store(self.addr.add(W_SUCCESS), success_result);
         pool.store(self.addr.add(W_RESULT), BOTTOM);
-        let hdr = op_type as u64
-            | (affect.len() as u64) << 8
-            | (writes.len() as u64) << 16
-            | (news.len() as u64) << 24
-            | untag_flags << 32;
-        pool.store(self.addr.add(W_HDR), hdr);
+        pool.store(self.addr.add(W_HDR), hdr.0);
     }
 
-    /// Flushes the whole descriptor and fences (the `pbarrier(*opInfo)` of
-    /// Algorithm 1 line 19).
+    /// Flushes the allocated lines and fences (the `pbarrier(*opInfo)` of
+    /// Algorithm 1 line 19). Only the handle an allocation returned knows
+    /// the descriptor's size.
     pub fn pbarrier(&self, pool: &PmemPool, site: SiteId) {
-        pool.pbarrier(self.addr, D_WORDS, site);
+        assert!(self.lines > 0, "pbarrier on a descriptor handle read back");
+        pool.pbarrier(self.addr, self.lines * WORDS_PER_LINE, site);
     }
 
     // --- field readers -------------------------------------------------
+    //
+    // Bounds checks here must stay free of instrumented pool reads: an
+    // extra debug-only `load` would tick the crash countdown, making
+    // crash-point enumeration differ between debug and release builds.
+
+    /// The header word (one load).
+    pub fn header(&self, pool: &PmemPool) -> Header {
+        Header(pool.load(self.addr.add(W_HDR)))
+    }
 
     /// Structure-defined operation type tag.
     pub fn op_type(&self, pool: &PmemPool) -> u8 {
-        (pool.load(self.addr.add(W_HDR)) & 0xFF) as u8
+        self.header(pool).op_type()
     }
 
-    /// AffectSet length.
-    pub fn affect_len(&self, pool: &PmemPool) -> usize {
-        ((pool.load(self.addr.add(W_HDR)) >> 8) & 0xFF) as usize
-    }
-
-    /// WriteSet length.
-    pub fn write_len(&self, pool: &PmemPool) -> usize {
-        ((pool.load(self.addr.add(W_HDR)) >> 16) & 0xFF) as usize
-    }
-
-    /// NewSet length.
-    pub fn new_len(&self, pool: &PmemPool) -> usize {
-        ((pool.load(self.addr.add(W_HDR)) >> 24) & 0xFF) as usize
-    }
-
-    /// AffectSet entry `i`.
-    ///
-    /// Bounds checks here (and in [`Self::write`], [`Self::new_node`]) must
-    /// stay free of instrumented pool reads: an extra debug-only `load`
-    /// would tick the crash countdown, making crash-point enumeration
-    /// differ between debug and release builds.
+    /// AffectSet entry `i` (loads the header for its untag flag).
     pub fn affect(&self, pool: &PmemPool, i: usize) -> AffectEntry {
-        let hdr = pool.load(self.addr.add(W_HDR));
-        debug_assert!(i < ((hdr >> 8) & 0xFF) as usize);
-        let flags = hdr >> 32;
+        let hdr = self.header(pool);
+        debug_assert!(i < hdr.affect_len());
+        let flags = hdr.0 >> 32;
         AffectEntry {
             info_addr: PAddr::from_raw(pool.load(self.addr.add(W_AFFECT + 2 * i as u64))),
             observed: pool.load(self.addr.add(W_AFFECT + 2 * i as u64 + 1)),
@@ -226,10 +317,11 @@ impl Desc {
         }
     }
 
-    /// WriteSet entry `j`.
-    pub fn write(&self, pool: &PmemPool, j: usize) -> WriteEntry {
-        debug_assert!(j < WRITE_MAX);
-        let base = W_WRITE + 3 * j as u64;
+    /// WriteSet entry `j`, located through `hdr`, this descriptor's
+    /// [`Self::header`].
+    pub fn write(&self, pool: &PmemPool, hdr: Header, j: usize) -> WriteEntry {
+        debug_assert!(j < hdr.write_len());
+        let base = hdr.write_at(j);
         WriteEntry {
             field: PAddr::from_raw(pool.load(self.addr.add(base))),
             old: pool.load(self.addr.add(base + 1)),
@@ -237,10 +329,11 @@ impl Desc {
         }
     }
 
-    /// NewSet entry `i` (info-field address of the new node).
-    pub fn new_node(&self, pool: &PmemPool, i: usize) -> PAddr {
-        debug_assert!(i < NEW_MAX);
-        PAddr::from_raw(pool.load(self.addr.add(W_NEW + i as u64)))
+    /// NewSet entry `i` (info-field address of the new node), located
+    /// through `hdr`, this descriptor's [`Self::header`].
+    pub fn new_node(&self, pool: &PmemPool, hdr: Header, i: usize) -> PAddr {
+        debug_assert!(i < hdr.new_len());
+        PAddr::from_raw(pool.load(self.addr.add(hdr.new_at(i))))
     }
 
     /// Current `result` (⊥ until the operation takes effect).
@@ -269,64 +362,98 @@ impl Desc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sites::S_DESC;
     use pmem::{PmemPool, PoolCfg};
 
     fn pool() -> PmemPool {
         PmemPool::new(PoolCfg::model(1 << 20))
     }
 
+    fn affect(info_addr: PAddr, observed: u64, untag_on_cleanup: bool) -> AffectEntry {
+        AffectEntry {
+            info_addr,
+            observed,
+            untag_on_cleanup,
+        }
+    }
+
+    fn write(field: PAddr, old: u64, new: u64) -> WriteEntry {
+        WriteEntry { field, old, new }
+    }
+
+    /// Fills a descriptor sized for the sets, reads every field back, and
+    /// checks the sets are packed: the last NewSet entry (or WriteSet
+    /// entry) sits at the last word the shape fills.
+    fn roundtrip(p: &PmemPool, affect: &[AffectEntry], writes: &[WriteEntry], news: &[PAddr]) {
+        let d = Desc::alloc(p, affect.len(), writes.len(), news.len());
+        d.init(p, 7, crate::result::TRUE, affect, writes, news);
+        let hdr = d.header(p);
+        assert_eq!(hdr.op_type(), 7);
+        assert_eq!(d.op_type(p), 7);
+        assert_eq!(
+            (hdr.affect_len(), hdr.write_len(), hdr.new_len()),
+            (affect.len(), writes.len(), news.len())
+        );
+        for (i, e) in affect.iter().enumerate() {
+            let got = d.affect(p, i);
+            assert_eq!(
+                (got.info_addr, got.observed, got.untag_on_cleanup),
+                (e.info_addr, e.observed, e.untag_on_cleanup),
+                "AffectSet entry {i}"
+            );
+        }
+        for (j, w) in writes.iter().enumerate() {
+            let got = d.write(p, hdr, j);
+            assert_eq!((got.field, got.old, got.new), (w.field, w.old, w.new));
+        }
+        for (i, &n) in news.iter().enumerate() {
+            assert_eq!(d.new_node(p, hdr, i), n, "NewSet entry {i}");
+        }
+        assert_eq!(d.result(p), BOTTOM);
+        assert_eq!(d.success_result(p), crate::result::TRUE);
+        let last = words(affect.len(), writes.len(), news.len()) as u64 - 1;
+        assert_ne!(p.load(d.addr().add(last)), 0, "the sets are packed");
+    }
+
     #[test]
     fn roundtrip_all_fields() {
         let p = pool();
-        let d = Desc::alloc(&p);
-        let n1 = p.alloc_lines(1);
-        let n2 = p.alloc_lines(1);
-        let nn = p.alloc_lines(1);
-        d.init(
+        let (n1, n2, nn) = (p.alloc_lines(1), p.alloc_lines(1), p.alloc_lines(1));
+        roundtrip(
             &p,
-            7,
-            crate::result::TRUE,
-            &[
-                AffectEntry {
-                    info_addr: n1.add(2),
-                    observed: 11,
-                    untag_on_cleanup: true,
-                },
-                AffectEntry {
-                    info_addr: n2.add(2),
-                    observed: 13,
-                    untag_on_cleanup: false,
-                },
-            ],
-            &[WriteEntry {
-                field: n1.add(1),
-                old: 5,
-                new: 6,
-            }],
+            &[affect(n1.add(2), 11, true), affect(n2.add(2), 13, false)],
+            &[write(n1.add(1), 5, 6)],
             &[nn.add(2)],
         );
-        assert_eq!(d.op_type(&p), 7);
-        assert_eq!(d.affect_len(&p), 2);
-        assert_eq!(d.write_len(&p), 1);
-        assert_eq!(d.new_len(&p), 1);
-        let a0 = d.affect(&p, 0);
-        assert_eq!(a0.info_addr, n1.add(2));
-        assert_eq!(a0.observed, 11);
-        assert!(a0.untag_on_cleanup);
-        let a1 = d.affect(&p, 1);
-        assert_eq!(a1.info_addr, n2.add(2));
-        assert!(!a1.untag_on_cleanup);
-        let w0 = d.write(&p, 0);
-        assert_eq!((w0.field, w0.old, w0.new), (n1.add(1), 5, 6));
-        assert_eq!(d.new_node(&p, 0), nn.add(2));
-        assert_eq!(d.result(&p), BOTTOM);
-        assert_eq!(d.success_result(&p), crate::result::TRUE);
+    }
+
+    /// The hash map's move fills all 16 words of its two lines.
+    #[test]
+    fn roundtrip_move_shape() {
+        let p = pool();
+        let (head, first, pred, newnd) = (
+            p.alloc_lines(1),
+            p.alloc_lines(1),
+            p.alloc_lines(1),
+            p.alloc_lines(1),
+        );
+        assert_eq!(words(3, 2, 1), 2 * WORDS_PER_LINE);
+        roundtrip(
+            &p,
+            &[
+                affect(head.add(2), 21, true),
+                affect(first.add(2), 22, false),
+                affect(pred.add(2), 23, true),
+            ],
+            &[write(pred.add(1), 31, 32), write(head.add(1), 33, 34)],
+            &[newnd.add(2)],
+        );
     }
 
     #[test]
     fn result_starts_bottom_and_is_settable() {
         let p = pool();
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 0, 0, 0);
         d.init(&p, 1, crate::result::TRUE, &[], &[], &[]);
         assert_eq!(d.result(&p), BOTTOM);
         d.set_result(&p, crate::result::FALSE);
@@ -336,7 +463,7 @@ mod tests {
     #[test]
     fn tagged_untagged_refer_to_same_descriptor() {
         let p = pool();
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 1, 1, 0);
         assert_ne!(d.tagged(), d.untagged());
         assert_eq!(Desc::from_raw(d.tagged()), d);
         assert_eq!(Desc::from_raw(d.untagged()), d);
@@ -344,19 +471,29 @@ mod tests {
         assert!(!pmem::is_tagged(d.untagged()));
     }
 
+    /// Each descriptor starts on a fresh line past the previous one's
+    /// allocation: a one-line shape takes one line, a two-line shape two,
+    /// the paper's descriptor three.
     #[test]
     fn descriptors_are_line_aligned_and_fresh() {
         let p = pool();
-        let a = Desc::alloc(&p);
-        let b = Desc::alloc(&p);
-        assert_eq!(a.addr().word() % pmem::WORDS_PER_LINE, 0);
-        assert!(b.addr().raw() >= a.addr().raw() + D_WORDS as u64);
+        let line = WORDS_PER_LINE as u64;
+        let pop = Desc::alloc(&p, 1, 1, 0);
+        let insert = Desc::alloc(&p, 2, 1, 2);
+        let paper = Desc::alloc_paper(&p);
+        let next = Desc::alloc(&p, 1, 0, 0);
+        for d in [pop, insert, paper, next] {
+            assert_eq!(d.addr().word() % WORDS_PER_LINE, 0);
+        }
+        assert!(insert.raw() >= pop.raw() + line);
+        assert!(paper.raw() >= insert.raw() + 2 * line);
+        assert!(next.raw() >= paper.raw() + D_LINES as u64 * line);
     }
 
     #[test]
     fn pbarrier_persists_descriptor() {
         let p = pool();
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 0, 0, 0);
         d.init(&p, 3, crate::result::TRUE, &[], &[], &[]);
         d.pbarrier(&p, pmem::SiteId(0));
         p.crash(&mut pmem::PessimistAdversary);
@@ -364,16 +501,55 @@ mod tests {
         assert_eq!(d.success_result(&p), crate::result::TRUE);
     }
 
+    /// `desc`-site pwbs one `pbarrier` of a descriptor of this shape issues.
+    fn desc_pwbs(d: impl Fn(&PmemPool) -> Desc, a: usize, w: usize, n: usize) -> u64 {
+        let p = pool();
+        let d = d(&p);
+        let e = affect(p.alloc_lines(1).add(2), 0, true);
+        let x = write(p.alloc_lines(1), 0, 1);
+        d.init(
+            &p,
+            1,
+            crate::result::TRUE,
+            &[e; 3][..a],
+            &[x; 2][..w],
+            &[e.info_addr; 2][..n],
+        );
+        let before = p.stats().pwb_at(S_DESC);
+        d.pbarrier(&p, S_DESC);
+        p.stats().pwb_at(S_DESC) - before
+    }
+
+    /// A pop, a dequeue or a seal flushes one descriptor line; every other
+    /// lean shape two; the paper placement's descriptor all three.
+    #[test]
+    fn pbarrier_flushes_the_lines_of_the_shape() {
+        let lean = |a, w, n| desc_pwbs(|p| Desc::alloc(p, a, w, n), a, w, n);
+        assert_eq!(lean(1, 1, 0), 1, "pop, dequeue");
+        assert_eq!(lean(1, 0, 0), 1, "seal");
+        for (a, w, n) in [(1, 1, 1), (2, 1, 0), (2, 1, 2), (1, 2, 1), (3, 2, 1)] {
+            assert_eq!(lean(a, w, n), 2, "shape ({a}, {w}, {n})");
+        }
+        for (a, w, n) in [(1, 0, 0), (2, 1, 2)] {
+            assert_eq!(desc_pwbs(Desc::alloc_paper, a, w, n), D_LINES as u64);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "AffectSet too large")]
     fn affect_overflow_checked() {
         let p = pool();
-        let d = Desc::alloc(&p);
-        let e = AffectEntry {
-            info_addr: PAddr(8),
-            observed: 0,
-            untag_on_cleanup: false,
-        };
+        let d = Desc::alloc_paper(&p);
+        let e = affect(PAddr(8), 0, false);
         d.init(&p, 0, 0, &[e; 5], &[], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "descriptor sets overflow the allocation")]
+    fn sets_overflowing_the_allocation_are_checked() {
+        let p = pool();
+        let d = Desc::alloc(&p, 1, 1, 0); // a pop's one line
+        let e = affect(PAddr(8), 0, true);
+        d.init(&p, 0, 0, &[e], &[write(PAddr(16), 0, 1)], &[PAddr(24)]);
     }
 }

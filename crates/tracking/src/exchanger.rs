@@ -133,7 +133,7 @@ impl RecoverableExchanger {
             }
             if pool.load(nd.add(N_FREE)) == 1 {
                 // ---- Capture ----
-                let desc = Desc::alloc(pool);
+                let desc = Desc::alloc(pool, 1, 1, 1);
                 pool.store(nd_p.add(N_INFO), desc.tagged());
                 desc.init(
                     pool,
@@ -166,7 +166,7 @@ impl RecoverableExchanger {
             let their_value = pool.load(nd.add(N_VALUE)); // immutable once published
             let free2 = ctx.palloc(1);
             Self::init_free(pool, free2, 0);
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 1, 2, 1);
             pool.store(free2.add(N_INFO), desc.tagged());
             desc.init(
                 pool,
@@ -248,7 +248,7 @@ impl RecoverableExchanger {
             }
             let free2 = ctx.palloc(1);
             Self::init_free(pool, free2, 0);
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 1, 1, 1);
             pool.store(free2.add(N_INFO), desc.tagged());
             desc.init(
                 pool,
@@ -293,7 +293,8 @@ impl RecoverableExchanger {
         let Some((desc, r)) = op::recover_attempt(ctx) else {
             return self.exchange(ctx, value, spin_budget);
         };
-        match desc.op_type(pool) {
+        let hdr = desc.header(pool);
+        match hdr.op_type() {
             OP_COLLIDE => {
                 if r != BOTTOM {
                     Some(dec_val(r))
@@ -306,7 +307,7 @@ impl RecoverableExchanger {
                     return self.exchange(ctx, value, spin_budget);
                 }
                 // Captured: our node is the descriptor's NewSet entry.
-                let nd_p = PAddr(desc.new_node(pool, 0).raw() - N_INFO);
+                let nd_p = PAddr(desc.new_node(pool, hdr, 0).raw() - N_INFO);
                 self.wait_for_partner(ctx, nd_p, spin_budget)
             }
             OP_CANCEL => {

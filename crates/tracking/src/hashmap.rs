@@ -71,7 +71,7 @@ use pmem::{is_tagged, PAddr, PmemPool, ThreadCtx};
 
 use crate::chain::{self, Pair};
 use crate::descriptor::{AffectEntry, Desc};
-use crate::help::{help, help_tagged};
+use crate::help::{cleanup_unfinished, help, help_tagged};
 use crate::list::KEY_MAX;
 use crate::op;
 use crate::result::{dec_val, enc_val, BOTTOM, FALSE, TRUE};
@@ -291,7 +291,7 @@ impl RecoverableHashMap {
                 ctx.retire(newnd, 1);
                 return false;
             }
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 2, 1, 2);
             s.fill_copy(pool, desc, curr_key, newcurr, newnd, key, Some(val));
             s.init_insert(pool, desc, OP_PUT, TRUE, newcurr, newnd);
             op::publish(ctx, desc, &[newcurr, newnd]);
@@ -350,7 +350,7 @@ impl RecoverableHashMap {
             // (immutable while bound, so the stamp CAS validates it too).
             let succ = chain::next(pool, s.curr);
             let val = chain::value(pool, s.curr);
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 2, 1, 0);
             s.init_unlink(pool, desc, OP_REMOVE, enc_val(val), succ);
             op::publish(ctx, desc, &[]);
             help(pool, desc);
@@ -452,6 +452,7 @@ impl RecoverableHashMap {
             let oldl = PAddr::from_raw(curr);
             let newl = PAddr::from_raw(nxt);
             let nb_old = pool.load(oldl.add(L_NB));
+            self.finish_cursor_move(oldl, newl, nb_old);
             loop {
                 let c = pool.load(newl.add(L_CURSOR));
                 if c >= nb_old {
@@ -478,6 +479,33 @@ impl RecoverableHashMap {
         pool.psync();
     }
 
+    /// Finishes the cleanup of the cursor bucket's last move when a power
+    /// failure cut it short. The crash model resolves each line on its
+    /// own, so a crash can keep the old head's untag and lose the untag of
+    /// the new-level predecessor or of the copied node. No request's `RD_q`
+    /// names a move, and the migration walks past an untagged head, so
+    /// nothing else would finish that cleanup. The cursor bucket is the only
+    /// place to look: the cursor passes a bucket only after its last move's
+    /// cleanup psync. Only an unfinished cleanup is helped: re-running a
+    /// finished one would issue redundant pwbs.
+    fn finish_cursor_move(&self, oldl: PAddr, newl: PAddr, nb_old: u64) {
+        let pool = &*self.pool;
+        let c = pool.load(newl.add(L_CURSOR));
+        if c >= nb_old {
+            return;
+        }
+        let head = PAddr::from_raw(pool.load(oldl.add(L_BUCKETS + c)));
+        let hinfo = chain::info(pool, head);
+        if hinfo == 0 || is_tagged(hinfo) {
+            return; // never stamped, or tagged: the migration helps a tag
+        }
+        let d = Desc::from_raw(hinfo);
+        let hdr = d.header(pool);
+        if hdr.op_type() == OP_MOVE && cleanup_unfinished(pool, d, hdr) {
+            help(pool, d);
+        }
+    }
+
     /// Drains old bucket `i` into the new level: repeatedly moves the first
     /// chain node with an `OP_MOVE` descriptor, then seals the empty bucket
     /// with an `OP_SEAL` descriptor (tagging the head forever). Returns
@@ -499,7 +527,7 @@ impl RecoverableHashMap {
             if chain::key(pool, first) == KEY_MAX {
                 // Empty chain: seal. The tag CAS succeeds only if the head
                 // stamp is still `hinfo`, i.e. the bucket stayed empty.
-                let d = Desc::alloc(pool);
+                let d = Desc::alloc(pool, 1, 0, 0);
                 d.init(
                     pool,
                     OP_SEAL,
@@ -543,7 +571,8 @@ impl RecoverableHashMap {
             if s.help(pool) {
                 continue;
             }
-            let d = Desc::alloc(pool);
+            // Sized for the move's sets; the defensive unlink's fit too.
+            let d = Desc::alloc(pool, 3, 2, 1);
             let copy = if chain::key(pool, s.curr) == key {
                 // Defensive: the key is already in the new level (a remnant
                 // of an interrupted move of this very node). Unlink only.
@@ -649,6 +678,7 @@ impl RecoverableHashMap {
 mod tests {
     use super::*;
     use pmem::{PmemPool, PoolCfg};
+    use std::cell::Cell;
     use std::collections::BTreeMap;
 
     fn setup_cfg(cfg: HashMapConfig) -> (Arc<PmemPool>, RecoverableHashMap, ThreadCtx) {
@@ -1063,6 +1093,59 @@ mod tests {
             "free list after growth must hold migration-retired blocks, not \
              just put-replacement retirees ({recycled} of 120 recycled)"
         );
+    }
+
+    /// A power failure inside a resize move's cleanup can persist the old
+    /// head's untag and lose the untag of the new-level predecessor or of
+    /// the copied node, and no request names the move for its recovery to
+    /// help. Grows default maps to 128 buckets under seeded failures (gaps
+    /// of 1–6 000 events), recovers each interrupted put — re-invoking it
+    /// when the failure struck inside `begin_op` — and checks right after
+    /// every recovery that no completed move left a tag behind.
+    #[test]
+    fn growth_under_seeded_failures_leaves_no_tag_after_recovery() {
+        let mut recoveries = 0;
+        for seed in 1..=100u64 {
+            let pool = Arc::new(PmemPool::new(PoolCfg::model(32 << 20)));
+            let mut map = RecoverableHashMap::new(pool.clone(), 0);
+            let mut ctx = ThreadCtx::new(pool.clone(), 0);
+            let mut rng = pmem::Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let ctl = pool.crash_ctl();
+            ctl.arm_after(rng.next() % 6_000 + 1);
+            for key in 1.. {
+                // The harness's own read must not tick the countdown.
+                let left = ctl.remaining();
+                ctl.disarm();
+                if map.bucket_count() >= 128 {
+                    break;
+                }
+                ctl.arm_after(left as u64);
+                let past_begin_op = Cell::new(false);
+                let pre = pmem::run_crashable(|| {
+                    ctx.begin_op(S_CP);
+                    past_begin_op.set(true);
+                    map.put_started(&ctx, key, key)
+                });
+                if let Some(created) = pre {
+                    assert!(created, "seed {seed}: fresh key {key}");
+                    continue;
+                }
+                pool.crash(&mut pmem::SeededAdversary::new(rng.next()));
+                map = RecoverableHashMap::new(pool.clone(), 0);
+                ctx = ThreadCtx::new(pool.clone(), 0);
+                let created = if past_begin_op.get() {
+                    map.recover_put(&ctx, key, key)
+                } else {
+                    ctx.begin_op(S_CP);
+                    map.put_started(&ctx, key, key)
+                };
+                assert!(created, "seed {seed}: recovered put of fresh key {key}");
+                assert_eq!(map.check_invariants(), key as usize, "seed {seed}");
+                recoveries += 1;
+                ctl.arm_after(rng.next() % 6_000 + 1);
+            }
+        }
+        assert!(recoveries > 100, "only {recoveries} failures struck");
     }
 
     #[test]

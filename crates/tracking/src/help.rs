@@ -30,7 +30,7 @@
 
 use pmem::{is_tagged, PAddr, PmemPool};
 
-use crate::descriptor::Desc;
+use crate::descriptor::{Desc, Header};
 use crate::sites::{S_BACKTRACK, S_CLEANUP, S_RESULT, S_TAG, S_UPDATE};
 
 /// Runs Algorithm 2 for the operation described by `desc`.
@@ -40,7 +40,10 @@ use crate::sites::{S_BACKTRACK, S_CLEANUP, S_RESULT, S_TAG, S_UPDATE};
 /// or it did not take effect at all and `result` is still ⊥ (the caller —
 /// owner or recovery — starts a new attempt).
 pub fn help(pool: &PmemPool, desc: Desc) {
-    let alen = desc.affect_len(pool);
+    // The tagging phase, the update phase and cleanup each load the header
+    // word they need rather than share one load: every load is a crash
+    // point, and the paper placement's pinned event streams count these.
+    let alen = desc.header(pool).affect_len();
     let tag = desc.tagged();
     let untag = desc.untagged();
 
@@ -85,9 +88,9 @@ pub fn help(pool: &PmemPool, desc: Desc) {
     pool.psync(); // line 47: tagging persisted before any update
 
     // ---- Update phase (lines 48–51) ----
-    let wlen = desc.write_len(pool);
-    for j in 0..wlen {
-        let w = desc.write(pool, j);
+    let hdr = desc.header(pool);
+    for j in 0..hdr.write_len() {
+        let w = desc.write(pool, hdr, j);
         let _ = pool.cas(w.field, w.old, w.new); // idempotent: failure means done
         pool.pwb(w.field, S_UPDATE);
     }
@@ -125,6 +128,23 @@ pub(crate) fn help_tagged(pool: &PmemPool, infos: &[u64]) -> bool {
     tagged.is_some()
 }
 
+/// Did `desc` take effect without finishing its cleanup? True when its
+/// result is recorded yet an AffectSet entry that cleanup untags, or a
+/// NewSet node, still holds its tag: a crash kept some of the cleanup's
+/// untags and lost others. `hdr` is `desc`'s header.
+pub(crate) fn cleanup_unfinished(pool: &PmemPool, desc: Desc, hdr: Header) -> bool {
+    if desc.result(pool) == crate::result::BOTTOM {
+        return false;
+    }
+    let tag = desc.tagged();
+    let untagged_entry_holds_tag = (0..hdr.affect_len()).any(|i| {
+        let e = desc.affect(pool, i);
+        e.untag_on_cleanup && pool.load(e.info_addr) == tag
+    });
+    untagged_entry_holds_tag
+        || (0..hdr.new_len()).any(|i| pool.load(desc.new_node(pool, hdr, i)) == tag)
+}
+
 /// The cleanup phase (Algorithm 2 lines 54–58): untags every AffectSet
 /// entry still part of the structure and every NewSet node. Idempotent;
 /// also invoked when a helper detects a completed operation whose cleanup
@@ -137,9 +157,9 @@ fn cleanup(pool: &PmemPool, desc: Desc, alen: usize, tag: u64, untag: u64) {
             pool.pwb(entry.info_addr, S_CLEANUP);
         }
     }
-    let nlen = desc.new_len(pool);
-    for i in 0..nlen {
-        let info_addr: PAddr = desc.new_node(pool, i);
+    let hdr = desc.header(pool);
+    for i in 0..hdr.new_len() {
+        let info_addr: PAddr = desc.new_node(pool, hdr, i);
         let _ = pool.cas(info_addr, tag, untag);
         pool.pwb(info_addr, S_CLEANUP);
     }
@@ -169,7 +189,7 @@ mod tests {
         let p = pool();
         let nd = node(&p, 5);
         let info = nd.add(2);
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 2, 1, 1);
         d.init(
             &p,
             1,
@@ -197,7 +217,7 @@ mod tests {
         let p = pool();
         let nd = node(&p, 5);
         let info = nd.add(2);
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 2, 1, 1);
         d.init(
             &p,
             1,
@@ -228,9 +248,9 @@ mod tests {
         let nd1 = node(&p, 1);
         let nd2 = node(&p, 2);
         // nd2 is already tagged by a different descriptor
-        let other = Desc::alloc(&p);
+        let other = Desc::alloc(&p, 2, 1, 1);
         p.store(nd2.add(2), other.tagged());
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 2, 1, 1);
         d.init(
             &p,
             1,
@@ -271,7 +291,7 @@ mod tests {
     fn stale_observed_value_fails_tagging() {
         let p = pool();
         let nd = node(&p, 1);
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 2, 1, 1);
         d.init(
             &p,
             1,
@@ -298,7 +318,7 @@ mod tests {
     fn new_nodes_untagged_at_cleanup() {
         let p = pool();
         let nd = node(&p, 5);
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 2, 1, 1);
         let newnd = node(&p, 0);
         p.store(newnd.add(2), d.tagged()); // born tagged
         d.init(
@@ -326,7 +346,7 @@ mod tests {
         let p = pool();
         let pred = node(&p, 10);
         let curr = node(&p, 20);
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 2, 1, 1);
         d.init(
             &p,
             2,
@@ -366,7 +386,7 @@ mod tests {
             // in the real algorithms affected nodes are already durable
             p.pwb(nd, pmem::SiteId(1));
             p.psync();
-            let d = Desc::alloc(&p);
+            let d = Desc::alloc(&p, 2, 1, 1);
             d.init(
                 &p,
                 1,
@@ -417,7 +437,7 @@ mod tests {
                 let info = nd.add(2);
                 p.pwb(nd, pmem::SiteId(1));
                 p.psync();
-                let d = Desc::alloc(&p);
+                let d = Desc::alloc(&p, 2, 1, 1);
                 d.init(
                     &p,
                     1,
@@ -470,7 +490,7 @@ mod tests {
         // would stay tagged forever and every traversal would livelock.
         let p = pool();
         let nd = node(&p, 5);
-        let d = Desc::alloc(&p);
+        let d = Desc::alloc(&p, 2, 1, 1);
         let newnd = node(&p, 0);
         p.store(newnd.add(2), d.tagged());
         d.init(
@@ -509,8 +529,8 @@ mod tests {
         let p = pool();
         let nd = node(&p, 5);
         let info = nd.add(2);
-        let d1 = Desc::alloc(&p);
-        let d2 = Desc::alloc(&p);
+        let d1 = Desc::alloc(&p, 2, 1, 1);
+        let d2 = Desc::alloc(&p, 2, 1, 1);
         for (d, new) in [(d1, 100u64), (d2, 200u64)] {
             d.init(
                 &p,

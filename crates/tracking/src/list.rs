@@ -155,6 +155,17 @@ impl RecoverableList {
         chain::search(&self.pool, self.head, key, self.cfg.traversal_flush).pair
     }
 
+    /// A fresh descriptor for an update with `affect` AffectSet, `writes`
+    /// WriteSet and `news` NewSet entries: sized to them in the lean
+    /// placement, the paper's three lines in the paper's placements, where
+    /// the same descriptor may record a read-only outcome instead.
+    fn alloc_desc(&self, affect: usize, writes: usize, news: usize) -> Desc {
+        match self.cfg.placement {
+            Placement::Lean => Desc::alloc(&self.pool, affect, writes, news),
+            Placement::Paper | Placement::PaperNoReadOpt => Desc::alloc_paper(&self.pool),
+        }
+    }
+
     /// A read-only outcome's descriptor in the paper's placements
     /// (Algorithm 3 lines 21–23, Algorithm 4 lines 63–65): AffectSet
     /// `{curr}` and response `result`, recorded from the start in
@@ -205,7 +216,7 @@ impl RecoverableList {
                 ctx.retire(newnd, 1);
                 return false;
             }
-            let desc = Desc::alloc(pool);
+            let desc = self.alloc_desc(2, 1, 2);
             // Lines 19–20: newcurr becomes a copy of curr, newnd links to it
             let curr_key = chain::key(pool, s.curr);
             s.fill_copy(pool, desc, curr_key, newcurr, newnd, key, None);
@@ -286,7 +297,7 @@ impl RecoverableList {
                 op::record_false(ctx);
                 return false;
             }
-            let desc = Desc::alloc(pool);
+            let desc = self.alloc_desc(2, 1, 0);
             if absent {
                 // Lines 53–54, 63–65
                 self.init_read_only(&s, desc, OP_DELETE, enc_bool(false));
@@ -343,7 +354,7 @@ impl RecoverableList {
         let pool = &*self.pool;
         let placement = self.cfg.placement;
         // Line 76: the paper's one descriptor for the whole operation.
-        let desc = (placement == Placement::Paper).then(|| Desc::alloc(pool));
+        let desc = (placement == Placement::Paper).then(|| Desc::alloc_paper(pool));
         if placement == Placement::PaperNoReadOpt {
             op::begin_durable(ctx);
         }
@@ -362,7 +373,7 @@ impl RecoverableList {
                 // A fresh descriptor per attempt: a backtracked descriptor
                 // must never be re-initialized (helpers may still hold
                 // references).
-                let desc = Desc::alloc(pool);
+                let desc = Desc::alloc_paper(pool);
                 self.init_read_only(&s, desc, OP_FIND, enc_bool(found));
                 op::publish(ctx, desc, &[]);
                 help(pool, desc);

@@ -220,12 +220,16 @@ mod tests {
         // would expose.
         ctx.begin_op(S_CP);
         begin_durable(&ctx);
-        let old = Desc::alloc(&pool);
+        let old = Desc::alloc(&pool, 0, 0, 0);
         old.init(&pool, OP_LINK, TRUE, &[], &[], &[]);
         publish(&ctx, old, &[]);
         help(&pool, old);
         let a = Attempt {
-            desc: Desc::alloc(&pool),
+            desc: if paper {
+                Desc::alloc_paper(&pool)
+            } else {
+                Desc::alloc(&pool, 1, 1, 1)
+            },
             new: pool.alloc_lines(1),
             target,
         };
@@ -271,9 +275,10 @@ mod tests {
             } else {
                 assert_eq!(d.success_result(&pool), TRUE, "k={k}");
                 assert_eq!(d.result(&pool), BOTTOM, "k={k}");
-                let w = d.write(&pool, 0);
+                let hdr = d.header(&pool);
+                let w = d.write(&pool, hdr, 0);
                 assert_eq!((w.field, w.old, w.new), (target.add(NEXT), 0, a.new.raw()));
-                assert_eq!(d.new_node(&pool, 0), a.new.add(INFO), "k={k}");
+                assert_eq!(d.new_node(&pool, hdr, 0), a.new.add(INFO), "k={k}");
                 assert_eq!(pool.load(a.new.add(VALUE)), 77, "k={k}: new node lost");
                 assert_eq!(pool.load(a.new.add(INFO)), d.tagged(), "k={k}");
             }

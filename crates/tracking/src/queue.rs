@@ -136,7 +136,7 @@ impl RecoverableQueue {
             if help_tagged(pool, &[last_info]) {
                 continue;
             }
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 1, 1, 1);
             pool.store(new.add(N_INFO), desc.tagged());
             desc.init(
                 pool,
@@ -200,7 +200,7 @@ impl RecoverableQueue {
                 op::record_false(ctx);
                 return None;
             }
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 1, 1, 0);
             let f = PAddr::from_raw(next);
             let value = pool.load(f.add(N_VALUE)); // immutable once published
             desc.init(

@@ -191,7 +191,7 @@ impl RecoverableStack {
             if pool.load(self.top_cell) != top_word {
                 continue;
             }
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 1, 1, 1);
             pool.store(new.add(N_NEXT), top.raw());
             pool.store(new.add(N_INFO), desc.tagged());
             desc.init(
@@ -261,7 +261,7 @@ impl RecoverableStack {
                 op::record_false(ctx);
                 return None;
             }
-            let desc = Desc::alloc(pool);
+            let desc = Desc::alloc(pool, 1, 1, 0);
             let value = pool.load(top.add(N_VALUE)); // immutable once published
             let next = pool.load(top.add(N_NEXT));
             desc.init(

@@ -30,7 +30,7 @@ fn pinned_cfg(structure: StructureKind, algo: AlgoKind) -> SweepCfg {
 /// persistence-instruction placement and in the lean one.
 #[test]
 fn tracking_list_event_count_is_pinned() {
-    for (algo, pinned) in [(AlgoKind::TrackingPaper, 319), (AlgoKind::Tracking, 264)] {
+    for (algo, pinned) in [(AlgoKind::TrackingPaper, 319), (AlgoKind::Tracking, 261)] {
         let mut cfg = pinned_cfg(StructureKind::List, algo);
         // Counting alone needs no replays; skip them so the pin stays cheap.
         cfg.sample = 0.0;
@@ -54,7 +54,7 @@ fn tracking_queue_pin_and_sampled_sweep_is_clean() {
     let mut cfg = pinned_cfg(StructureKind::Queue, AlgoKind::Tracking);
     cfg.sample = 0.2;
     let report = run_sweep(&cfg);
-    assert_eq!(report.total_events, 252, "Tracking queue event count moved");
+    assert_eq!(report.total_events, 248, "Tracking queue event count moved");
     assert!(report.points_run > 0, "0.2 sample selected nothing");
     assert!(
         report.ok(),
@@ -91,7 +91,7 @@ fn tracking_hashmap_pin_and_sampled_sweep_is_clean() {
     cfg.sample = 0.05;
     let report = run_sweep(&cfg);
     assert_eq!(
-        report.total_events, 1791,
+        report.total_events, 1775,
         "Tracking hashmap persistence-event count changed: bucket-op or \
          resize instruction placement moved. If intentional, update this pin."
     );
@@ -142,7 +142,7 @@ fn seeded_adversary_sampled_sweep_is_clean() {
 fn masked_site_event_totals_are_pinned() {
     for (algo, [unmasked, no_cp, no_result]) in [
         (AlgoKind::TrackingPaper, [319, 308, 316]),
-        (AlgoKind::Tracking, [264, 258, 261]),
+        (AlgoKind::Tracking, [261, 255, 258]),
     ] {
         let name = algo.name();
         let mut cfg = pinned_cfg(StructureKind::List, algo);
@@ -314,11 +314,11 @@ fn flushopt_off_streams_are_bit_identical_to_pr8() {
     );
 }
 
-const TRACKING_PR8_STREAM_HASH: u64 = 1931165606446196522;
+const TRACKING_PR8_STREAM_HASH: u64 = 12247536990845649930;
 const CAPSULES_PR8_STREAM_HASH: u64 = 16994248641333252118;
-const TRACKING_LEAN_STREAM_HASH: u64 = 2419197221114425761;
-const TRACKING_BST_STREAM_HASH: u64 = 6669449963082274064;
-const TRACKING_HASHMAP_STREAM_HASH: u64 = 14812654398093830758;
+const TRACKING_LEAN_STREAM_HASH: u64 = 7711577497671031403;
+const TRACKING_BST_STREAM_HASH: u64 = 17359856222635974940;
+const TRACKING_HASHMAP_STREAM_HASH: u64 = 4860163418802709136;
 
 /// A masked site is invisible at the substrate level, not just in sweep
 /// accounting: its `pwb` neither ticks the crash countdown, nor records a
